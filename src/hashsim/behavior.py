@@ -36,6 +36,12 @@ class ModelParams:
     coverage: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
+        for name in ("lam", "eta_star", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not (math.isfinite(self.delta_t)
+                and self.delta_t == int(self.delta_t)):
+            raise ValueError("delta_t must be an integer")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         if self.eta_star < 1:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -83,10 +84,13 @@ def parse_grid(text: str, runs: int) -> GridSpec:
 
 
 def _model_params(args) -> ModelParams:
+    """Out-of-range values are usage errors; NaN or inf is malformed input."""
     try:
         return ModelParams(lam=args.lam, eta_star=args.eta_star,
                            delta_t=args.delta_t)
     except ValueError as exc:
+        if not (math.isfinite(args.lam) and math.isfinite(args.eta_star)):
+            raise
         raise UsageError(str(exc)) from None
 
 

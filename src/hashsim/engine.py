@@ -5,6 +5,25 @@ through day d-1, so user order cannot matter. All randomness comes from the
 counter-based streams in hashsim.rng, addressed by (run seed, user, day,
 slot); slot 0 is the exposure draw, slot 1 the tweet draw, slot 2 the
 retweet-count draw.
+
+Exposure is state, not a per-day recomputation. For every (run, user) the
+engine keeps y (summed follower counts of the leaders active more recently
+than the user) and eta (their number) as float64 arrays of shape
+(runs, users). A day's actors change them only locally: an actor's own y
+and eta drop to 0, and each follower that did not act gains F_j and 1 from
+every actor j it had not yet counted. The update is applied before the next
+simulated day, in one of two directions (Beamer, Asanovic & Patterson,
+"Direction-optimizing BFS", SC 2012):
+
+- push walks the follower CSR (the transpose of the leader CSR, built once
+  per network) from the actors, when their out-edge volume sum(F_j) is at
+  most _PUSH_MAX_FRAC of runs x E;
+- pull recomputes y and eta from `last` over every edge, as a segmented sum
+  over the follower-sorted leader CSR, in chunks of runs so that no more
+  than _PULL_CHUNK_EDGES (run, edge) pairs are held at once.
+
+y and eta are integer sums below 2**53, so both directions give the same
+float64 bits as a from-scratch recomputation.
 """
 
 from __future__ import annotations
@@ -22,6 +41,15 @@ DAY_OFFSETS = np.arange(-7, 8)
 N_DAYS = 15
 PEAK_INDEX = 7
 _NEVER = np.int16(-100)  # "no activity yet"; below every real day offset
+
+# Push a day's actors to their followers when their out-edge volume is at
+# most this fraction of runs x E; otherwise pull. A push costs 3-5x more per
+# (actor, follower) pair than a pull per (run, edge); of 0.15-0.5, 0.3 was
+# fastest on both a 1k-node ER scan and a dense 20k-node heavy-tailed graph.
+_PUSH_MAX_FRAC = 0.3
+# A pull works on at most this many (run, edge) pairs at a time (~13 bytes
+# of temporaries each).
+_PULL_CHUNK_EDGES = 1 << 21
 
 PROFILE_CSV_HEADER = "day,activities,distinct_users"
 
@@ -148,6 +176,76 @@ def user_arrays(net: FollowNetwork) -> tuple[np.ndarray, np.ndarray]:
     return (f / net.f_max) * second, h
 
 
+class _Exposure:
+    """Exposure of every (run, user), kept current with the `last` matrix.
+
+    y[r, i] sums F_j over the leaders j of i with last[r, j] > last[r, i],
+    and eta[r, i] counts them. Both are integer sums below 2**53, so every
+    order of summation gives the same float64 bits.
+    """
+
+    def __init__(self, net: FollowNetwork, runs: int):
+        self.net = net
+        self.y = np.zeros((runs, net.user_count))
+        self.eta = np.zeros((runs, net.user_count))
+
+    def update(self, last_old, acted, last_new) -> None:
+        """Bring the state from last_old to last_new, which adds `acted`."""
+        runs = acted.shape[0]
+        volume = int(acted.sum(axis=0) @ self.net.follower_count)
+        if volume <= _PUSH_MAX_FRAC * runs * self.net.edge_count:
+            self._push(last_old, acted)
+        else:
+            self._pull(last_new)
+
+    def _push(self, last_old, acted) -> None:
+        """Add one day's actors to the exposure of their followers.
+
+        A follower i gains F_j and 1 from an actor j, unless j already
+        counted for it (last_old[j] > last_old[i]). Actors then drop to
+        zero, since no leader can be more recent than today.
+        """
+        net, n = self.net, self.net.user_count
+        indptr, follower_ids = net.follower_csr
+        r, j = np.nonzero(acted)
+        count = net.follower_count[j]
+        # (actor, follower) pairs: follower i and the flat (run, i) index
+        pos = np.arange(count.sum()) + np.repeat(
+            indptr[j] - (np.cumsum(count) - count), count)
+        flat = np.repeat(r * n, count) + follower_ids[pos]
+        last_j = np.repeat(last_old[r, j], count)
+        keep = last_j <= np.take(last_old, flat)
+        flat = flat[keep]
+        np.add.at(self.y.reshape(-1), flat,
+                  np.repeat(count.astype(float), count)[keep])
+        np.add.at(self.eta.reshape(-1), flat, 1.0)
+        self.y[acted] = 0.0
+        self.eta[acted] = 0.0
+
+    def _pull(self, last) -> None:
+        """Recompute the state from `last` over every edge, in run chunks.
+
+        Edges are sorted by follower, so each user's leaders form one
+        segment and a segmented sum gives y and eta. A chunk covers at
+        most _PULL_CHUNK_EDGES (run, edge) pairs, so the memory a pull
+        needs is bounded by that budget, not by runs x E.
+        """
+        net = self.net
+        runs = last.shape[0]
+        chunk = max(1, _PULL_CHUNK_EDGES // net.edge_count)
+        has_leaders = net.leader_count > 0
+        starts = net.leader_indptr[:-1][has_leaders]
+        edge_f = net.follower_count[net.leader_ids].astype(float)
+        for lo in range(0, runs, chunk):
+            rows = last[lo:lo + chunk]
+            recent = rows[:, net.leader_ids] > np.repeat(
+                rows, net.leader_count, axis=1)
+            self.y[lo:lo + chunk, has_leaders] = np.add.reduceat(
+                np.where(recent, edge_f, 0.0), starts, axis=1)
+            self.eta[lo:lo + chunk, has_leaders] = np.add.reduceat(
+                recent.view(np.int8), starts, axis=1, dtype=np.int64)
+
+
 def _simulate_batch(net: FollowNetwork, params: ModelParams, seeds,
                     end_offset: int = 7) -> tuple[np.ndarray, np.ndarray]:
     """Simulate one run per seed; returns (activities, distinct) of shape (runs, 15)."""
@@ -162,15 +260,10 @@ def _simulate_batch(net: FollowNetwork, params: ModelParams, seeds,
     last = np.full((runs, n), _NEVER, dtype=np.int16)
     acts = np.zeros((runs, N_DAYS))
     dist = np.zeros((runs, N_DAYS))
-
-    edge_leader = net.leader_ids
-    edge_follower = net.edge_follower
-    edge_f = net.follower_count[edge_leader].astype(float)
-    # flat (run, follower) bin index per edge, for per-user segment sums
-    if edge_leader.size:
-        flat_bins = (np.arange(runs, dtype=np.int64)[:, None] * n
-                     + edge_follower[None, :]).ravel()
-        edge_f_tiled = np.tile(edge_f, runs)
+    exposure = _Exposure(net, runs) if net.edge_count else None
+    # (last before, actors) of the latest day with actors, applied to the
+    # exposure only when a later day needs it
+    pending = None
     any_activity = False
 
     for day_index, d in enumerate(DAY_OFFSETS):
@@ -191,13 +284,11 @@ def _simulate_batch(net: FollowNetwork, params: ModelParams, seeds,
 
         # endogenous spreading
         retweets = np.zeros((runs, n), dtype=np.int64)
-        if any_activity and edge_leader.size:
-            recent = last[:, edge_leader] > last[:, edge_follower]
-            recent_flat = recent.ravel().astype(float)
-            y = np.bincount(flat_bins, weights=recent_flat * edge_f_tiled,
-                            minlength=runs * n).reshape(runs, n)
-            eta = np.bincount(flat_bins, weights=recent_flat,
-                              minlength=runs * n).reshape(runs, n)
+        if any_activity and exposure is not None:
+            if pending is not None:
+                exposure.update(*pending, last)
+                pending = None
+            y, eta = exposure.y, exposure.eta
             gate = (y > 0) & (y >= eta_star * infl)
             gi = np.nonzero(gate)
             if gi[0].size:
@@ -216,6 +307,7 @@ def _simulate_batch(net: FollowNetwork, params: ModelParams, seeds,
         acts[:, day_index] = tweeted.sum(axis=1) + retweets.sum(axis=1)
         dist[:, day_index] = acted.sum(axis=1)
         if acted.any():
+            pending = (last, acted)
             last = np.where(acted, np.int16(d), last)
             any_activity = True
     return acts, dist

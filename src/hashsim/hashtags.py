@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -76,6 +77,8 @@ def read_hashtag_csv(src, name: str | None = None) -> HashtagRecord:
         if day != expected_day:
             raise HashtagCsvError(
                 f"row {row}: expected day {expected_day}, got {day}", row)
+        if not (math.isfinite(t_val) and math.isfinite(u_val)):
+            raise HashtagCsvError(f"row {row}: non-finite count", row)
         if t_val < 0 or u_val < 0:
             raise HashtagCsvError(f"row {row}: negative count", row)
         if u_val > t_val:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,6 +17,7 @@ DIRECTION_FOLLOWS = "follows"          # a follows b (b is a leader of a)
 DIRECTION_FOLLOWED_BY = "followed-by"  # b follows a
 
 _RANDOM_BLOCK_ROWS = 2048  # fixed so generation is deterministic per seed
+_MAX_NODE_ID = int(np.iinfo(np.int64).max)
 
 
 class EdgeListError(ValueError):
@@ -118,6 +120,23 @@ class FollowNetwork:
     def edge_count(self) -> int:
         return int(self.leader_ids.shape[0])
 
+    @cached_property
+    def follower_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Follower CSR (indptr, ids), the transpose of the leader CSR.
+
+        ids[indptr[j]:indptr[j+1]] lists the followers of user j in
+        ascending order. Built on first use and kept, so loading a network
+        does not pay for it.
+        """
+        # (leader, follower) keys are unique, so any sort orders them fully
+        order = np.argsort(self.leader_ids * np.int64(self.user_count)
+                           + self.edge_follower)
+        indptr = np.concatenate(([0], np.cumsum(self.follower_count)))
+        ids = self.edge_follower[order]
+        indptr.flags.writeable = False
+        ids.flags.writeable = False
+        return indptr, ids
+
     def leaders_of(self, user: int) -> np.ndarray:
         lo, hi = self.leader_indptr[user], self.leader_indptr[user + 1]
         return self.leader_ids[lo:hi]
@@ -162,8 +181,20 @@ def load_edge_list(source, direction: str = DIRECTION_FOLLOWS) -> FollowNetwork:
     if not a_ids:
         raise EdgeListError("edge list contains no edges")
 
-    a_arr = np.asarray(a_ids, dtype=np.int64)
-    b_arr = np.asarray(b_ids, dtype=np.int64)
+    try:
+        a_arr = np.asarray(a_ids, dtype=np.int64)
+        b_arr = np.asarray(b_ids, dtype=np.int64)
+    except OverflowError:
+        # a rare input error, so it is located in a second pass rather than
+        # checked on every line of the loop above
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            parts = line.split()
+            if (parts and not parts[0].startswith("#")
+                    and max(map(int, parts)) > _MAX_NODE_ID):
+                raise EdgeListError(
+                    f"line {lineno}: node id above {_MAX_NODE_ID}",
+                    lineno) from None
+        raise
     ids = np.unique(np.concatenate((a_arr, b_arr)))
     a_compact = np.searchsorted(ids, a_arr)
     b_compact = np.searchsorted(ids, b_arr)

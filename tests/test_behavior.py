@@ -191,6 +191,24 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(lam=math.nan, eta_star=1, delta_t=0),
+        dict(lam=math.inf, eta_star=1, delta_t=0),
+        dict(lam=0.0, eta_star=math.nan, delta_t=0),
+        dict(lam=0.0, eta_star=math.inf, delta_t=0),
+        dict(lam=0.0, eta_star=1, delta_t=0, sigma=math.nan),
+        dict(lam=0.0, eta_star=1, delta_t=2.5),
+        dict(lam=0.0, eta_star=1, delta_t=math.nan),
+        dict(lam=0.0, eta_star=1, delta_t=math.inf),
+    ], ids=["lam-nan", "lam-inf", "eta-nan", "eta-inf", "sigma-nan",
+            "dt-fraction", "dt-nan", "dt-inf"])
+    def test_non_finite_or_non_integral_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ModelParams(**kwargs)
+
+    def test_integral_float_delta_t_accepted(self):
+        assert ModelParams(lam=0.0, eta_star=1, delta_t=2.0).delta_t == 2
+
 
 def test_user_traits_consistent(star11):
     hub = UserTraits.for_user(star11, 0)

@@ -75,6 +75,27 @@ class TestExitCodes:
                      "--eta-star", "2", "--delta-t", "0",
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("flag,value", [("--lambda", "nan"),
+                                            ("--lambda", "inf"),
+                                            ("--eta-star", "nan")])
+    def test_non_finite_params_are_validation(self, star_file, tmp_path,
+                                              capsys, flag, value):
+        args = {"--lambda": "0.5", "--eta-star": "2", flag: value}
+        argv = ["simulate", "--network", star_file, "--delta-t", "0",
+                "--out", str(tmp_path / "x.csv")]
+        for key, val in args.items():
+            argv += [key, val]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_id_above_int64_is_validation(self, tmp_path, capsys):
+        big = tmp_path / "big.txt"
+        big.write_text("0 1\n9223372036854775808 1\n")
+        assert main(["stats", str(big)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_star_edges(self, star_file):
@@ -226,3 +247,13 @@ class TestFitAndClassify:
         short.write_text("day,tweets,users\n-7,1,1\n")
         assert main(["fit", "--network", star_file, "--hashtag", str(short),
                      "--grid", "lambda=1,eta=2,dt=0", "--runs", "1"]) == 2
+
+    def test_fit_rejects_nan_hashtag_count(self, star_file, tmp_path,
+                                           capsys):
+        rows = ["day,tweets,users"] + [f"{d},2,1" for d in range(-7, 8)]
+        rows[9] = "1,nan,1"
+        target = tmp_path / "nan.csv"
+        target.write_text("\n".join(rows) + "\n")
+        assert main(["fit", "--network", star_file, "--hashtag", str(target),
+                     "--grid", "lambda=1,eta=2,dt=0", "--runs", "1"]) == 2
+        assert "row 9: non-finite count" in capsys.readouterr().err

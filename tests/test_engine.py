@@ -2,9 +2,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hashsim import (ActivityProfile, ModelParams, binomial_count,
-                     generate_synthetic, run_ensemble, run_simulation)
+from hashsim import (ActivityProfile, FollowNetwork, ModelParams,
+                     binomial_count, engine, generate_synthetic,
+                     run_ensemble, run_simulation)
 from reference import simulate_reference
 
 PARAMS = ModelParams(lam=0.5, eta_star=2, delta_t=3)
@@ -116,7 +118,126 @@ class TestSingleRun:
         assert np.all(prof.distinct_users <= er200.user_count)
 
 
+def exposure_by_definition(net, last):
+    """y and eta straight from their definition, one edge at a time."""
+    y = np.zeros(last.shape)
+    eta = np.zeros(last.shape)
+    for r in range(last.shape[0]):
+        for i, j in zip(net.edge_follower, net.leader_ids):
+            if last[r, j] > last[r, i]:
+                y[r, i] += net.follower_count[j]
+                eta[r, i] += 1
+    return y, eta
+
+
+@st.composite
+def exposure_steps(draw):
+    """A small graph, a `last` matrix, a day after it and that day's actors."""
+    n = draw(st.integers(2, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          min_size=1, max_size=40))
+    followers, leaders = zip(*pairs)
+    net = FollowNetwork.from_edges(followers, leaders, n)
+    runs = draw(st.integers(1, 4))
+    day = draw(st.integers(-6, 7))
+    times = st.sampled_from([int(engine._NEVER)] + list(range(-7, day)))
+    last_old = np.array(draw(st.lists(times, min_size=runs * n,
+                                      max_size=runs * n)),
+                        dtype=np.int16).reshape(runs, n)
+    acted = np.array(draw(st.lists(st.booleans(), min_size=runs * n,
+                                   max_size=runs * n))).reshape(runs, n)
+    return net, last_old, acted, np.where(acted, np.int16(day), last_old)
+
+
+class TestExposure:
+    @settings(max_examples=200, deadline=None)
+    @given(exposure_steps())
+    def test_push_after_pull_equals_pull(self, step):
+        net, last_old, acted, last_new = step
+        if net.edge_count == 0:
+            return
+        pushed = engine._Exposure(net, last_old.shape[0])
+        pushed._pull(last_old)
+        pushed._push(last_old, acted)
+        pulled = engine._Exposure(net, last_old.shape[0])
+        pulled._pull(last_new)
+        y, eta = exposure_by_definition(net, last_new)
+        for state in (pushed, pulled):
+            assert np.array_equal(state.y, y)
+            assert np.array_equal(state.eta, eta)
+
+    def test_pull_in_single_run_chunks(self, monkeypatch, er200):
+        last = np.random.default_rng(5).integers(
+            -8, 3, size=(3, er200.user_count)).astype(np.int16)
+        whole = engine._Exposure(er200, 3)
+        whole._pull(last)
+        monkeypatch.setattr(engine, "_PULL_CHUNK_EDGES", 1)
+        chunked = engine._Exposure(er200, 3)
+        chunked._pull(last)
+        assert np.array_equal(whole.y, chunked.y)
+        assert np.array_equal(whole.eta, chunked.eta)
+
+    def test_pull_counts_past_int8(self):
+        # one user follows 300 leaders that are all more recent than it
+        net = FollowNetwork.from_edges(np.zeros(300, dtype=np.int64),
+                                       np.arange(1, 301), 301)
+        last = np.zeros((1, 301), dtype=np.int16)
+        last[0, 0] = engine._NEVER
+        state = engine._Exposure(net, 1)
+        state._pull(last)
+        assert state.eta[0, 0] == 300.0
+        assert state.y[0, 0] == 300.0
+
+
+def count_directions(monkeypatch):
+    calls = {"push": 0, "pull": 0}
+
+    def spy(name):
+        original = getattr(engine._Exposure, "_" + name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+        monkeypatch.setattr(engine._Exposure, "_" + name, wrapper)
+
+    spy("push")
+    spy("pull")
+    return calls
+
+
 class TestAgainstReference:
+    def test_star_hub_frontier_pulls(self, monkeypatch):
+        # the hub's out-edges are all edges, so a day it acts is pulled
+        net = generate_synthetic("star", 60)
+        params = ModelParams(lam=0.3, eta_star=1, delta_t=7)
+        calls = count_directions(monkeypatch)
+        for seed in (3, 4):
+            eng = run_simulation(net, params, seed)
+            ref = simulate_reference(net, params, seed)
+            assert np.array_equal(eng.activities, ref.activities)
+            assert np.array_equal(eng.distinct_users, ref.distinct_users)
+        assert calls["pull"] > 0
+
+    def test_sparse_high_threshold_pushes(self, monkeypatch):
+        # a hub followed by everyone sets f_max, so other users are rarely
+        # exposed: each day's frontier stays under a quarter of the edges
+        er = generate_synthetic("uniform-random", 200, edge_prob=0.03,
+                                seed=1)
+        spokes = np.arange(1, 200)
+        net = FollowNetwork.from_edges(
+            np.concatenate((er.edge_follower, spokes)),
+            np.concatenate((er.leader_ids, np.zeros_like(spokes))), 200)
+        params = ModelParams(lam=0.3, eta_star=8, delta_t=7)
+        calls = count_directions(monkeypatch)
+        eng = run_simulation(net, params, 1)
+        ref = simulate_reference(net, params, 1)
+        assert np.array_equal(eng.activities, ref.activities)
+        assert np.array_equal(eng.distinct_users, ref.distinct_users)
+        assert calls["push"] > 0 and calls["pull"] == 0
+        # someone posted twice in a day, so retweets happened
+        assert eng.activities.sum() > eng.distinct_users.sum()
+
     def test_matches_slow_reference(self):
         net = generate_synthetic("uniform-random", 120, edge_prob=0.08,
                                  seed=3)

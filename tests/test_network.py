@@ -42,6 +42,17 @@ def test_malformed_line_reports_line_number():
     assert exc.value.line_number == 2
 
 
+def test_id_above_int64_reports_line_number():
+    with pytest.raises(EdgeListError) as exc:
+        load_edge_list(io.StringIO("0 1\n# note\n9223372036854775808 1\n"))
+    assert exc.value.line_number == 3
+
+
+def test_largest_int64_id_is_accepted():
+    net = load_edge_list(io.StringIO("9223372036854775807 1\n"))
+    assert net.original_ids.tolist() == [1, 9223372036854775807]
+
+
 def test_wrong_token_count_is_an_error():
     with pytest.raises(EdgeListError):
         load_edge_list(io.StringIO("0 1 2\n"))
@@ -158,3 +169,14 @@ def test_write_read_round_trip(er200):
 def test_from_edges_rejects_empty_node_set():
     with pytest.raises(EdgeListError):
         FollowNetwork.from_edges([], [], 0)
+
+
+def test_follower_csr_is_the_transpose(er200):
+    indptr, ids = er200.follower_csr
+    assert ids.size == er200.edge_count
+    for leader in range(er200.user_count):
+        followers = ids[indptr[leader]:indptr[leader + 1]]
+        assert followers.size == er200.follower_count[leader]
+        assert np.all(np.diff(followers) > 0)
+        for f in followers:
+            assert leader in er200.leaders_of(f)
