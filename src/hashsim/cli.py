@@ -19,7 +19,7 @@ from .classify import ClassBoundaries, classify_params, classify_profile
 from .engine import ActivityProfile, run_ensemble
 from .fitter import GridSpec, grid_scan
 from .hashtags import HashtagCsvError, read_hashtag_csv
-from .metric import DEFAULT_THETA, normalize
+from .metric import DEFAULT_THETA, check_theta, normalize
 from .network import (DIRECTION_FOLLOWED_BY, DIRECTION_FOLLOWS,
                       EdgeListError, generate_synthetic, load_edge_list,
                       network_stats, write_edge_list)
@@ -128,6 +128,7 @@ def cmd_fit(args) -> int:
         else GridSpec(runs=args.runs)
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
+    check_theta(args.theta)
     net = load_edge_list(args.network, direction=args.direction)
     record = read_hashtag_csv(args.hashtag, name=args.name)
     target_tweets, target_users = record.target_profiles()

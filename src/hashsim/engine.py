@@ -28,6 +28,7 @@ float64 bits as a from-scratch recomputation.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -124,8 +125,11 @@ class ActivityProfile:
             fields = line.split(",")
             if len(fields) != 3 or int(fields[0]) != expected_day:
                 raise ValueError(f"bad profile row {line!r}")
-            acts.append(float(fields[1]))
-            dist.append(float(fields[2]))
+            counts = float(fields[1]), float(fields[2])
+            if not all(map(math.isfinite, counts)):
+                raise ValueError(f"non-finite count in profile row {line!r}")
+            acts.append(counts[0])
+            dist.append(counts[1])
         return cls(np.array(acts), np.array(dist))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,18 @@ def normalize(counts) -> FractionProfile:
     return FractionProfile(fractions)
 
 
+def check_theta(theta: float) -> None:
+    """Raise ValueError unless theta is a finite threshold >= 0.
+
+    A NaN or infinite theta masks every day away, so each distance would
+    read 0 and every fit would look perfect.
+    """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    if theta < 0:
+        raise ValueError("theta must be >= 0")
+
+
 def distance(p: FractionProfile, q: FractionProfile,
              theta: float = DEFAULT_THETA) -> float:
     """Masked relative distance between two fraction profiles.
@@ -50,8 +63,7 @@ def distance(p: FractionProfile, q: FractionProfile,
     a, b = p.fractions, q.fractions
     if a.shape != b.shape:
         raise ValueError("profiles must have equal length")
-    if theta < 0:
-        raise ValueError("theta must be >= 0")
+    check_theta(theta)
     mask = (a + b) > theta
     if not mask.any():
         return 0.0

@@ -6,7 +6,9 @@ use plain array indexing; the original ids are kept for reporting.
 
 from __future__ import annotations
 
+import io
 import os
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +20,8 @@ DIRECTION_FOLLOWED_BY = "followed-by"  # b follows a
 
 _RANDOM_BLOCK_ROWS = 2048  # fixed so generation is deterministic per seed
 _MAX_NODE_ID = int(np.iinfo(np.int64).max)
+# ASCII line breaks of str.splitlines that np.loadtxt does not honour
+_EXTRA_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
 class EdgeListError(ValueError):
@@ -82,7 +86,9 @@ class FollowNetwork:
         keep = followers != leaders
         followers, leaders = followers[keep], leaders[keep]
         # unique (follower, leader) pairs, sorted by follower then leader
-        key = np.unique(followers * np.int64(user_count) + leaders)
+        key = followers * np.int64(user_count) + leaders
+        key.sort()
+        key = key[_run_starts(key)]
         followers = key // user_count
         leaders = key % user_count
 
@@ -145,20 +151,79 @@ class FollowNetwork:
 def load_edge_list(source, direction: str = DIRECTION_FOLLOWS) -> FollowNetwork:
     """Parse a whitespace-separated edge list into a FollowNetwork.
 
-    `source` may be a path or an open text/binary stream. Lines starting
-    with '#' and blank lines are skipped. Node ids are arbitrary nonnegative
-    integers and get compacted to 0..N-1 (original ids retained).
+    `source` may be a path or an open text/binary stream. Each line holds two
+    node ids; blank lines and lines whose first non-blank character is '#'
+    are skipped. Node ids are arbitrary integers in [0, 2^63) and get
+    compacted to 0..N-1 in ascending id order (original ids retained).
     """
     if direction not in (DIRECTION_FOLLOWS, DIRECTION_FOLLOWED_BY):
         raise ValueError(f"unknown direction {direction!r}")
     if hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
+        raw = source.read()
     else:
         with open(os.fspath(source), "rb") as fh:
-            text = fh.read().decode("utf-8")
+            raw = fh.read()
 
+    pairs = _parse_canonical(raw)
+    if pairs is None:
+        text = raw if isinstance(raw, str) else raw.decode("utf-8")
+        pairs = _parse_lines(text)
+    a_compact, b_compact, ids = _compact_ids(*pairs)
+    if direction == DIRECTION_FOLLOWS:
+        followers, leaders = a_compact, b_compact
+    else:
+        followers, leaders = b_compact, a_compact
+    return FollowNetwork.from_edges(followers, leaders, len(ids),
+                                    original_ids=ids)
+
+
+def _parse_canonical(raw):
+    """Parse canonical edge-list input in numpy; None sends it to _parse_lines.
+
+    Canonical input is ASCII, holds none of _EXTRA_LINE_BREAKS, and has '#'
+    only as the first non-blank byte of a line, with no lone '\\r' later in
+    that line. On it np.loadtxt splits lines, fields and comments as the
+    line loop does, so its result is kept when no warning was raised and it
+    has at least one row, two columns and no negative id. Any other input,
+    malformed input included, goes to _parse_lines, which alone reports
+    errors with line numbers.
+    """
+    if not raw.isascii():
+        return None
+    data = raw.encode("ascii") if isinstance(raw, str) else raw
+    if any(brk in data for brk in _EXTRA_LINE_BREAKS):
+        return None
+    pos = data.find(b"#")
+    while pos >= 0:
+        start = pos
+        while start and data[start - 1] in b" \t":
+            start -= 1
+        if start and data[start - 1] not in b"\n\r":
+            return None  # a '#' after an id
+        end = data.find(b"\n", pos)
+        end = len(data) if end < 0 else end
+        if data.find(b"\r", pos, end - 1) >= 0:
+            return None  # str.splitlines ends this comment early
+        pos = data.find(b"#", end)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. the no-data warning
+        try:
+            pairs = np.loadtxt(io.BytesIO(data), dtype=np.int64,
+                               comments="#", ndmin=2)
+        except (ValueError, Warning):
+            return None
+    if pairs.shape[0] < 1 or pairs.shape[1] != 2 or pairs.min() < 0:
+        return None
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _parse_lines(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-line parse of edge-list text into (a, b) int64 id arrays.
+
+    Accepts what int() accepts for an id (also '+5', '1_000' and non-ASCII
+    digits) and raises EdgeListError, with the line number where there is
+    one, on malformed input.
+    """
     a_ids, b_ids = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -182,8 +247,8 @@ def load_edge_list(source, direction: str = DIRECTION_FOLLOWS) -> FollowNetwork:
         raise EdgeListError("edge list contains no edges")
 
     try:
-        a_arr = np.asarray(a_ids, dtype=np.int64)
-        b_arr = np.asarray(b_ids, dtype=np.int64)
+        return (np.asarray(a_ids, dtype=np.int64),
+                np.asarray(b_ids, dtype=np.int64))
     except OverflowError:
         # a rare input error, so it is located in a second pass rather than
         # checked on every line of the loop above
@@ -195,15 +260,30 @@ def load_edge_list(source, direction: str = DIRECTION_FOLLOWS) -> FollowNetwork:
                     f"line {lineno}: node id above {_MAX_NODE_ID}",
                     lineno) from None
         raise
-    ids = np.unique(np.concatenate((a_arr, b_arr)))
-    a_compact = np.searchsorted(ids, a_arr)
-    b_compact = np.searchsorted(ids, b_arr)
-    if direction == DIRECTION_FOLLOWS:
-        followers, leaders = a_compact, b_compact
-    else:
-        followers, leaders = b_compact, a_compact
-    return FollowNetwork.from_edges(followers, leaders, len(ids),
-                                    original_ids=ids)
+
+
+def _compact_ids(a_ids, b_ids):
+    """Map ids to 0..N-1 in ascending id order with one sort.
+
+    Returns (a_compact, b_compact, ids), where ids is the sorted array of
+    distinct ids, so ids[a_compact] == a_ids.
+    """
+    ids = np.concatenate((a_ids, b_ids))
+    order = np.argsort(ids)
+    ids = ids[order]
+    first = _run_starts(ids)
+    compact = np.empty(ids.size, dtype=np.int64)
+    compact[order] = np.cumsum(first, dtype=np.int64) - 1
+    m = len(a_ids)
+    return compact[:m], compact[m:], ids[first]
+
+
+def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in a sorted array."""
+    first = np.empty(sorted_values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:])
+    return first
 
 
 def write_edge_list(net: FollowNetwork, dest) -> None:

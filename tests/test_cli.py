@@ -257,3 +257,29 @@ class TestFitAndClassify:
         assert main(["fit", "--network", star_file, "--hashtag", str(target),
                      "--grid", "lambda=1,eta=2,dt=0", "--runs", "1"]) == 2
         assert "row 9: non-finite count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_fit_rejects_non_finite_theta_before_the_scan(
+            self, star_file, tmp_path, capsys, theta):
+        target = run_simulate(star_file, tmp_path, "target.csv")
+        capsys.readouterr()
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--network", star_file, "--hashtag", str(target),
+                     "--grid", "lambda=1,eta=2,dt=0", "--runs", "1",
+                     f"--theta={theta}", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "theta must be finite" in captured.err
+        assert "scan:" not in captured.out
+        assert not out.exists()
+
+    def test_classify_rejects_nan_profile_row(self, star_file, tmp_path,
+                                              capsys):
+        profile = run_simulate(star_file, tmp_path, "prof.csv")
+        rows = profile.read_text().splitlines()
+        rows[5] = "-3,nan,nan"
+        profile.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert main(["classify", "--profile-csv", str(profile)]) == 2
+        captured = capsys.readouterr()
+        assert "non-finite count" in captured.err
+        assert captured.out == ""

@@ -106,6 +106,13 @@ class TestDistance:
         with pytest.raises(ValueError):
             distance(p, p, -0.01)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        p = normalize([1.0] * 15)
+        q = normalize([2.0] + [1.0] * 14)
+        with pytest.raises(ValueError, match="finite"):
+            distance(p, q, theta)
+
     def test_any_length_accepted(self):
         p = normalize([1.0, 3.0])
         q = normalize([2.0, 2.0])

@@ -1,12 +1,16 @@
+import dataclasses
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hashsim import (EdgeListError, FollowNetwork, generate_synthetic,
                      load_edge_list, network_stats, write_edge_list)
-from hashsim.network import DIRECTION_FOLLOWED_BY
+from hashsim import network
+from hashsim.network import DIRECTION_FOLLOWED_BY, DIRECTION_FOLLOWS
 
 
 def test_load_tiny_edge_list(tiny_net):
@@ -61,6 +65,15 @@ def test_wrong_token_count_is_an_error():
 def test_empty_edge_list_is_an_error():
     with pytest.raises(EdgeListError):
         load_edge_list(io.StringIO("# only comments\n"))
+
+
+@pytest.mark.parametrize("text", ["", "# only comments\n", "\n  \n"])
+def test_empty_edge_list_raises_without_a_warning(text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(EdgeListError, match="no edges"):
+            load_edge_list(io.BytesIO(text.encode("ascii")))
+    assert caught == []
 
 
 def test_direction_flag_swaps_degree_multisets():
@@ -180,3 +193,133 @@ def test_follower_csr_is_the_transpose(er200):
         assert np.all(np.diff(followers) > 0)
         for f in followers:
             assert leader in er200.leaders_of(f)
+
+
+def _loop_load(text, direction):
+    """Reference loader: the per-line parse, then np.unique compaction."""
+    a, b = network._parse_lines(text)
+    ids = np.unique(np.concatenate((a, b)))
+    a, b = np.searchsorted(ids, a), np.searchsorted(ids, b)
+    if direction == DIRECTION_FOLLOWED_BY:
+        a, b = b, a
+    return FollowNetwork.from_edges(a, b, len(ids), original_ids=ids)
+
+
+def _outcome(load):
+    try:
+        return load()
+    except EdgeListError as exc:
+        return ("EdgeListError", exc.line_number)
+
+
+def _assert_same_network(got, want):
+    for field in dataclasses.fields(FollowNetwork):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and g.shape == w.shape, field.name
+            assert np.array_equal(g, w), field.name
+        else:
+            assert g == w, field.name
+
+
+_ID = st.one_of(*[st.integers(0, 40)] * 6,
+                st.integers(2**63 - 2, 2**63 + 1)).map(str)
+_BLANK = st.sampled_from(["", " ", "\t"])
+_EDGE_LINE = st.builds(
+    lambda lead, ids, sep, tail: lead + sep.join(ids) + tail,
+    _BLANK, st.sampled_from([2] * 12 + [1, 3]).flatmap(
+        lambda k: st.lists(_ID, min_size=k, max_size=k)),
+    st.sampled_from([" ", "\t", "  "]), _BLANK)
+_LINE = st.one_of(
+    _EDGE_LINE, _EDGE_LINE, _EDGE_LINE,
+    st.builds(lambda lead, body: lead + "#" + body, _BLANK,
+              st.text(" 0123456789#", max_size=6)),
+    _BLANK)
+# every character or line break that the line loop and np.loadtxt could
+# read differently: extra line breaks (also non-ASCII ones, whose UTF-8
+# bytes np.loadtxt would not see as one), inline '#', signs, '_',
+# non-ASCII digits and blanks
+_ODD = st.sampled_from(["#", " # c", "#x", "\r", "\r\n", "\n", "\x1c",
+                        "\x0c", "\x85", "\u2028", "\xa0", "\u0661", "+",
+                        "-", "_", " ", "\t", " 7", "0"])
+
+
+@st.composite
+def _edge_text(draw):
+    """Mostly well-formed edge lists, with up to three odd insertions."""
+    breaks = st.sampled_from(["\n", "\n", "\n", "\r\n"])
+    lines = draw(st.lists(_LINE, min_size=1, max_size=8))
+    text = "".join(line + draw(breaks) for line in lines)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        pos = draw(st.integers(0, len(text)))
+        text = text[:pos] + draw(_ODD) + text[pos:]
+    return text
+
+
+_EDGE_TEXT = st.one_of(
+    _edge_text(),
+    st.text("0123456789 \t\r\n#+-_\x1c\x0c\x85\xa0\u0661", max_size=30))
+
+
+class TestLoaderMatchesLineLoop:
+    """load_edge_list accepts, rejects and builds exactly as the line loop."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_EDGE_TEXT, st.sampled_from([DIRECTION_FOLLOWS,
+                                        DIRECTION_FOLLOWED_BY]),
+           st.booleans())
+    @example("1 2\n", DIRECTION_FOLLOWS, False)
+    @example("", DIRECTION_FOLLOWS, False)
+    @example("# c\n\n", DIRECTION_FOLLOWS, True)
+    @example("1 2 # c\n", DIRECTION_FOLLOWS, False)
+    @example("1 2#x\n", DIRECTION_FOLLOWS, False)
+    @example("-1 2\n", DIRECTION_FOLLOWS, False)
+    @example("1 2 3\n", DIRECTION_FOLLOWS, False)
+    @example("1\n", DIRECTION_FOLLOWS, False)
+    @example("1 2\x1c3 4\n", DIRECTION_FOLLOWS, False)
+    @example("1\x1c2\n", DIRECTION_FOLLOWS, False)
+    @example("1\x0c2\n", DIRECTION_FOLLOWS, True)
+    @example("1 2\r3 4\n", DIRECTION_FOLLOWS, True)
+    @example("# a\r5 6\n3 4\n", DIRECTION_FOLLOWS, False)
+    @example("1_000 2\n", DIRECTION_FOLLOWS, False)
+    @example("\u0661 2\n", DIRECTION_FOLLOWS, False)
+    @example("1 2\xa0\n", DIRECTION_FOLLOWS, True)
+    @example("# c\x851 2\n3 4\n", DIRECTION_FOLLOWS, True)
+    @example("+5 -0\n", DIRECTION_FOLLOWS, False)
+    @example("9223372036854775808 1\n", DIRECTION_FOLLOWS, False)
+    def test_differential(self, text, direction, as_bytes):
+        want = _outcome(lambda: _loop_load(text, direction))
+        source = (io.BytesIO(text.encode("utf-8")) if as_bytes
+                  else io.StringIO(text))
+        got = _outcome(lambda: load_edge_list(source, direction=direction))
+        if isinstance(want, FollowNetwork):
+            assert isinstance(got, FollowNetwork), got
+            _assert_same_network(got, want)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("text", ["1 2\n3 4\n",
+                                      "# header\n  # indented\n1 2\n",
+                                      "1\t2\r\n# c\r\n3 4\r\n",
+                                      " +5  0 \n\n"])
+    def test_canonical_input_takes_the_fast_path(self, text):
+        for raw in (text, text.encode("ascii")):
+            a, b = network._parse_canonical(raw)
+            want_a, want_b = network._parse_lines(text)
+            assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.lists(
+    st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=120))
+def test_from_edges_dedup_matches_np_unique(n, pairs):
+    followers = np.array([f % n for f, _ in pairs], dtype=np.int64)
+    leaders = np.array([l % n for _, l in pairs], dtype=np.int64)
+    net = FollowNetwork.from_edges(followers, leaders, n)
+    keep = followers != leaders
+    key = np.unique(followers[keep] * n + leaders[keep])
+    assert np.array_equal(net.edge_follower, key // n)
+    assert np.array_equal(net.leader_ids, key % n)
+    assert net.edge_follower.dtype == net.leader_ids.dtype == np.int64
+    assert np.array_equal(net.leader_count,
+                          np.bincount(key // n, minlength=n))
