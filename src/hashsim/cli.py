@@ -43,11 +43,15 @@ def _parse_axis(spec: str, name: str, integer: bool = False) -> np.ndarray:
     fields = spec.split(":")
     try:
         if len(fields) == 1:
-            values = np.array([float(fields[0])])
+            value = float(fields[0])
+            if not math.isfinite(value):
+                raise ValueError
+            values = np.array([value])
         elif len(fields) in (2, 3):
             start, end = float(fields[0]), float(fields[1])
             step = float(fields[2]) if len(fields) == 3 else 1.0
-            if step <= 0 or end < start:
+            if (not all(map(math.isfinite, (start, end, step)))
+                    or step <= 0 or end < start):
                 raise ValueError
             count = int(np.floor((end - start) / step + 1e-9)) + 1
             values = np.round(start + step * np.arange(count), 10)
@@ -59,10 +63,14 @@ def _parse_axis(spec: str, name: str, integer: bool = False) -> np.ndarray:
     return values.astype(int) if integer else values
 
 
-def parse_grid(text: str, runs: int) -> GridSpec:
-    """Parse "lambda=0:4:0.1,eta=1:60:1,dt=0:7" into a GridSpec."""
+def parse_grid(text: str | None, runs: int) -> GridSpec:
+    """Parse "lambda=0:4:0.1,eta=1:60:1,dt=0:7" into a GridSpec.
+
+    Axes left out, all of them when text is None or empty, keep their
+    defaults.
+    """
     parts = {}
-    for item in text.split(","):
+    for item in text.split(",") if text else ():
         if "=" not in item:
             raise UsageError(f"bad grid component {item!r}")
         key, value = item.split("=", 1)
@@ -124,8 +132,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    grid = parse_grid(args.grid, args.runs) if args.grid \
-        else GridSpec(runs=args.runs)
+    grid = parse_grid(args.grid, args.runs)
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
     check_theta(args.theta)

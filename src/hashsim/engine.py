@@ -18,9 +18,10 @@ simulated day, in one of two directions (Beamer, Asanovic & Patterson,
 - push walks the follower CSR (the transpose of the leader CSR, built once
   per network) from the actors, when their out-edge volume sum(F_j) is at
   most _PUSH_MAX_FRAC of runs x E;
-- pull recomputes y and eta from `last` over every edge, as a segmented sum
-  over the follower-sorted leader CSR, in chunks of runs so that no more
-  than _PULL_CHUNK_EDGES (run, edge) pairs are held at once.
+- pull recomputes y and eta from `last` over every edge, as one segmented
+  sum over the follower-sorted leader CSR of per-edge int64 weights that
+  pack F_j above a count of 1, in chunks of runs so that no more than
+  _PULL_CHUNK_EDGES (run, edge) pairs are held at once.
 
 y and eta are integer sums below 2**53, so both directions give the same
 float64 bits as a from-scratch recomputation.
@@ -44,12 +45,13 @@ PEAK_INDEX = 7
 _NEVER = np.int16(-100)  # "no activity yet"; below every real day offset
 
 # Push a day's actors to their followers when their out-edge volume is at
-# most this fraction of runs x E; otherwise pull. A push costs 3-5x more per
-# (actor, follower) pair than a pull per (run, edge); of 0.15-0.5, 0.3 was
-# fastest on both a 1k-node ER scan and a dense 20k-node heavy-tailed graph.
+# most this fraction of runs x E; otherwise pull. A push costs several times
+# more per (actor, follower) pair than a pull per (run, edge); of 0.1-0.5,
+# no value was clearly faster than 0.3 on both a 1k-node ER scan and a
+# dense 20k-node heavy-tailed graph.
 _PUSH_MAX_FRAC = 0.3
-# A pull works on at most this many (run, edge) pairs at a time (~13 bytes
-# of temporaries each).
+# A pull works on at most this many (run, edge) pairs at a time (at most
+# ~9 bytes of temporaries each: the bool comparison and its int64 weights).
 _PULL_CHUNK_EDGES = 1 << 21
 
 PROFILE_CSV_HEADER = "day,activities,distinct_users"
@@ -230,24 +232,30 @@ class _Exposure:
         """Recompute the state from `last` over every edge, in run chunks.
 
         Edges are sorted by follower, so each user's leaders form one
-        segment and a segmented sum gives y and eta. A chunk covers at
-        most _PULL_CHUNK_EDGES (run, edge) pairs, so the memory a pull
-        needs is bounded by that budget, not by runs x E.
+        segment. Each edge j -> i weighs (F_j << b) | 1, and one segmented
+        sum of the weights of the recent edges packs y above eta: eta <=
+        l_max < 2**b and y <= E, so the two fields never carry into each
+        other. A chunk covers at most _PULL_CHUNK_EDGES (run, edge) pairs,
+        so the memory a pull needs is bounded by that budget, not by
+        runs x E.
         """
         net = self.net
+        shift = net.l_max.bit_length()
+        if (net.edge_count + 1) << shift >= 1 << 63:
+            raise ValueError("network too large to pack y and eta in int64")
+        weights = net.follower_count[net.leader_ids] << shift
+        weights |= 1
         runs = last.shape[0]
         chunk = max(1, _PULL_CHUNK_EDGES // net.edge_count)
         has_leaders = net.leader_count > 0
         starts = net.leader_indptr[:-1][has_leaders]
-        edge_f = net.follower_count[net.leader_ids].astype(float)
         for lo in range(0, runs, chunk):
             rows = last[lo:lo + chunk]
-            recent = rows[:, net.leader_ids] > np.repeat(
-                rows, net.leader_count, axis=1)
-            self.y[lo:lo + chunk, has_leaders] = np.add.reduceat(
-                np.where(recent, edge_f, 0.0), starts, axis=1)
-            self.eta[lo:lo + chunk, has_leaders] = np.add.reduceat(
-                recent.view(np.int8), starts, axis=1, dtype=np.int64)
+            recent = (np.take(rows, net.leader_ids, axis=1)
+                      > np.repeat(rows, net.leader_count, axis=1))
+            packed = np.add.reduceat(recent * weights, starts, axis=1)
+            self.y[lo:lo + chunk, has_leaders] = packed >> shift
+            self.eta[lo:lo + chunk, has_leaders] = packed & ((1 << shift) - 1)
 
 
 def _simulate_batch(net: FollowNetwork, params: ModelParams, seeds,

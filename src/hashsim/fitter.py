@@ -1,9 +1,10 @@
 """Monte Carlo grid scan over (delta_t, eta_star, lambda) against target profiles.
 
 Triplets are embarrassingly parallel; each one gets its own deterministic
-seed derived from (base_seed, triplet index), so serial and threaded scans
-return identical results, and interrupted scans can be recomputed point by
-point.
+seed, hashed from base_seed and the triplet's values (lambda, eta_star,
+delta_t), so a triplet scores the same in any grid that contains it, serial
+and threaded scans return identical results, and interrupted scans can be
+recomputed point by point.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ class GridSpec:
         for name, axis in (("lambda", lam), ("eta", eta), ("dt", dt)):
             if axis.size == 0:
                 raise ValueError(f"{name} axis is empty")
+            if not np.all(np.isfinite(axis)):
+                raise ValueError(f"{name} values must be finite")
             if axis.size > 1 and np.any(np.diff(axis) <= 0):
                 raise ValueError(f"{name} axis must be strictly ascending")
         if lam[0] < 0:

@@ -45,7 +45,8 @@ class TestParseGrid:
 
     @pytest.mark.parametrize("text", [
         "gamma=0:1", "lambda", "lambda=4:0:1", "lambda=0:1:0",
-        "lambda=0:1:0.5:9", "dt=0:9",
+        "lambda=0:1:0.5:9", "dt=0:9", "lambda=0:inf:1", "lambda=nan",
+        "lambda=inf", "eta=inf",
     ])
     def test_bad_grid_raises_usage(self, text):
         with pytest.raises(UsageError):
@@ -89,6 +90,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "validation error" in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("grid", ["lambda=0:inf:1", "lambda=nan",
+                                      "lambda=inf", "eta=inf"])
+    def test_non_finite_grid_is_usage_before_loading(self, tmp_path, capsys,
+                                                     grid):
+        # the inputs do not exist, so loading them would exit 3
+        assert main(["fit", "--network", str(tmp_path / "no.txt"),
+                     "--hashtag", str(tmp_path / "no.csv"),
+                     "--grid", grid]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("grid", [[], ["--grid", "lambda=1,eta=2,dt=0"]])
+    def test_fit_zero_runs_is_usage(self, tmp_path, capsys, grid):
+        assert main(["fit", "--network", str(tmp_path / "no.txt"),
+                     "--hashtag", str(tmp_path / "no.csv"),
+                     "--runs", "0"] + grid) == 1
+        assert "usage error" in capsys.readouterr().err
 
     def test_id_above_int64_is_validation(self, tmp_path, capsys):
         big = tmp_path / "big.txt"

@@ -1,4 +1,5 @@
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -188,6 +189,33 @@ class TestExposure:
         state._pull(last)
         assert state.eta[0, 0] == 300.0
         assert state.y[0, 0] == 300.0
+
+    @pytest.mark.parametrize("leaders", [255, 256])
+    def test_pull_packing_boundary(self, leaders):
+        # users 0..99 follow the same leaders, so eta reaches l_max (all
+        # ones in its 2**k - 1 field, or the lowest bit of a wider one) and
+        # y reaches E, the largest value above it
+        followers = 100
+        net = FollowNetwork.from_edges(
+            np.repeat(np.arange(followers), leaders),
+            np.tile(np.arange(followers, followers + leaders), followers),
+            followers + leaders)
+        assert net.l_max == leaders
+        last = np.zeros((2, net.user_count), dtype=np.int16)
+        last[:, :followers] = engine._NEVER
+        last[1, followers::3] = engine._NEVER
+        state = engine._Exposure(net, 2)
+        state._pull(last)
+        assert state.eta[0, 0] == leaders
+        assert state.y[0, 0] == net.edge_count
+        y, eta = exposure_by_definition(net, last)
+        assert np.array_equal(state.y, y)
+        assert np.array_equal(state.eta, eta)
+
+    def test_pull_rejects_networks_too_large_to_pack(self):
+        net = SimpleNamespace(user_count=1, edge_count=1 << 60, l_max=7)
+        with pytest.raises(ValueError, match="too large"):
+            engine._Exposure(net, 1)._pull(np.zeros((1, 1), dtype=np.int16))
 
 
 def count_directions(monkeypatch):

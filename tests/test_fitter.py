@@ -39,6 +39,8 @@ class TestGridSpec:
         dict(eta_axis=np.array([0.5])),
         dict(dt_axis=np.array([3, 9])),
         dict(runs=0),
+        dict(lambda_axis=np.array([0.0, np.inf])),
+        dict(eta_axis=np.array([np.nan])),
     ])
     def test_invalid_axes_rejected(self, kwargs):
         with pytest.raises(ValueError):

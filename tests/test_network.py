@@ -287,6 +287,15 @@ class TestLoaderMatchesLineLoop:
     @example("# c\x851 2\n3 4\n", DIRECTION_FOLLOWS, True)
     @example("+5 -0\n", DIRECTION_FOLLOWS, False)
     @example("9223372036854775808 1\n", DIRECTION_FOLLOWS, False)
+    # id ranges around the widest that packed sort keys hold (2 ids: 62
+    # bits, 4 ids: 61 bits), and a narrow range near 2^62
+    @example("0 4611686018427387903\n", DIRECTION_FOLLOWS, False)
+    @example("0 4611686018427387904\n", DIRECTION_FOLLOWS, False)
+    @example("0 4611686018427387904\n4611686018427387905 0\n",
+             DIRECTION_FOLLOWED_BY, True)
+    @example("4611686018427387907 4611686018427387904\n"
+             "4611686018427387904 4611686018427387905\n",
+             DIRECTION_FOLLOWS, True)
     def test_differential(self, text, direction, as_bytes):
         want = _outcome(lambda: _loop_load(text, direction))
         source = (io.BytesIO(text.encode("utf-8")) if as_bytes
