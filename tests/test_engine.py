@@ -192,8 +192,8 @@ class TestExposure:
 
     @pytest.mark.parametrize("leaders", [255, 256])
     def test_pull_packing_boundary(self, leaders):
-        # users 0..99 follow the same leaders, so eta reaches l_max (all
-        # ones in its 2**k - 1 field, or the lowest bit of a wider one) and
+        # users 0..99 follow the same leaders, so eta reaches l_max (255
+        # fills its 8-bit field, 256 sets the top bit of a 9-bit one) and
         # y reaches E, the largest value above it
         followers = 100
         net = FollowNetwork.from_edges(
