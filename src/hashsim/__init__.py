@@ -7,16 +7,14 @@ peak. Empirical 15-day profiles are fitted by a Monte Carlo grid scan over
 (lambda, eta_star, delta_t) and classified into dynamical classes.
 """
 
-from .behavior import (ModelParams, UserTraits, action_probability,
-                       activeness, exposure_mass, exposure_probability,
-                       hesitancy, interest, per_retweet_probability,
-                       retweet_count, retweet_gate)
+from .behavior import (ModelParams, action_probability, activeness,
+                       exposure_probability, hesitancy, interest,
+                       per_retweet_probability, retweet_count, retweet_gate)
 from .classify import (ClassBoundaries, ClassLabel, classify_params,
                        classify_profile)
 from .engine import (ActivityProfile, binomial_count, run_ensemble,
                      run_simulation)
-from .fitter import (GOOD_FIT_LIMIT, FitResult, GridSpec, grid_scan,
-                     is_good_fit)
+from .fitter import GOOD_FIT_LIMIT, FitResult, GridSpec, grid_scan
 from .hashtags import HashtagCsvError, HashtagRecord, read_hashtag_csv
 from .metric import DEFAULT_THETA, FractionProfile, distance, normalize
 from .network import (EdgeListError, FollowNetwork, NetworkStats,
@@ -29,11 +27,10 @@ __all__ = [
     "ActivityProfile", "ClassBoundaries", "ClassLabel", "DEFAULT_THETA",
     "EdgeListError", "FitResult", "FollowNetwork", "FractionProfile",
     "GOOD_FIT_LIMIT", "GridSpec", "HashtagCsvError", "HashtagRecord",
-    "ModelParams", "NetworkStats", "UserTraits", "action_probability",
-    "activeness", "binomial_count", "classify_params", "classify_profile",
-    "distance", "exposure_mass", "exposure_probability",
-    "generate_synthetic", "grid_scan", "hesitancy", "interest",
-    "is_good_fit", "load_edge_list", "network_stats", "normalize",
+    "ModelParams", "NetworkStats", "action_probability", "activeness",
+    "binomial_count", "classify_params", "classify_profile", "distance",
+    "exposure_probability", "generate_synthetic", "grid_scan", "hesitancy",
+    "interest", "load_edge_list", "network_stats", "normalize",
     "per_retweet_probability", "read_hashtag_csv", "retweet_count",
     "retweet_gate", "run_ensemble", "run_simulation", "write_edge_list",
 ]

@@ -1,9 +1,9 @@
 """Per-user behavioral quantities of the model.
 
 Everything here is a pure function of its arguments: no state, no
-randomness. The simulation engine applies vectorized versions of the same
-expressions; these scalar forms are the readable reference and are also
-used directly for small cases.
+randomness. Each formula is defined once: the functions take Python scalars
+or numpy arrays (broadcasting together), and the simulation engine calls
+them on whole (runs, users) arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .network import FollowNetwork
+import numpy as np
 
 MAX_DELTA_T = 7
 
@@ -55,30 +55,7 @@ class ModelParams:
         return 1.0 if self.coverage is None else self.coverage(x)
 
 
-@dataclass(frozen=True)
-class UserTraits:
-    """Static per-user quantities derived from the graph."""
-
-    f: int
-    l: int
-    activeness: float
-    hesitancy: float
-    influence: float
-
-    @classmethod
-    def for_user(cls, net: FollowNetwork, user: int) -> "UserTraits":
-        f = int(net.follower_count[user])
-        l = int(net.leader_count[user])
-        return cls(
-            f=f,
-            l=l,
-            activeness=activeness(f, l, net.f_max, net.l_max),
-            hesitancy=hesitancy(l, f),
-            influence=float(net.influence[user]),
-        )
-
-
-def activeness(f: int, l: int, f_max: int, l_max: int) -> float:
+def activeness(f, l, f_max: int, l_max: int):
     """Propensity to be exposed to external media, in [0, 1].
 
     Rises with follower count, falls with leader count:
@@ -88,11 +65,11 @@ def activeness(f: int, l: int, f_max: int, l_max: int) -> float:
     if f_max < 1:
         raise ValueError("f_max must be >= 1 (network has no followers)")
     denom = l_max + f
-    second = 1.0 if denom == 0 else 1.0 - l / denom
+    second = np.where(denom == 0, 1.0, 1.0 - l / np.maximum(denom, 1.0))
     return (f / f_max) * second
 
 
-def hesitancy(l: int, f: int) -> float:
+def hesitancy(l, f):
     """Reluctance to post: 1/(l + f + 1), in (0, 1]."""
     return 1.0 / (l + f + 1)
 
@@ -102,53 +79,46 @@ def interest(x: float, lam: float) -> float:
     return 1.0 if x <= 0 else math.exp(-lam * x)
 
 
-def exposure_probability(activeness_value: float, x: float,
-                         params: ModelParams) -> float:
+def exposure_probability(activeness_value, x: float, params: ModelParams):
     """Probability of exposure to external sources: activeness * chi(x)."""
     return activeness_value * params.chi(x)
 
 
-def action_probability(sigma: float, tau: float, h: float) -> float:
+def action_probability(sigma: float, tau: float, h):
     """Tweet/retweet probability: clamp(sigma*tau - h, 0, 1).
 
     The raw value can be negative (hesitancy exceeding interest); the user
     then simply abstains.
     """
-    return min(max(sigma * tau - h, 0.0), 1.0)
+    return np.clip(sigma * tau - h, 0.0, 1.0)
 
 
-def exposure_mass(net: FollowNetwork, user: int,
-                  recently_active_leaders) -> float:
-    """Summed follower counts of the recently active leaders of `user`."""
-    active = set(recently_active_leaders)
-    if not active <= set(int(j) for j in net.leaders_of(user)):
-        raise ValueError("recently_active_leaders must be leaders of user")
-    return float(sum(int(net.follower_count[j]) for j in active))
-
-
-def retweet_gate(y: float, eta_star: float, influence: float) -> bool:
+def retweet_gate(y, eta_star: float, influence):
     """Necessary condition for retweeting: y >= eta_star * influence.
 
     The extra y > 0 guard keeps leaderless users (influence == 0, hence
-    y == 0) from passing vacuously.
+    y == 0) from passing vacuously. `&` rather than `and`, so that arrays
+    work elementwise and scalars still give a bool.
     """
-    return y > 0 and y >= eta_star * influence
+    return (y > 0) & (y >= eta_star * influence)
 
 
-def retweet_count(eta_i: int, y: float, eta_star: float,
-                  influence: float) -> int:
+def retweet_count(eta_i, y, eta_star: float, influence):
     """Possible retweets this day, assuming the gate passed.
 
     floor(sqrt((eta_i/eta_star) * (y/(eta_star*influence)))), with 0 bumped
     to 1 since a retweeting user posts at least one retweet. influence == 0
-    (gate passed via the y > 0 guard) also yields 1.
+    (gate passed via the y > 0 guard) also yields 1. The result is int64:
+    an array for array input, a scalar (`[()]`) for scalar input.
     """
-    if influence == 0:
-        return 1
-    value = math.sqrt((eta_i / eta_star) * (y / (eta_star * influence)))
-    return max(int(value), 1)
+    influence = np.asarray(influence, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.floor(np.sqrt((eta_i / eta_star)
+                                 * (y / (eta_star * influence))))
+    return np.where(influence == 0, 1,
+                    np.maximum(value, 1.0)).astype(np.int64)[()]
 
 
-def per_retweet_probability(r_total: float, n: int) -> float:
+def per_retweet_probability(r_total, n):
     """Per-trial probability so that n trials yield >= 1 success w.p. r_total."""
     return 1.0 - (1.0 - r_total) ** (1.0 / n)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .behavior import ModelParams
 from .classify import ClassBoundaries, classify_params, classify_profile
-from .engine import ActivityProfile, run_ensemble
+from .engine import run_ensemble
 from .fitter import GridSpec, grid_scan
 from .hashtags import HashtagCsvError, read_hashtag_csv
 from .metric import DEFAULT_THETA, check_theta, normalize
@@ -29,6 +29,12 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 
+# Points allowed on one grid axis, checked before the axis is allocated.
+# Each point multiplies the Monte Carlo ensembles of the scan (the default
+# axes have 41, 60 and 8 points), so a longer axis cannot be scanned; one
+# such as 0:1e15:1 would otherwise fail to allocate with a traceback.
+MAX_AXIS_POINTS = 10_000
+
 
 class UsageError(Exception):
     pass
@@ -39,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_axis(spec: str, name: str, integer: bool = False) -> np.ndarray:
+def _parse_axis(spec: str, name: str) -> np.ndarray:
     fields = spec.split(":")
     try:
         if len(fields) == 1:
@@ -53,14 +59,18 @@ def _parse_axis(spec: str, name: str, integer: bool = False) -> np.ndarray:
             if (not all(map(math.isfinite, (start, end, step)))
                     or step <= 0 or end < start):
                 raise ValueError
-            count = int(np.floor((end - start) / step + 1e-9)) + 1
+            intervals = (end - start) / step + 1e-9
+            if not intervals < MAX_AXIS_POINTS:
+                raise UsageError(f"{name} axis {spec!r} has more than "
+                                 f"{MAX_AXIS_POINTS} points")
+            count = int(np.floor(intervals)) + 1
             values = np.round(start + step * np.arange(count), 10)
         else:
             raise ValueError
     except ValueError:
         raise UsageError(
             f"bad {name} axis {spec!r} (want start:end:step)") from None
-    return values.astype(int) if integer else values
+    return values
 
 
 def parse_grid(text: str | None, runs: int) -> GridSpec:
@@ -84,7 +94,7 @@ def parse_grid(text: str | None, runs: int) -> GridSpec:
     if "eta" in parts:
         kwargs["eta_axis"] = _parse_axis(parts["eta"], "eta")
     if "dt" in parts:
-        kwargs["dt_axis"] = _parse_axis(parts["dt"], "dt", integer=True)
+        kwargs["dt_axis"] = _parse_axis(parts["dt"], "dt")
     try:
         return GridSpec(**kwargs)
     except ValueError as exc:
@@ -186,8 +196,8 @@ def cmd_classify(args) -> int:
                 raise ValueError(f"bad fit JSON: {exc}") from None
         print(str(label))
     else:
-        profile = ActivityProfile.from_csv(args.profile_csv)
-        print(classify_profile(normalize(profile.activities), boundaries))
+        record = read_hashtag_csv(args.profile_csv)
+        print(classify_profile(normalize(record.tweets), boundaries))
     return EXIT_OK
 
 

@@ -29,19 +29,19 @@ float64 bits as a from-scratch recomputation.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .behavior import ModelParams, interest
+from .behavior import (ModelParams, action_probability, activeness,
+                       exposure_probability, hesitancy, interest,
+                       per_retweet_probability, retweet_count, retweet_gate)
 from .network import FollowNetwork
 
 DAY_OFFSETS = np.arange(-7, 8)
 N_DAYS = 15
-PEAK_INDEX = 7
 _NEVER = np.int16(-100)  # "no activity yet"; below every real day offset
 
 # Push a day's actors to their followers when their out-edge volume is at
@@ -83,14 +83,6 @@ class ActivityProfile:
         object.__setattr__(self, "distinct_users", dist)
 
     @property
-    def days(self) -> np.ndarray:
-        return DAY_OFFSETS
-
-    @property
-    def peak_offset_index(self) -> int:
-        return PEAK_INDEX
-
-    @property
     def total_activities(self) -> float:
         return float(self.activities.sum())
 
@@ -109,30 +101,6 @@ class ActivityProfile:
         else:
             with open(os.fspath(dest), "w", encoding="utf-8") as fh:
                 fh.write(payload)
-
-    @classmethod
-    def from_csv(cls, src) -> "ActivityProfile":
-        if hasattr(src, "read"):
-            text = src.read()
-        else:
-            with open(os.fspath(src), "r", encoding="utf-8") as fh:
-                text = fh.read()
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != PROFILE_CSV_HEADER:
-            raise ValueError(f"expected header {PROFILE_CSV_HEADER!r}")
-        if len(lines) != N_DAYS + 1:
-            raise ValueError(f"expected {N_DAYS} data rows")
-        acts, dist = [], []
-        for expected_day, line in zip(DAY_OFFSETS, lines[1:]):
-            fields = line.split(",")
-            if len(fields) != 3 or int(fields[0]) != expected_day:
-                raise ValueError(f"bad profile row {line!r}")
-            counts = float(fields[1]), float(fields[2])
-            if not all(map(math.isfinite, counts)):
-                raise ValueError(f"non-finite count in profile row {line!r}")
-            acts.append(counts[0])
-            dist.append(counts[1])
-        return cls(np.array(acts), np.array(dist))
 
 
 def binomial_count(u, n, p) -> np.ndarray:
@@ -174,12 +142,10 @@ def user_arrays(net: FollowNetwork) -> tuple[np.ndarray, np.ndarray]:
     """
     f = net.follower_count.astype(float)
     l = net.leader_count.astype(float)
-    h = 1.0 / (l + f + 1.0)
+    h = hesitancy(l, f)
     if net.f_max == 0:
         return np.zeros(net.user_count), h
-    denom = net.l_max + f
-    second = np.where(denom == 0, 1.0, 1.0 - l / np.maximum(denom, 1.0))
-    return (f / net.f_max) * second, h
+    return activeness(f, l, net.f_max, net.l_max), h
 
 
 class _Exposure:
@@ -284,14 +250,14 @@ def _simulate_batch(net: FollowNetwork, params: ModelParams, seeds,
         if d > end_offset:
             break
         tau = interest(float(d), params.lam)
-        t_vec = np.clip(sigma * tau - h_vec, 0.0, 1.0)  # tweet == retweet prob
+        t_vec = action_probability(sigma, tau, h_vec)  # tweet == retweet prob
         if not np.any(t_vec > 0.0):
             continue  # nobody can post today; state cannot change
 
         # exogenous injection
         u_exp = rng.uniforms(streams, day_index, 0)
         u_twt = rng.uniforms(streams, day_index, 1)
-        rho = a_vec * params.chi(float(d))
+        rho = exposure_probability(a_vec, float(d), params)
         tweeted = (u_exp < rho) & (u_twt < t_vec)
 
         # endogenous spreading
@@ -301,17 +267,10 @@ def _simulate_batch(net: FollowNetwork, params: ModelParams, seeds,
                 exposure.update(*pending, last)
                 pending = None
             y, eta = exposure.y, exposure.eta
-            gate = (y > 0) & (y >= eta_star * infl)
-            gi = np.nonzero(gate)
+            gi = np.nonzero(retweet_gate(y, eta_star, infl))
             if gi[0].size:
-                y_g, eta_g, infl_g = y[gi], eta[gi], infl[gi[1]]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    nu = np.floor(np.sqrt((eta_g / eta_star)
-                                          * (y_g / (eta_star * infl_g))))
-                nu = np.where(infl_g == 0, 1,
-                              np.maximum(nu, 1.0)).astype(np.int64)
-                r_total = t_vec[gi[1]]
-                r_each = 1.0 - (1.0 - r_total) ** (1.0 / nu)
+                nu = retweet_count(eta[gi], y[gi], eta_star, infl[gi[1]])
+                r_each = per_retweet_probability(t_vec[gi[1]], nu)
                 u_rt = rng.uniforms(streams, day_index, 2)[gi]
                 retweets[gi] = binomial_count(u_rt, nu, r_each)
 

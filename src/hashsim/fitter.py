@@ -51,7 +51,7 @@ class GridSpec:
     def __post_init__(self):
         lam = np.asarray(self.lambda_axis, dtype=float)
         eta = np.asarray(self.eta_axis, dtype=float)
-        dt = np.asarray(self.dt_axis, dtype=int)
+        dt = np.asarray(self.dt_axis, dtype=float)
         for name, axis in (("lambda", lam), ("eta", eta), ("dt", dt)):
             if axis.size == 0:
                 raise ValueError(f"{name} axis is empty")
@@ -59,6 +59,8 @@ class GridSpec:
                 raise ValueError(f"{name} values must be finite")
             if axis.size > 1 and np.any(np.diff(axis) <= 0):
                 raise ValueError(f"{name} axis must be strictly ascending")
+        if np.any(dt != np.floor(dt)):
+            raise ValueError("dt values must be integers")
         if lam[0] < 0:
             raise ValueError("lambda values must be >= 0")
         if eta[0] < 1:
@@ -69,7 +71,7 @@ class GridSpec:
             raise ValueError("runs must be >= 1")
         object.__setattr__(self, "lambda_axis", lam)
         object.__setattr__(self, "eta_axis", eta)
-        object.__setattr__(self, "dt_axis", dt)
+        object.__setattr__(self, "dt_axis", dt.astype(int))
 
     @property
     def size(self) -> int:
@@ -92,15 +94,14 @@ class FitResult:
     delta_tweets: float
     delta_users: float
     objective: float
-    good: bool
     # optional per-point rows (lam, eta_star, delta_t, d_tweets, d_users)
     scan: Optional[tuple] = None
 
-
-def is_good_fit(result: FitResult) -> bool:
-    """Both profile distances within the goodness cut."""
-    return (result.delta_tweets <= GOOD_FIT_LIMIT
-            and result.delta_users <= GOOD_FIT_LIMIT)
+    @property
+    def good(self) -> bool:
+        """Both profile distances within the goodness cut."""
+        return (self.delta_tweets <= GOOD_FIT_LIMIT
+                and self.delta_users <= GOOD_FIT_LIMIT)
 
 
 def triplet_seed(base_seed: int, delta_t: int, eta_star: float,
@@ -163,6 +164,5 @@ def grid_scan(net: FollowNetwork, target_tweets: FractionProfile,
         delta_tweets=d_t,
         delta_users=d_u,
         objective=objective(best),
-        good=d_t <= GOOD_FIT_LIMIT and d_u <= GOOD_FIT_LIMIT,
         scan=tuple(rows) if keep_scores else None,
     )

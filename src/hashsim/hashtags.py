@@ -8,12 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DAY_OFFSETS, N_DAYS
+from .engine import DAY_OFFSETS, N_DAYS, PROFILE_CSV_HEADER
 from .metric import FractionProfile, normalize
 
 HASHTAG_CSV_HEADER = "day,tweets,users"
-# cmd_simulate output is accepted unmodified as a fitting target
-_PROFILE_CSV_HEADER = "day,activities,distinct_users"
 
 
 class HashtagCsvError(ValueError):
@@ -54,9 +52,11 @@ def read_hashtag_csv(src, name: str | None = None) -> HashtagRecord:
     if not lines:
         raise HashtagCsvError("empty hashtag CSV")
     header = lines[0].strip()
-    if header not in (HASHTAG_CSV_HEADER, _PROFILE_CSV_HEADER):
+    # cmd_simulate output is accepted unmodified as a fitting target
+    if header not in (HASHTAG_CSV_HEADER, PROFILE_CSV_HEADER):
         raise HashtagCsvError(
-            f"expected header {HASHTAG_CSV_HEADER!r}, got {header!r}")
+            f"expected header {HASHTAG_CSV_HEADER!r} or "
+            f"{PROFILE_CSV_HEADER!r}, got {header!r}")
     if len(lines) - 1 != N_DAYS:
         raise HashtagCsvError(
             f"expected {N_DAYS} data rows, got {len(lines) - 1}")

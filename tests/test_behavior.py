@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hashsim import (ModelParams, UserTraits, action_probability, activeness,
-                     exposure_mass, exposure_probability, hesitancy, interest,
+from hashsim import (ModelParams, action_probability, activeness,
+                     exposure_probability, hesitancy, interest,
                      per_retweet_probability, retweet_count, retweet_gate)
+from hashsim.engine import user_arrays
 
 TOL = 1e-12
 
@@ -107,27 +109,6 @@ class TestExposureProbability:
         assert exposure_probability(0.8, 1.0, params) == 0.4
 
 
-class TestExposureMass:
-    def test_empty_set(self, star11):
-        assert exposure_mass(star11, 3, set()) == 0.0
-
-    def test_star_spoke_sees_hub(self, star11):
-        assert exposure_mass(star11, 3, {0}) == 10.0
-
-    def test_sum_over_two_leaders(self):
-        import io
-
-        from hashsim import load_edge_list
-        # user 0 follows 1 (F=3) and 2 (F=4)
-        net = load_edge_list(
-            io.StringIO("0 1\n0 2\n3 1\n3 2\n4 1\n5 2\n6 2\n"))
-        assert exposure_mass(net, 0, {1, 2}) == 7.0
-
-    def test_non_leader_rejected(self, star11):
-        with pytest.raises(ValueError):
-            exposure_mass(star11, 3, {5})
-
-
 class TestRetweetGate:
     def test_boundary_equality_passes(self):
         assert retweet_gate(12.0, 3.0, 4.0) is True
@@ -179,6 +160,47 @@ class TestPerRetweetProbability:
         assert abs(1.0 - (1.0 - r) ** n - r_total) < TOL
 
 
+class TestArrayInputs:
+    """The engine calls the formulas on arrays; each entry must carry the
+    same float64 bits as the scalar call on that entry. The one exception
+    is the power in per_retweet_probability: numpy's vectorized power may
+    differ from the scalar one in the last bits, which moves the result by
+    at most a few units of 2**-53."""
+
+    @given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 100),
+                              st.integers(0, 40), st.floats(0, 2000),
+                              st.sampled_from([0.0, 1.0]) | st.floats(1, 100),
+                              st.floats(0, 1)),
+                    min_size=1, max_size=20),
+           st.floats(1, 60), st.floats(0, 1))
+    def test_elementwise_equals_scalar(self, rows, eta_star, tau):
+        f, l, eta, y, infl, r = (np.array(col) for col in zip(*rows))
+        f_max, l_max = int(f.max()) + 1, int(l.max())
+        cases = [
+            (activeness, (f, l, f_max, l_max), (1, 1, 0, 0), 0.0),
+            (hesitancy, (l, f), (1, 1), 0.0),
+            (action_probability, (1.0, tau, r), (0, 0, 1), 0.0),
+            (retweet_gate, (y, eta_star, infl), (1, 0, 1), 0.0),
+            (retweet_count, (eta, y, eta_star, infl), (1, 1, 0, 1), 0.0),
+            (per_retweet_probability, (r, eta + 1), (1, 1),
+             2 * np.spacing(1.0)),
+        ]
+        for fn, args, per_entry, tol in cases:
+            vector = np.asarray(fn(*args))
+            for k in range(len(rows)):
+                scalar = fn(*(a[k].item() if e else a
+                              for a, e in zip(args, per_entry)))
+                assert (vector[k] == scalar
+                        or abs(vector[k] - scalar) <= tol), fn.__name__
+                assert type(scalar) is not np.ndarray, fn.__name__
+
+    def test_exposure_probability_on_arrays(self):
+        params = ModelParams(lam=1.0, eta_star=2, delta_t=0,
+                             coverage=lambda x: 0.5)
+        rho = exposure_probability(np.array([0.8, 0.0, 1.0]), 1.0, params)
+        assert rho.tolist() == [0.4, 0.0, 0.5]
+
+
 class TestModelParams:
     @pytest.mark.parametrize("kwargs", [
         dict(lam=-0.1, eta_star=1, delta_t=0),
@@ -211,10 +233,9 @@ class TestModelParams:
 
 
 def test_user_traits_consistent(star11):
-    hub = UserTraits.for_user(star11, 0)
-    assert hub.f == 10 and hub.l == 0
-    assert hub.activeness == 1.0
-    assert hub.hesitancy == hesitancy(0, 10)
-    spoke = UserTraits.for_user(star11, 4)
-    assert spoke.influence == 10.0
-    assert spoke.activeness == 0.0
+    a_vec, h_vec = user_arrays(star11)
+    assert star11.follower_count[0] == 10 and star11.leader_count[0] == 0
+    assert a_vec[0] == 1.0
+    assert h_vec[0] == hesitancy(0, 10)
+    assert star11.influence[4] == 10.0
+    assert a_vec[4] == 0.0

@@ -2,8 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hashsim.cli import main, parse_grid, UsageError
+from hashsim.cli import MAX_AXIS_POINTS, main, parse_grid, UsageError
+
+# grid-axis fields: plain numbers, extremes and junk
+_FIELD = st.one_of(st.integers(-3, 70).map(str), st.floats().map(repr),
+                   st.sampled_from(["nan", "inf", "-inf", "1e15", "1e308",
+                                    "", "x", " 2 "]))
+_AXIS = st.lists(_FIELD, min_size=1, max_size=4).map(":".join)
+_GRID = st.lists(
+    st.one_of(st.tuples(st.sampled_from(["lambda", "eta", "dt", " dt ",
+                                         "gamma", ""]), _AXIS).map("=".join),
+              st.text(max_size=8)),
+    max_size=4).map(",".join)
 
 
 @pytest.fixture
@@ -43,10 +55,15 @@ class TestParseGrid:
         grid = parse_grid("lambda=1.5,eta=3,dt=2", runs=1)
         assert grid.size == 1
 
+    def test_axis_at_the_point_limit_accepted(self):
+        grid = parse_grid(f"lambda=0:{MAX_AXIS_POINTS - 1}:1", runs=1)
+        assert grid.lambda_axis.size == MAX_AXIS_POINTS
+
     @pytest.mark.parametrize("text", [
         "gamma=0:1", "lambda", "lambda=4:0:1", "lambda=0:1:0",
         "lambda=0:1:0.5:9", "dt=0:9", "lambda=0:inf:1", "lambda=nan",
-        "lambda=inf", "eta=inf",
+        "lambda=inf", "eta=inf", "dt=1.5", "dt=0.5:2.5", "dt=0:7:0.5",
+        "lambda=0:1e15:1", "eta=1:1e308:1e-300", "lambda=0:10000:1",
     ])
     def test_bad_grid_raises_usage(self, text):
         with pytest.raises(UsageError):
@@ -92,7 +109,8 @@ class TestExitCodes:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("grid", ["lambda=0:inf:1", "lambda=nan",
-                                      "lambda=inf", "eta=inf"])
+                                      "lambda=inf", "eta=inf", "dt=1.5",
+                                      "lambda=0:1e15:1"])
     def test_non_finite_grid_is_usage_before_loading(self, tmp_path, capsys,
                                                      grid):
         # the inputs do not exist, so loading them would exit 3
@@ -108,6 +126,18 @@ class TestExitCodes:
                      "--hashtag", str(tmp_path / "no.csv"),
                      "--runs", "0"] + grid) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=_GRID, runs=st.sampled_from(["1", "0", "-2", "x"]),
+           theta=st.sampled_from(["0.04", "nan", "-1"]))
+    def test_any_grid_text_ends_in_an_exit_code(self, tmp_path_factory,
+                                                grid, runs, theta):
+        # the inputs do not exist, so no example loads a network or scans
+        missing = tmp_path_factory.getbasetemp() / "missing"
+        code = main(["fit", "--network", str(missing / "net.txt"),
+                     "--hashtag", str(missing / "tag.csv"),
+                     f"--grid={grid}", "--runs", runs, f"--theta={theta}"])
+        assert code in (1, 2, 3)
 
     def test_id_above_int64_is_validation(self, tmp_path, capsys):
         big = tmp_path / "big.txt"

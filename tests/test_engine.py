@@ -1,13 +1,15 @@
+import importlib.util
 import io
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hashsim import (ActivityProfile, FollowNetwork, ModelParams,
-                     binomial_count, engine, generate_synthetic,
-                     run_ensemble, run_simulation)
+from hashsim import (ActivityProfile, FollowNetwork, HashtagCsvError,
+                     ModelParams, binomial_count, engine, generate_synthetic,
+                     read_hashtag_csv, run_ensemble, run_simulation)
 from reference import simulate_reference
 
 PARAMS = ModelParams(lam=0.5, eta_star=2, delta_t=3)
@@ -57,13 +59,13 @@ class TestActivityProfile:
         prof = run_simulation(generate_synthetic("star", 31), PARAMS, 5)
         path = tmp_path / "profile.csv"
         prof.to_csv(path)
-        again = ActivityProfile.from_csv(path)
-        assert np.array_equal(prof.activities, again.activities)
-        assert np.array_equal(prof.distinct_users, again.distinct_users)
+        again = read_hashtag_csv(path)
+        assert np.array_equal(prof.activities, again.tweets)
+        assert np.array_equal(prof.distinct_users, again.users)
 
     def test_csv_header_enforced(self):
-        with pytest.raises(ValueError):
-            ActivityProfile.from_csv(io.StringIO("day,x,y\n"))
+        with pytest.raises(HashtagCsvError):
+            read_hashtag_csv(io.StringIO("day,x,y\n"))
 
 
 class TestSingleRun:
@@ -334,3 +336,25 @@ class TestEnsemble:
         assert np.all(hub_days >= 0.95)
         assert hub_days.mean() >= 0.99
         assert np.all(ens.distinct_users <= 1.0)
+
+
+def test_benchmark_tracing_wraps_the_engine(star11):
+    # benchmarks/run.py --trace 1 wraps these functions by name; a rename
+    # (or an engine that stops calling them) must fail here, not there
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = engine.user_arrays, engine.interest, engine.np
+    tracer = tracing.Tracer()
+    profiles = []
+    tracing.install_layers(tracer, lambda params, prof: profiles.append(prof))
+    try:
+        engine.run_ensemble(star11, PARAMS, 0, 2)
+    finally:
+        tracer.uninstall()
+    assert (engine.user_arrays, engine.interest, engine.np) == originals
+    names = {span[2] for span in tracer.spans}
+    assert {"engine.ensemble", "engine.user_arrays", "engine.interest",
+            "rng.stream_matrix", "rng.uniforms"} <= names
+    assert len(profiles) == 1

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from hashsim import (FitResult, GridSpec, ModelParams, distance,
-                     generate_synthetic, grid_scan, is_good_fit, normalize,
-                     run_ensemble)
+                     generate_synthetic, grid_scan, normalize, run_ensemble)
 from hashsim.fitter import triplet_seed
 
 
@@ -41,6 +40,9 @@ class TestGridSpec:
         dict(runs=0),
         dict(lambda_axis=np.array([0.0, np.inf])),
         dict(eta_axis=np.array([np.nan])),
+        dict(dt_axis=np.array([2.7])),
+        dict(dt_axis=np.array([0.5, 1.5, 2.5])),
+        dict(dt_axis=np.array([np.nan])),
     ])
     def test_invalid_axes_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -51,17 +53,16 @@ class TestGoodFit:
     def _result(self, d_t, d_u):
         return FitResult(params=ModelParams(lam=1, eta_star=2, delta_t=0),
                          delta_tweets=d_t, delta_users=d_u,
-                         objective=max(d_t, d_u),
-                         good=d_t <= 0.08 and d_u <= 0.08)
+                         objective=max(d_t, d_u))
 
     def test_both_under(self):
-        assert is_good_fit(self._result(0.05, 0.07)) is True
+        assert self._result(0.05, 0.07).good is True
 
     def test_one_over(self):
-        assert is_good_fit(self._result(0.05, 0.09)) is False
+        assert self._result(0.05, 0.09).good is False
 
     def test_boundary_inclusive(self):
-        assert is_good_fit(self._result(0.08, 0.08)) is True
+        assert self._result(0.08, 0.08).good is True
 
 
 class TestGridScan:
