@@ -17,9 +17,8 @@ from .engine import (ActivityProfile, binomial_count, run_ensemble,
 from .fitter import GOOD_FIT_LIMIT, FitResult, GridSpec, grid_scan
 from .hashtags import HashtagCsvError, HashtagRecord, read_hashtag_csv
 from .metric import DEFAULT_THETA, FractionProfile, distance, normalize
-from .network import (EdgeListError, FollowNetwork, NetworkStats,
-                      generate_synthetic, load_edge_list, network_stats,
-                      write_edge_list)
+from .network import (EdgeListError, FollowNetwork, generate_synthetic,
+                      load_edge_list, network_stats, write_edge_list)
 
 __version__ = "0.1.0"
 
@@ -27,8 +26,8 @@ __all__ = [
     "ActivityProfile", "ClassBoundaries", "ClassLabel", "DEFAULT_THETA",
     "EdgeListError", "FitResult", "FollowNetwork", "FractionProfile",
     "GOOD_FIT_LIMIT", "GridSpec", "HashtagCsvError", "HashtagRecord",
-    "ModelParams", "NetworkStats", "action_probability", "activeness",
-    "binomial_count", "classify_params", "classify_profile", "distance",
+    "ModelParams", "action_probability", "activeness", "binomial_count",
+    "classify_params", "classify_profile", "distance",
     "exposure_probability", "generate_synthetic", "grid_scan", "hesitancy",
     "interest", "load_edge_list", "network_stats", "normalize",
     "per_retweet_probability", "read_hashtag_csv", "retweet_count",

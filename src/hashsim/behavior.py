@@ -36,11 +36,14 @@ class ModelParams:
     coverage: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        for name in ("lam", "eta_star", "sigma"):
-            if not math.isfinite(getattr(self, name)):
+        for name in ("lam", "eta_star", "delta_t", "sigma"):
+            try:
+                finite = math.isfinite(getattr(self, name))
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite")
-        if not (math.isfinite(self.delta_t)
-                and self.delta_t == int(self.delta_t)):
+        if self.delta_t != int(self.delta_t):
             raise ValueError("delta_t must be an integer")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .behavior import ModelParams
 from .metric import FractionProfile
 
 SUB_HIGH = "high-eta"
@@ -33,9 +34,10 @@ class ClassBoundaries:
     side_frac: float = 0.25
 
     def __post_init__(self):
-        if self.lambda_split <= 0 or self.eta_split <= 0:
+        # written so that NaN fails each check
+        if not (self.lambda_split > 0 and self.eta_split > 0):
             raise ValueError("splits must be positive")
-        if self.dt_anticipated <= 0:
+        if not self.dt_anticipated > 0:
             raise ValueError("dt_anticipated must be positive")
         if not (0 < self.peak_frac <= 1 and 0 < self.side_frac <= 1):
             raise ValueError("mass thresholds must be in (0, 1]")
@@ -60,22 +62,15 @@ class ClassLabel:
             return "S"
         return self.major + ("+" if self.sub == SUB_HIGH else "-")
 
-    @classmethod
-    def parse(cls, text: str) -> "ClassLabel":
-        text = text.strip()
-        if text == "S":
-            return cls("S")
-        if len(text) == 2 and text[0] in MAJORS and text[1] in "+-":
-            return cls(text[0], SUB_HIGH if text[1] == "+" else SUB_LOW)
-        raise ValueError(f"unrecognized class label {text!r}")
-
 
 def classify_params(lam: float, eta_star: float, delta_t: int,
                     boundaries: ClassBoundaries | None = None) -> ClassLabel:
-    """Seven-way label from fitted (lam, eta_star, delta_t)."""
+    """Seven-way label from fitted (lam, eta_star, delta_t).
+
+    Raises ValueError for a triplet that ModelParams rejects.
+    """
     b = boundaries or ClassBoundaries()
-    if lam < 0 or eta_star < 1 or not 0 <= delta_t <= 7:
-        raise ValueError("parameters outside the grid domain")
+    ModelParams(lam=lam, eta_star=eta_star, delta_t=delta_t)
     sub = SUB_HIGH if eta_star >= b.eta_split else SUB_LOW
     anticipated = delta_t >= b.dt_anticipated
     if lam < b.lambda_split and eta_star < b.eta_split and anticipated:

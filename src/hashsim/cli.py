@@ -122,7 +122,7 @@ def _write_text(path: str, payload: str) -> None:
 
 def cmd_stats(args) -> int:
     net = load_edge_list(args.network, direction=args.direction)
-    print(json.dumps(network_stats(net).as_dict()))
+    print(json.dumps(network_stats(net)))
     return EXIT_OK
 
 

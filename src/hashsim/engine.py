@@ -108,7 +108,7 @@ def binomial_count(u, n, p) -> np.ndarray:
 
     Returns the smallest k with CDF(k) >= u, i.e. the number of successes
     in n independent trials of probability p realized from a single uniform.
-    Deterministic, so results are reproducible across platforms.
+    Deterministic: the same bytes on the same numpy build and CPU features.
     """
     u = np.asarray(u, dtype=float)
     n = np.asarray(n, dtype=np.int64)

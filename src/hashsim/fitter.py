@@ -9,6 +9,7 @@ recomputed point by point.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .behavior import ModelParams
+from .behavior import MAX_DELTA_T, ModelParams
 from .engine import run_ensemble
 from .metric import DEFAULT_THETA, FractionProfile, distance, normalize
 from .network import FollowNetwork
@@ -36,7 +37,7 @@ def _default_eta_axis() -> np.ndarray:
 
 
 def _default_dt_axis() -> np.ndarray:
-    return np.arange(0, 8, dtype=int)
+    return np.arange(0, MAX_DELTA_T + 1, dtype=int)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,20 +56,15 @@ class GridSpec:
         for name, axis in (("lambda", lam), ("eta", eta), ("dt", dt)):
             if axis.size == 0:
                 raise ValueError(f"{name} axis is empty")
-            if not np.all(np.isfinite(axis)):
-                raise ValueError(f"{name} values must be finite")
-            if axis.size > 1 and np.any(np.diff(axis) <= 0):
+            if not np.all(np.diff(axis) > 0):  # NaN fails too
                 raise ValueError(f"{name} axis must be strictly ascending")
-        if np.any(dt != np.floor(dt)):
-            raise ValueError("dt values must be integers")
-        if lam[0] < 0:
-            raise ValueError("lambda values must be >= 0")
-        if eta[0] < 1:
-            raise ValueError("eta values must be >= 1")
-        if dt[0] < 0 or dt[-1] > 7:
-            raise ValueError("dt values must be in [0, 7]")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        # ModelParams owns the domain; on ascending axes, valid endpoints
+        # make every interior lambda and eta valid
+        for d in dt:
+            ModelParams(lam=lam[0], eta_star=eta[0], delta_t=d)
+        ModelParams(lam=lam[-1], eta_star=eta[-1], delta_t=dt[0])
         object.__setattr__(self, "lambda_axis", lam)
         object.__setattr__(self, "eta_axis", eta)
         object.__setattr__(self, "dt_axis", dt.astype(int))
@@ -147,8 +143,11 @@ def grid_scan(net: FollowNetwork, target_tweets: FractionProfile,
         return lam, eta, dt, d_t, d_u
 
     tasks = list(grid.triplets())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # map() submits every task at once and each submit may start a thread,
+    # so more workers than CPUs would only add OS threads
+    workers = min(threads, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(evaluate, tasks))
     else:
         rows = [evaluate(t) for t in tasks]

@@ -33,24 +33,6 @@ class EdgeListError(ValueError):
 
 
 @dataclass(frozen=True)
-class NetworkStats:
-    nodes: int
-    edges: int
-    f_max: int
-    l_max: int
-    mean_out_degree: float
-
-    def as_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "edges": self.edges,
-            "f_max": self.f_max,
-            "l_max": self.l_max,
-            "mean_out_degree": self.mean_out_degree,
-        }
-
-
-@dataclass(frozen=True)
 class FollowNetwork:
     """Immutable directed follower graph in leader-CSR form.
 
@@ -313,14 +295,16 @@ def write_edge_list(net: FollowNetwork, dest) -> None:
             fh.write(payload)
 
 
-def network_stats(net: FollowNetwork) -> NetworkStats:
-    return NetworkStats(
-        nodes=net.user_count,
-        edges=net.edge_count,
-        f_max=net.f_max,
-        l_max=net.l_max,
-        mean_out_degree=net.edge_count / net.user_count,
-    )
+def network_stats(net: FollowNetwork) -> dict:
+    """Node and edge counts, degree maxima and mean out-degree, in the key
+    order that `hashsim stats` prints."""
+    return {
+        "nodes": net.user_count,
+        "edges": net.edge_count,
+        "f_max": net.f_max,
+        "l_max": net.l_max,
+        "mean_out_degree": net.edge_count / net.user_count,
+    }
 
 
 def generate_synthetic(kind: str, n: int, edge_prob: float | None = None,

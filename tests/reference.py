@@ -8,7 +8,8 @@ this must reproduce the vectorized engine bit for bit, for any user order.
 import numpy as np
 
 from hashsim import rng
-from hashsim.behavior import activeness, hesitancy, interest
+from hashsim.behavior import (activeness, hesitancy, interest,
+                              per_retweet_probability)
 from hashsim.engine import ActivityProfile, binomial_count
 
 _NEVER = -100
@@ -60,8 +61,10 @@ def simulate_reference(net, params, seed, user_order=None):
                     nu = max(int(np.floor(np.sqrt(
                         (eta / params.eta_star)
                         * (y / (params.eta_star * infl[i]))))), 1)
-                # numpy scalar power, matching the engine's vector path
-                r_each = 1.0 - np.float64(1.0 - t_i) ** np.float64(1.0 / nu)
+                # 1-element arrays: numpy's scalar power can differ from
+                # its array power, which the engine uses, in the last bit
+                r_each = per_retweet_probability(np.array([t_i]),
+                                                 np.array([nu]))[0]
                 u_rt = rng.uniforms(streams[i], day_index, 2)
                 retweets = int(binomial_count([u_rt], [nu], [r_each])[0])
 

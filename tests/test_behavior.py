@@ -165,7 +165,8 @@ class TestArrayInputs:
     same float64 bits as the scalar call on that entry. The one exception
     is the power in per_retweet_probability: numpy's vectorized power may
     differ from the scalar one in the last bits, which moves the result by
-    at most a few units of 2**-53."""
+    at most a few units of 2**-53. A 1-element array takes the vectorized
+    path, so the oracle calls it that way."""
 
     @given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 100),
                               st.integers(0, 40), st.floats(0, 2000),
@@ -193,6 +194,17 @@ class TestArrayInputs:
                 assert (vector[k] == scalar
                         or abs(vector[k] - scalar) <= tol), fn.__name__
                 assert type(scalar) is not np.ndarray, fn.__name__
+
+    @given(st.lists(st.tuples(st.floats(0, 1), st.integers(1, 300)),
+                    min_size=1, max_size=64))
+    def test_per_retweet_probability_matches_one_element_calls(self, rows):
+        r = np.array([row[0] for row in rows])
+        nu = np.array([row[1] for row in rows])
+        vector = per_retweet_probability(r, nu)
+        for k, (r_k, nu_k) in enumerate(rows):
+            single = per_retweet_probability(np.array([r_k]),
+                                             np.array([nu_k]))[0]
+            assert vector[k] == single
 
     def test_exposure_probability_on_arrays(self):
         params = ModelParams(lam=1.0, eta_star=2, delta_t=0,
@@ -222,8 +234,11 @@ class TestModelParams:
         dict(lam=0.0, eta_star=1, delta_t=2.5),
         dict(lam=0.0, eta_star=1, delta_t=math.nan),
         dict(lam=0.0, eta_star=1, delta_t=math.inf),
+        dict(lam=10**400, eta_star=1, delta_t=0),
+        dict(lam=0.0, eta_star=1, delta_t=10**400),
     ], ids=["lam-nan", "lam-inf", "eta-nan", "eta-inf", "sigma-nan",
-            "dt-fraction", "dt-nan", "dt-inf"])
+            "dt-fraction", "dt-nan", "dt-inf", "lam-huge-int",
+            "dt-huge-int"])
     def test_non_finite_or_non_integral_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)

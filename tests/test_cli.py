@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hashsim
 from hashsim.cli import MAX_AXIS_POINTS, main, parse_grid, UsageError
 
 # grid-axis fields: plain numbers, extremes and junk
@@ -291,6 +292,31 @@ class TestFitAndClassify:
         bad.write_text("{\"lambda\": 1}")
         assert main(["classify", "--fit-json", str(bad)]) == 2
 
+    @pytest.mark.parametrize("key,value", [("lambda", "NaN"),
+                                           ("eta_star", "Infinity"),
+                                           ("delta_t", "2.5"),
+                                           ("delta_t", "9" * 400)])
+    def test_classify_out_of_domain_fit_is_validation(self, tmp_path, capsys,
+                                                      key, value):
+        fields = {"lambda": "0.5", "eta_star": "5", "delta_t": "1",
+                  key: value}
+        report = tmp_path / "fit.json"
+        report.write_text("{" + ", ".join(f'"{k}": {v}'
+                                          for k, v in fields.items()) + "}")
+        assert main(["classify", "--fit-json", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("validation error" in captured.err
+                and "Traceback" not in captured.err)
+
+    @pytest.mark.parametrize("flag", ["--lambda-split", "--eta-split"])
+    def test_classify_nan_split_is_usage(self, tmp_path, capsys, flag):
+        report = tmp_path / "fit.json"
+        report.write_text('{"lambda": 0.5, "eta_star": 5, "delta_t": 1}')
+        assert main(["classify", "--fit-json", str(report), flag, "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error" in captured.err
+
     def test_fit_rejects_short_hashtag_csv(self, star_file, tmp_path):
         short = tmp_path / "short.csv"
         short.write_text("day,tweets,users\n-7,1,1\n")
@@ -332,3 +358,10 @@ class TestFitAndClassify:
         captured = capsys.readouterr()
         assert "non-finite count" in captured.err
         assert captured.out == ""
+
+
+def test_all_names_exist_once():
+    # a stale or repeated entry would otherwise surface only in a star import
+    assert len(set(hashsim.__all__)) == len(hashsim.__all__)
+    for name in hashsim.__all__:
+        assert hasattr(hashsim, name), name

@@ -3,6 +3,7 @@ import pytest
 
 from hashsim import (FitResult, GridSpec, ModelParams, distance,
                      generate_synthetic, grid_scan, normalize, run_ensemble)
+from hashsim import fitter
 from hashsim.fitter import triplet_seed
 
 
@@ -140,6 +141,37 @@ class TestGridScan:
         serial = grid_scan(er200, tt, tu, grid, base_seed=2, threads=1)
         threaded = grid_scan(er200, tt, tu, grid, base_seed=2, threads=4)
         assert serial == threaded
+
+    def test_thread_pool_is_capped_at_cpu_count(self, er200, monkeypatch):
+        pools = []
+
+        class SerialPool:  # records its size and starts no thread
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(fitter, "ThreadPoolExecutor", SerialPool)
+        true = ModelParams(lam=0.5, eta_star=3, delta_t=1)
+        tt, tu = _targets(er200, true, seed=31, runs=5)
+        grid = GridSpec(lambda_axis=np.array([0.0, 0.5]),
+                        eta_axis=np.array([3.0]),
+                        dt_axis=np.array([1]), runs=5)
+        serial = grid_scan(er200, tt, tu, grid, base_seed=2, threads=1)
+        assert pools == []
+        for cpus, expect in ((3, [3]), (None, [])):
+            pools.clear()
+            monkeypatch.setattr(fitter.os, "cpu_count", lambda: cpus)
+            assert grid_scan(er200, tt, tu, grid, base_seed=2,
+                             threads=100_000) == serial
+            assert pools == expect
 
     def test_superset_never_worse(self, er200):
         true = ModelParams(lam=0.5, eta_star=3, delta_t=1)

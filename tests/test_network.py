@@ -86,8 +86,8 @@ def test_direction_flag_swaps_degree_multisets():
 
 def test_reload_is_identical(tiny_net):
     again = load_edge_list(io.StringIO("0 1\n2 1\n"))
-    s1 = json.dumps(network_stats(tiny_net).as_dict())
-    s2 = json.dumps(network_stats(again).as_dict())
+    s1 = json.dumps(network_stats(tiny_net))
+    s2 = json.dumps(network_stats(again))
     assert s1 == s2
     assert np.array_equal(tiny_net.leader_ids, again.leader_ids)
     assert np.array_equal(tiny_net.leader_indptr, again.leader_indptr)
@@ -95,23 +95,26 @@ def test_reload_is_identical(tiny_net):
 
 def test_stats_tiny(tiny_net):
     stats = network_stats(tiny_net)
-    assert stats.nodes == 3
-    assert stats.edges == 2
-    assert stats.f_max == 2
-    assert stats.l_max == 1
-    assert stats.mean_out_degree == pytest.approx(2 / 3)
+    assert list(stats) == ["nodes", "edges", "f_max", "l_max",
+                           "mean_out_degree"]
+    assert stats["nodes"] == 3
+    assert stats["edges"] == 2
+    assert stats["f_max"] == 2
+    assert stats["l_max"] == 1
+    assert stats["mean_out_degree"] == pytest.approx(2 / 3)
 
 
 def test_stats_single_node_no_edges():
     net = generate_synthetic("star", 1)
     stats = network_stats(net)
-    assert (stats.nodes, stats.edges, stats.f_max, stats.l_max) == (1, 0, 0, 0)
+    assert (stats["nodes"], stats["edges"], stats["f_max"],
+            stats["l_max"]) == (1, 0, 0, 0)
 
 
 def test_stats_star():
     k = 17
     stats = network_stats(generate_synthetic("star", k + 1))
-    assert (stats.edges, stats.f_max, stats.l_max) == (k, k, 1)
+    assert (stats["edges"], stats["f_max"], stats["l_max"]) == (k, k, 1)
 
 
 def test_star_construction(star11):
