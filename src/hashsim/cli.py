@@ -64,7 +64,11 @@ def _parse_axis(spec: str, name: str) -> np.ndarray:
                 raise UsageError(f"{name} axis {spec!r} has more than "
                                  f"{MAX_AXIS_POINTS} points")
             count = int(np.floor(intervals)) + 1
-            values = np.round(start + step * np.arange(count), 10)
+            values = start + step * np.arange(count)
+            # round off the steps' float error; from 2**52 up floats have
+            # no fraction, and rounding's x * 1e10 could overflow
+            fractional = np.abs(values) < 2.0 ** 52
+            values[fractional] = np.round(values[fractional], 10)
         else:
             raise ValueError
     except ValueError:

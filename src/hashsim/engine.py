@@ -4,7 +4,14 @@ The update is synchronous by day: every decision on day d reads only state
 through day d-1, so user order cannot matter. All randomness comes from the
 counter-based streams in hashsim.rng, addressed by (run seed, user, day,
 slot); slot 0 is the exposure draw, slot 1 the tweet draw, slot 2 the
-retweet-count draw.
+retweet-count draw. Each slot is drawn only at the addresses whose draw can
+change the result: slot 0 where the exposure probability rho and the action
+probability t are both positive (a uniform in [0, 1) is never below 0),
+slot 1 where slot 0 fell below rho, and slot 2 at the (run, user) pairs
+that pass the retweet gate. A draw is a function of its address alone, so
+a subset of addresses gets the same bits as the full (runs, users) matrix
+would have there, and the output bytes do not depend on which addresses
+are drawn.
 
 Exposure is state, not a per-day recomputation. For every (run, user) the
 engine keeps y (summed follower counts of the leaders active more recently
@@ -109,6 +116,14 @@ def binomial_count(u, n, p) -> np.ndarray:
     Returns the smallest k with CDF(k) >= u, i.e. the number of successes
     in n independent trials of probability p realized from a single uniform.
     Deterministic: the same bytes on the same numpy build and CPU features.
+
+    The engine passes one slot-2 uniform per (run, user) pair that passed
+    the retweet gate, drawn at that pair's address only. Step k advances
+    only the entries still live (u > CDF(k-1) and k <= n); the others are
+    final. All live entries share the same k, and each one goes through
+    the same float64 operations in the same order as in a loop over every
+    entry, so an entry's count does not depend on the entries drawn with
+    it.
     """
     u = np.asarray(u, dtype=float)
     n = np.asarray(n, dtype=np.int64)
@@ -120,17 +135,24 @@ def binomial_count(u, n, p) -> np.ndarray:
     if idx[0].size == 0:
         return out
     uu, nn, pp = u[idx], n[idx], p[idx]
-    ratio = pp / (1.0 - pp)
     pmf = (1.0 - pp) ** nn
+    k_out = np.zeros(uu.shape, dtype=np.int64)
+    live = np.nonzero((uu > pmf) & (nn > 0))[0]
+    # from here on the arrays hold the live entries only
+    uu, nn, pp, pmf = uu[live], nn[live], pp[live], pmf[live]
+    ratio = pp / (1.0 - pp)
     cdf = pmf.copy()
-    k = np.zeros(uu.shape, dtype=np.int64)
-    active = (uu > cdf) & (k < nn)
-    while active.any():
-        pmf = np.where(active, pmf * (nn - k) / (k + 1) * ratio, pmf)
-        k = np.where(active, k + 1, k)
-        cdf = np.where(active, cdf + pmf, cdf)
-        active = (uu > cdf) & (k < nn)
-    out[idx] = k
+    k = 0
+    while live.size:
+        pmf = pmf * (nn - k) / (k + 1) * ratio
+        k += 1
+        cdf += pmf
+        more = (uu > cdf) & (k < nn)
+        k_out[live[~more]] = k
+        live = live[more]
+        uu, nn, ratio, pmf, cdf = (uu[more], nn[more], ratio[more],
+                                   pmf[more], cdf[more])
+    out[idx] = k_out
     return out
 
 
@@ -224,6 +246,46 @@ class _Exposure:
             self.eta[lo:lo + chunk, has_leaders] = packed & ((1 << shift) - 1)
 
 
+def _inject(streams, day_index: int, rho, t_vec, acted) -> None:
+    """Exogenous stimulus: mark in `acted` who is exposed and tweets today.
+
+    u < rho and u < t hold only where rho and t are positive, so slot 0 is
+    drawn only there and slot 1 only where slot 0 passed. The day's
+    temporaries die on return, before the next exposure update.
+    """
+    can_post = np.nonzero((t_vec > 0.0) & (rho > 0.0))[0]
+    u_exp = rng.uniforms(streams[:, can_post], day_index, 0)
+    run, j = np.nonzero(u_exp < rho[can_post])
+    user = can_post[j]
+    tweeted = rng.uniforms(streams[run, user], day_index, 1) < t_vec[user]
+    acted[run[tweeted], user[tweeted]] = True
+
+
+def _spread(streams, day_index: int, exposure: _Exposure, eta_star: float,
+            infl, t_vec, acted) -> np.ndarray:
+    """Endogenous stimulus: mark in `acted` who retweets today.
+
+    Slot 2 is drawn only at the (run, user) pairs that pass the gate, and
+    the day's temporaries die on return, as in _inject. Pairs are handled
+    by flat index into the (runs, users) arrays, which numpy gathers and
+    scatters faster than (row, column) pairs. Returns each run's retweet
+    count.
+    """
+    counts = np.zeros(acted.shape[0], dtype=np.int64)
+    flat = np.flatnonzero(retweet_gate(exposure.y, eta_star, infl))
+    if flat.size:
+        run = flat // acted.shape[1]
+        user = flat - run * acted.shape[1]
+        nu = retweet_count(exposure.eta.reshape(-1)[flat],
+                           exposure.y.reshape(-1)[flat], eta_star, infl[user])
+        r_each = per_retweet_probability(t_vec[user], nu)
+        u_rt = rng.uniforms(streams.reshape(-1)[flat], day_index, 2)
+        retweets = binomial_count(u_rt, nu, r_each)
+        np.add.at(counts, run, retweets)
+        acted.reshape(-1)[flat[retweets > 0]] = True
+    return counts
+
+
 def _simulate_batch(net: FollowNetwork, params: ModelParams, seeds,
                     end_offset: int = 7) -> tuple[np.ndarray, np.ndarray]:
     """Simulate one run per seed; returns (activities, distinct) of shape (runs, 15)."""
@@ -254,28 +316,18 @@ def _simulate_batch(net: FollowNetwork, params: ModelParams, seeds,
         if not np.any(t_vec > 0.0):
             continue  # nobody can post today; state cannot change
 
-        # exogenous injection
-        u_exp = rng.uniforms(streams, day_index, 0)
-        u_twt = rng.uniforms(streams, day_index, 1)
+        acted = np.zeros((runs, n), dtype=bool)
         rho = exposure_probability(a_vec, float(d), params)
-        tweeted = (u_exp < rho) & (u_twt < t_vec)
-
-        # endogenous spreading
-        retweets = np.zeros((runs, n), dtype=np.int64)
+        _inject(streams, day_index, rho, t_vec, acted)
+        day_acts = acted.sum(axis=1)
         if any_activity and exposure is not None:
             if pending is not None:
                 exposure.update(*pending, last)
                 pending = None
-            y, eta = exposure.y, exposure.eta
-            gi = np.nonzero(retweet_gate(y, eta_star, infl))
-            if gi[0].size:
-                nu = retweet_count(eta[gi], y[gi], eta_star, infl[gi[1]])
-                r_each = per_retweet_probability(t_vec[gi[1]], nu)
-                u_rt = rng.uniforms(streams, day_index, 2)[gi]
-                retweets[gi] = binomial_count(u_rt, nu, r_each)
+            day_acts += _spread(streams, day_index, exposure, eta_star, infl,
+                                t_vec, acted)
 
-        acted = tweeted | (retweets > 0)
-        acts[:, day_index] = tweeted.sum(axis=1) + retweets.sum(axis=1)
+        acts[:, day_index] = day_acts
         dist[:, day_index] = acted.sum(axis=1)
         if acted.any():
             pending = (last, acted)

@@ -10,9 +10,38 @@ import numpy as np
 from hashsim import rng
 from hashsim.behavior import (activeness, hesitancy, interest,
                               per_retweet_probability)
-from hashsim.engine import ActivityProfile, binomial_count
+from hashsim.engine import ActivityProfile
 
 _NEVER = -100
+
+
+def binomial_cdf(n, p):
+    """CDF(0), ..., CDF(n) of Binomial(n, p), 0 < p < 1, one k at a time.
+
+    Python floats round like float64 arrays for + - * /, and (1 - p) ** n
+    is taken on 1-element arrays, the engine's power, so each value must
+    equal the engine's bit for bit.
+    """
+    ratio = p / (1.0 - p)
+    pmf = float(((1.0 - np.array([p])) ** np.array([n]))[0])
+    cdf = pmf
+    yield cdf
+    for k in range(n):
+        pmf = pmf * (n - k) / (k + 1) * ratio
+        cdf += pmf
+        yield cdf
+
+
+def binomial_reference(u, n, p):
+    """Inverse-CDF Binomial(n, p) draw: the smallest k with CDF(k) >= u."""
+    if p >= 1.0:
+        return n
+    if not p > 0.0:
+        return 0
+    for k, cdf in enumerate(binomial_cdf(n, p)):
+        if not u > cdf:
+            return k
+    return n
 
 
 def simulate_reference(net, params, seed, user_order=None):
@@ -66,7 +95,7 @@ def simulate_reference(net, params, seed, user_order=None):
                 r_each = per_retweet_probability(np.array([t_i]),
                                                  np.array([nu]))[0]
                 u_rt = rng.uniforms(streams[i], day_index, 2)
-                retweets = int(binomial_count([u_rt], [nu], [r_each])[0])
+                retweets = binomial_reference(float(u_rt), nu, float(r_each))
 
             if tweeted or retweets:
                 new_last[i] = d

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,16 @@ class TestParseGrid:
     def test_axis_at_the_point_limit_accepted(self):
         grid = parse_grid(f"lambda=0:{MAX_AXIS_POINTS - 1}:1", runs=1)
         assert grid.lambda_axis.size == MAX_AXIS_POINTS
+
+    def test_huge_axis_values_are_kept_without_warnings(self):
+        # rounding 1e300 to 10 decimals would overflow to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = parse_grid("lambda=1e299:3e299:1e299,eta=1e300:1e300",
+                              runs=1)
+            assert parse_grid("lambda=0:1:0.1", runs=1).lambda_axis[3] == 0.3
+        assert grid.lambda_axis.tolist() == [1e299, 2e299, 1e299 + 2e299]
+        assert grid.eta_axis.tolist() == [1e300]
 
     @pytest.mark.parametrize("text", [
         "gamma=0:1", "lambda", "lambda=4:0:1", "lambda=0:1:0",

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from hashsim import (ActivityProfile, FollowNetwork, HashtagCsvError,
                      ModelParams, binomial_count, engine, generate_synthetic,
-                     read_hashtag_csv, run_ensemble, run_simulation)
-from reference import simulate_reference
+                     read_hashtag_csv, rng, run_ensemble, run_simulation)
+from hashsim.behavior import action_probability, interest
+from reference import binomial_cdf, binomial_reference, simulate_reference
 
 PARAMS = ModelParams(lam=0.5, eta_star=2, delta_t=3)
 
@@ -41,6 +42,57 @@ class TestBinomialCount:
         u = np.linspace(0, 1, 100001)[:-1]
         k = binomial_count(u, np.full(u.shape, 10), np.full(u.shape, 0.3))
         assert k.mean() == pytest.approx(3.0, abs=0.01)
+
+    # n reaches 300 (nu reaches 292 on a dense 20k-node graph); u runs up
+    # to the largest uniform below 1, where the CDF may never get past u,
+    # and sits on or just above a CDF value, where one ulp moves k
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                  st.sampled_from([0.0, 1.0 - 2.0 ** -53, 1.0 - 1e-12]),
+                  st.tuples(st.integers(0, 300), st.booleans())),
+        st.integers(0, 300),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0),
+                  st.floats(1e-9, 1e-3))),
+        min_size=1, max_size=80))
+    def test_equals_per_entry_loop(self, entries):
+        cases = []
+        for u, n, p in entries:
+            if isinstance(u, tuple):  # on CDF(k), or one ulp above it
+                k, above = u
+                cdf = list(binomial_cdf(n, p)) if 0.0 < p < 1.0 else [0.5]
+                u = cdf[min(k, len(cdf) - 1)]
+                if above:
+                    u = float(np.nextafter(u, 2.0))
+            cases.append((u, n, p))
+        u, n, p = map(list, zip(*cases))
+        want = [binomial_reference(*case) for case in cases]
+        assert binomial_count(u, n, p).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 63, 2 ** 64 - 1), min_size=1,
+                max_size=5),
+       st.integers(1, 40), st.integers(0, 14), st.integers(0, 2),
+       st.data())
+def test_uniforms_at_a_subset_equal_the_full_draw(seeds, users, day, slot,
+                                                 data):
+    # the engine draws each slot only at the (run, user) addresses whose
+    # result can change; counter-based draws make that the same bits
+    streams = rng.stream_matrix(seeds, users)
+    size = data.draw(st.integers(0, 30))
+
+    def index(high):
+        return np.array(data.draw(st.lists(st.integers(0, high - 1),
+                                           min_size=size, max_size=size)),
+                        dtype=np.int64)
+
+    rows, cols = index(len(seeds)), index(users)
+    full = rng.uniforms(streams, day, slot)
+    assert np.array_equal(rng.uniforms(streams[rows, cols], day, slot),
+                          full[rows, cols])
+    assert np.array_equal(rng.uniforms(streams[:, cols], day, slot),
+                          full[:, cols])
 
 
 class TestActivityProfile:
@@ -276,6 +328,41 @@ class TestAgainstReference:
         ref = simulate_reference(net, params, 12345)
         assert np.array_equal(eng.activities, ref.activities)
         assert np.array_equal(eng.distinct_users, ref.distinct_users)
+
+    # 8 of 150 users have no followers (activeness 0), and the lowest-degree
+    # users cannot post after the peak (t = 0 for 3 users on day 1 and 90
+    # on day 2), so the exposure draws skip users, and day 3 is skipped
+    SPARSE = dict(kind="uniform-random", n=150, edge_prob=0.02, seed=4)
+    SPARSE_SEEDS = [11, 12, 13, 14]
+
+    def assert_rows_match_reference(self, net, params, seeds):
+        acts, dist = engine._simulate_batch(net, params, seeds)
+        for row, seed in enumerate(seeds):
+            ref = simulate_reference(net, params, seed)
+            assert np.array_equal(acts[row], ref.activities)
+            assert np.array_equal(dist[row], ref.distinct_users)
+        return acts, dist
+
+    def test_batch_rows_match_reference(self):
+        net = generate_synthetic(**self.SPARSE)
+        params = ModelParams(lam=1.0, eta_star=1, delta_t=3)
+        _, h = engine.user_arrays(net)
+        t_after = action_probability(1.0, interest(2.0, params.lam), h)
+        assert np.any(net.follower_count == 0)
+        assert np.any(t_after == 0.0) and np.any(t_after > 0.0)
+        acts, dist = self.assert_rows_match_reference(net, params,
+                                                      self.SPARSE_SEEDS)
+        assert np.all(acts.sum(axis=1) > dist.sum(axis=1))  # retweets
+
+    def test_days_without_exposure_match_reference(self):
+        # chi = 0 from the peak on: no user can be exposed, so the slot-0
+        # draw is empty, but retweets still spread on those days
+        net = generate_synthetic(**self.SPARSE)
+        params = ModelParams(lam=1.0, eta_star=1, delta_t=3,
+                             coverage=lambda x: 1.0 if x < 0 else 0.0)
+        acts, _ = self.assert_rows_match_reference(net, params,
+                                                   self.SPARSE_SEEDS)
+        assert np.all(acts[:, 7] > 0)
 
     def test_user_order_is_irrelevant(self):
         net = generate_synthetic("uniform-random", 80, edge_prob=0.1, seed=9)
