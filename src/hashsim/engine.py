@@ -32,12 +32,22 @@ simulated day, in one of two directions (Beamer, Asanovic & Patterson,
 
 y and eta are integer sums below 2**53, so both directions give the same
 float64 bits as a from-scratch recomputation.
+
+Interest is 1 on every day up to the peak, so days -delta_t..0 do not
+depend on lambda. peak_state simulates them once and returns the batch's
+state (BatchState); run_ensemble(..., start=snapshot) continues a copy of
+it through days 1..end_offset, with the same bytes as a run from day
+-delta_t.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import math
 import os
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -49,6 +59,7 @@ from .network import FollowNetwork
 
 DAY_OFFSETS = np.arange(-7, 8)
 N_DAYS = 15
+_FIRST_DAY, _LAST_DAY = int(DAY_OFFSETS[0]), int(DAY_OFFSETS[-1])
 _NEVER = np.int16(-100)  # "no activity yet"; below every real day offset
 
 # Push a day's actors to their followers when their out-edge volume is at
@@ -183,6 +194,11 @@ class _Exposure:
         self.y = np.zeros((runs, net.user_count))
         self.eta = np.zeros((runs, net.user_count))
 
+    def copy(self) -> _Exposure:
+        twin = copy.copy(self)
+        twin.y, twin.eta = self.y.copy(), self.eta.copy()
+        return twin
+
     def update(self, last_old, acted, last_new) -> None:
         """Bring the state from last_old to last_new, which adds `acted`."""
         runs = acted.shape[0]
@@ -286,54 +302,137 @@ def _spread(streams, day_index: int, exposure: _Exposure, eta_star: float,
     return counts
 
 
+def _day_range(first: int, end_offset) -> range:
+    """Indices into DAY_OFFSETS of the days first..end_offset.
+
+    end_offset must be an integer day offset of the window. Both ends are
+    clamped to the window, so the range never indexes past DAY_OFFSETS.
+    """
+    try:
+        valid = (math.isfinite(end_offset) and end_offset == int(end_offset)
+                 and _FIRST_DAY <= end_offset <= _LAST_DAY)
+    except (TypeError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValueError(f"end_offset must be an integer in [{_FIRST_DAY}, "
+                         f"{_LAST_DAY}], got {end_offset!r}")
+    return range(max(int(first), _FIRST_DAY) - _FIRST_DAY,
+                 min(int(end_offset), _LAST_DAY) - _FIRST_DAY + 1)
+
+
+@dataclass(eq=False)
+class BatchState:
+    """A batch of runs between two simulated days.
+
+    peak_state returns one taken at the end of the peak day, and
+    run_ensemble(start=...) continues copies of it. streams, a_vec, h_vec,
+    last and pending are never written in place (a day replaces last), so
+    copies share them; the exposure and the tallies are copied.
+    """
+
+    net: FollowNetwork
+    params: ModelParams
+    seeds: tuple
+    streams: np.ndarray
+    a_vec: np.ndarray
+    h_vec: np.ndarray
+    last: np.ndarray
+    acts: np.ndarray
+    dist: np.ndarray
+    exposure: Optional[_Exposure]
+    # (last before, actors) of the latest day with actors, applied to the
+    # exposure only when a later day needs it
+    pending: Optional[tuple] = None
+    any_activity: bool = False
+
+    @classmethod
+    def initial(cls, net: FollowNetwork, params: ModelParams,
+                seeds) -> BatchState:
+        """The state before the first day: nobody has acted."""
+        seeds = tuple(seeds)
+        runs = len(seeds)
+        a_vec, h_vec = user_arrays(net)
+        return cls(net=net, params=params, seeds=seeds,
+                   streams=rng.stream_matrix(seeds, net.user_count),
+                   a_vec=a_vec, h_vec=h_vec,
+                   last=np.full((runs, net.user_count), _NEVER,
+                                dtype=np.int16),
+                   acts=np.zeros((runs, N_DAYS)),
+                   dist=np.zeros((runs, N_DAYS)),
+                   exposure=(_Exposure(net, runs) if net.edge_count
+                             else None))
+
+    def branch(self, params: ModelParams) -> BatchState:
+        """An independent copy that goes on with `params`."""
+        exposure = None if self.exposure is None else self.exposure.copy()
+        return dataclasses.replace(self, params=params,
+                                   acts=self.acts.copy(),
+                                   dist=self.dist.copy(), exposure=exposure)
+
+    def settle(self) -> None:
+        """Apply the pending actors to the exposure."""
+        if self.pending is not None and self.exposure is not None:
+            self.exposure.update(*self.pending, self.last)
+        self.pending = None
+
+    def simulate(self, days: range) -> None:
+        """Simulate the days with these indices into DAY_OFFSETS, in order."""
+        params, h_vec = self.params, self.h_vec
+        infl = self.net.influence
+        eta_star = float(params.eta_star)
+        sigma = float(params.sigma)
+        for day_index in days:
+            d = DAY_OFFSETS[day_index]
+            tau = interest(float(d), params.lam)
+            t_vec = action_probability(sigma, tau, h_vec)  # tweet == retweet
+            if not np.any(t_vec > 0.0):
+                continue  # nobody can post today; state cannot change
+
+            acted = np.zeros(self.last.shape, dtype=bool)
+            rho = exposure_probability(self.a_vec, float(d), params)
+            _inject(self.streams, day_index, rho, t_vec, acted)
+            day_acts = acted.sum(axis=1)
+            if self.any_activity and self.exposure is not None:
+                self.settle()
+                day_acts += _spread(self.streams, day_index, self.exposure,
+                                    eta_star, infl, t_vec, acted)
+
+            self.acts[:, day_index] = day_acts
+            self.dist[:, day_index] = acted.sum(axis=1)
+            if acted.any():
+                self.pending = (self.last, acted)
+                self.last = np.where(acted, np.int16(d), self.last)
+                self.any_activity = True
+
+
 def _simulate_batch(net: FollowNetwork, params: ModelParams, seeds,
                     end_offset: int = 7) -> tuple[np.ndarray, np.ndarray]:
     """Simulate one run per seed; returns (activities, distinct) of shape (runs, 15)."""
-    n = net.user_count
-    runs = len(seeds)
-    a_vec, h_vec = user_arrays(net)
-    infl = net.influence
-    eta_star = float(params.eta_star)
-    sigma = float(params.sigma)
+    days = _day_range(-params.delta_t, end_offset)
+    state = BatchState.initial(net, params, seeds)
+    state.simulate(days)
+    return state.acts, state.dist
 
-    streams = rng.stream_matrix(seeds, n)
-    last = np.full((runs, n), _NEVER, dtype=np.int16)
-    acts = np.zeros((runs, N_DAYS))
-    dist = np.zeros((runs, N_DAYS))
-    exposure = _Exposure(net, runs) if net.edge_count else None
-    # (last before, actors) of the latest day with actors, applied to the
-    # exposure only when a later day needs it
-    pending = None
-    any_activity = False
 
-    for day_index, d in enumerate(DAY_OFFSETS):
-        if d < -params.delta_t:
-            continue
-        if d > end_offset:
-            break
-        tau = interest(float(d), params.lam)
-        t_vec = action_probability(sigma, tau, h_vec)  # tweet == retweet prob
-        if not np.any(t_vec > 0.0):
-            continue  # nobody can post today; state cannot change
+def _ensemble_seeds(base_seed: int, runs: int) -> tuple:
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    return tuple(base_seed + k for k in range(runs))
 
-        acted = np.zeros((runs, n), dtype=bool)
-        rho = exposure_probability(a_vec, float(d), params)
-        _inject(streams, day_index, rho, t_vec, acted)
-        day_acts = acted.sum(axis=1)
-        if any_activity and exposure is not None:
-            if pending is not None:
-                exposure.update(*pending, last)
-                pending = None
-            day_acts += _spread(streams, day_index, exposure, eta_star, infl,
-                                t_vec, acted)
 
-        acts[:, day_index] = day_acts
-        dist[:, day_index] = acted.sum(axis=1)
-        if acted.any():
-            pending = (last, acted)
-            last = np.where(acted, np.int16(d), last)
-            any_activity = True
-    return acts, dist
+def peak_state(net: FollowNetwork, params: ModelParams, base_seed: int,
+               runs: int) -> BatchState:
+    """The runs of run_ensemble(net, params, base_seed, runs) after day 0.
+
+    Interest is 1 on every day up to the peak, so nothing here depends on
+    params.lam: run_ensemble(..., start=snapshot) continues the snapshot
+    for any lam that shares the other parameters, with the same bytes as
+    a run from day -delta_t.
+    """
+    state = BatchState.initial(net, params, _ensemble_seeds(base_seed, runs))
+    state.simulate(_day_range(-params.delta_t, 0))
+    state.settle()  # once here, rather than once per branch
+    return state
 
 
 def run_simulation(net: FollowNetwork, params: ModelParams, seed: int,
@@ -344,10 +443,29 @@ def run_simulation(net: FollowNetwork, params: ModelParams, seed: int,
 
 
 def run_ensemble(net: FollowNetwork, params: ModelParams, base_seed: int,
-                 runs: int, end_offset: int = 7) -> ActivityProfile:
-    """Mean profile over runs with seeds base_seed .. base_seed + runs - 1."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    seeds = [base_seed + k for k in range(runs)]
-    acts, dist = _simulate_batch(net, params, seeds, end_offset)
+                 runs: int, end_offset: int = 7, *,
+                 start: Optional[BatchState] = None) -> ActivityProfile:
+    """Mean profile over runs with seeds base_seed .. base_seed + runs - 1.
+
+    With `start` from peak_state, only days 1..end_offset are simulated.
+    The snapshot must come from the same network, seeds and runs, and from
+    params that differ at most in lam; otherwise ValueError.
+    """
+    seeds = _ensemble_seeds(base_seed, runs)
+    if start is None:
+        acts, dist = _simulate_batch(net, params, seeds, end_offset)
+    else:
+        if start.net is not net:
+            raise ValueError("snapshot is of another network")
+        if start.seeds != seeds:
+            raise ValueError("snapshot has other seeds or runs")
+        if dataclasses.replace(start.params, lam=params.lam) != params:
+            raise ValueError("snapshot has other parameters than lam")
+        days = _day_range(1, end_offset)
+        if end_offset < 0:
+            raise ValueError("a snapshot ends at day 0; end_offset must "
+                             "be >= 0")
+        state = start.branch(params)
+        state.simulate(days)
+        acts, dist = state.acts, state.dist
     return ActivityProfile(acts.mean(axis=0), dist.mean(axis=0))

@@ -1,14 +1,20 @@
 """Monte Carlo grid scan over (delta_t, eta_star, lambda) against target profiles.
 
-Triplets are embarrassingly parallel; each one gets its own deterministic
-seed, hashed from base_seed and the triplet's values (lambda, eta_star,
-delta_t), so a triplet scores the same in any grid that contains it, serial
-and threaded scans return identical results, and interrupted scans can be
-recomputed point by point.
+The scan works in (delta_t, eta_star) groups, which are independent and
+run serially or on threads. Every lambda of a group shares one seed,
+hashed from base_seed, delta_t and eta_star, and so shares the simulated
+days -delta_t..0, where interest is 1 whatever lambda is: the group
+simulates them once (engine.peak_state) and continues each lambda from
+there through day +7. Neighbouring lambda then differ by the parameter,
+not by independent noise (common random numbers). The seed depends on
+the values, not the grid position, so a triplet scores the same in any
+grid that contains it, serial and threaded scans return identical
+results, and a triplet can be recomputed alone with one run_ensemble.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -18,7 +24,7 @@ import numpy as np
 
 from . import rng
 from .behavior import MAX_DELTA_T, ModelParams
-from .engine import run_ensemble
+from .engine import peak_state, run_ensemble
 from .metric import DEFAULT_THETA, FractionProfile, distance, normalize
 from .network import FollowNetwork
 
@@ -102,15 +108,16 @@ class FitResult:
 
 def triplet_seed(base_seed: int, delta_t: int, eta_star: float,
                  lam: float) -> int:
-    """Deterministic per-triplet seed derived from the parameter values.
+    """Deterministic triplet seed, from base_seed, delta_t and eta_star.
 
-    Value-based (not position-based) so a triplet scores identically in any
-    grid that contains it; scans are reproducible and restartable point by
-    point.
+    lam is not read: every lambda of a (delta_t, eta_star) group gets the
+    same seed, so the group shares its pre-peak days and its random
+    numbers. Value-based (not position-based), so a triplet scores
+    identically in any grid that contains it; scans are reproducible and
+    restartable point by point.
     """
     with np.errstate(over="ignore"):
-        key = rng.mix64(rng.as_u64(round(lam * 1_000_000)) + rng._GOLDEN)
-        key = rng.mix64(key ^ rng.as_u64(round(eta_star * 1_000_000)))
+        key = rng.mix64(rng.as_u64(round(eta_star * 1_000_000)) + rng._GOLDEN)
         key = rng.mix64(key ^ rng.as_u64(int(delta_t) + 1))
         return int(rng.mix64(key ^ rng.as_u64(base_seed)) >> np.uint64(1))
 
@@ -132,25 +139,31 @@ def grid_scan(net: FollowNetwork, target_tweets: FractionProfile,
     if combine not in (COMBINE_MAX, COMBINE_MEAN):
         raise ValueError(f"unknown combine mode {combine!r}")
 
-    def evaluate(task):
-        _, dt, eta, lam = task
-        params = ModelParams(lam=lam, eta_star=eta, delta_t=dt)
-        prof = run_ensemble(net, params,
-                            triplet_seed(base_seed, dt, eta, lam),
-                            grid.runs)
-        d_t = distance(normalize(prof.activities), target_tweets, theta)
-        d_u = distance(normalize(prof.distinct_users), target_users, theta)
-        return lam, eta, dt, d_t, d_u
+    def evaluate_group(tasks):
+        """Score one (delta_t, eta_star) group, lambda by lambda."""
+        rows, snapshot = [], None
+        for _, dt, eta, lam in tasks:
+            params = ModelParams(lam=lam, eta_star=eta, delta_t=dt)
+            seed = triplet_seed(base_seed, dt, eta, lam)
+            if snapshot is None:
+                snapshot = peak_state(net, params, seed, grid.runs)
+            prof = run_ensemble(net, params, seed, grid.runs, start=snapshot)
+            d_t = distance(normalize(prof.activities), target_tweets, theta)
+            d_u = distance(normalize(prof.distinct_users), target_users, theta)
+            rows.append((lam, eta, dt, d_t, d_u))
+        return rows
 
-    tasks = list(grid.triplets())
-    # map() submits every task at once and each submit may start a thread,
+    groups = [list(g) for _, g in itertools.groupby(grid.triplets(),
+                                                    key=lambda t: t[1:3])]
+    # map() submits every group at once and each submit may start a thread,
     # so more workers than CPUs would only add OS threads
     workers = min(threads, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, tasks))
+            scored = list(pool.map(evaluate_group, groups))
     else:
-        rows = [evaluate(t) for t in tasks]
+        scored = [evaluate_group(g) for g in groups]
+    rows = [row for group in scored for row in group]
 
     def objective(row):
         d_t, d_u = row[3], row[4]

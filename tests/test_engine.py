@@ -425,6 +425,89 @@ class TestEnsemble:
         assert np.all(ens.distinct_users <= 1.0)
 
 
+class TestEndOffset:
+    @pytest.mark.parametrize("end", [float("nan"), 2.5, 8, -8,
+                                     float("inf"), "3", None])
+    def test_invalid_end_offset_rejected(self, er200, end):
+        with pytest.raises(ValueError, match="end_offset"):
+            run_simulation(er200, PARAMS, 1, end_offset=end)
+        with pytest.raises(ValueError, match="end_offset"):
+            run_ensemble(er200, PARAMS, 1, 2, end_offset=end)
+
+    def test_integral_float_end_offset_accepted(self, er200):
+        whole = run_simulation(er200, PARAMS, 1, end_offset=3)
+        again = run_simulation(er200, PARAMS, 1, end_offset=3.0)
+        assert np.array_equal(whole.activities, again.activities)
+
+    def test_day_range_stays_in_the_window(self):
+        for first in range(-20, 9):
+            for end in range(-7, 8):
+                days = engine._day_range(first, end)
+                assert all(0 <= i < engine.N_DAYS for i in days)
+                assert list(days) == [i for i, d in
+                                      enumerate(engine.DAY_OFFSETS)
+                                      if first <= d <= end]
+
+
+def _coverage(x):
+    return 1.0 if x <= 0 else 0.4
+
+
+class TestBranchAtPeak:
+    RUNS = 6
+
+    @pytest.mark.parametrize("delta_t", [0, 7])
+    @pytest.mark.parametrize("coverage", [None, _coverage])
+    def test_branches_equal_plain_ensembles(self, er200, delta_t, coverage):
+        # lam = 40 leaves no user able to post after the peak, so every
+        # post-peak day of that branch is skipped
+        _, h = engine.user_arrays(er200)
+        assert not np.any(action_probability(1.0, interest(1.0, 40.0), h))
+        seed = 1234
+        snapshot = engine.peak_state(
+            er200, ModelParams(lam=0.3, eta_star=2, delta_t=delta_t,
+                               coverage=coverage), seed, self.RUNS)
+        for lam in (0.0, 0.5, 1.5, 40.0):
+            params = ModelParams(lam=lam, eta_star=2, delta_t=delta_t,
+                                 coverage=coverage)
+            for end in (0, 3, 7):
+                branched = run_ensemble(er200, params, seed, self.RUNS, end,
+                                        start=snapshot)
+                plain = run_ensemble(er200, params, seed, self.RUNS, end)
+                assert np.array_equal(branched.activities, plain.activities)
+                assert np.array_equal(branched.distinct_users,
+                                      plain.distinct_users)
+        assert plain.activities[7] > 0
+
+    def test_edgeless_network_branches(self):
+        net = generate_synthetic("uniform-random", 30, edge_prob=0.0, seed=2)
+        snapshot = engine.peak_state(net, PARAMS, 0, 3)
+        assert not np.any(run_ensemble(net, PARAMS, 0, 3,
+                                       start=snapshot).activities)
+
+    @pytest.mark.parametrize("change", [
+        pytest.param(dict(net="other"), id="network"),
+        pytest.param(dict(runs=5), id="runs"),
+        pytest.param(dict(base_seed=8), id="seed"),
+        pytest.param(dict(delta_t=2), id="delta_t"),
+        pytest.param(dict(eta_star=3), id="eta_star"),
+        pytest.param(dict(sigma=0.5), id="sigma"),
+        pytest.param(dict(coverage=_coverage), id="coverage"),
+        pytest.param(dict(end_offset=-1), id="end_offset"),
+    ])
+    def test_mismatched_snapshot_rejected(self, er200, change):
+        snapshot = engine.peak_state(er200, PARAMS, 7, 4)
+        net = generate_synthetic("uniform-random", 200, edge_prob=0.05,
+                                 seed=7) if "net" in change else er200
+        fields = {k: change.get(k, getattr(PARAMS, k)) for k in
+                  ("eta_star", "delta_t", "sigma", "coverage")}
+        params = ModelParams(lam=1.0, **fields)
+        with pytest.raises(ValueError):
+            run_ensemble(net, params, change.get("base_seed", 7),
+                         change.get("runs", 4), change.get("end_offset", 7),
+                         start=snapshot)
+
+
 def test_benchmark_tracing_wraps_the_engine(star11):
     # benchmarks/run.py --trace 1 wraps these functions by name; a rename
     # (or an engine that stops calling them) must fail here, not there

@@ -197,3 +197,60 @@ class TestGridScan:
         assert result.objective == expected
         with pytest.raises(ValueError):
             grid_scan(er200, tt, tu, grid, base_seed=3, combine="median")
+
+
+class TestCommonRandomNumbers:
+    def test_triplet_seed_ignores_lambda_only(self):
+        seed = triplet_seed(5, 2, 10.0, 0.5)
+        assert all(triplet_seed(5, 2, 10.0, lam) == seed
+                   for lam in (0.0, 0.25, 1.0, 4.0, 1e6))
+        assert len({seed, triplet_seed(6, 2, 10.0, 0.5),
+                    triplet_seed(5, 3, 10.0, 0.5),
+                    triplet_seed(5, 2, 11.0, 0.5)}) == 4
+
+    def test_lambdas_of_a_group_share_the_pre_peak_days(self, er200,
+                                                        monkeypatch):
+        seen = []
+
+        def recording(net, params, base_seed, runs, end_offset=7, *,
+                      start=None):
+            prof = run_ensemble(net, params, base_seed, runs, end_offset,
+                                start=start)
+            seen.append((params, prof))
+            return prof
+
+        monkeypatch.setattr(fitter, "run_ensemble", recording)
+        true = ModelParams(lam=0.5, eta_star=3, delta_t=2)
+        tt, tu = _targets(er200, true, seed=61, runs=5)
+        grid = GridSpec(lambda_axis=np.array([0.0, 0.5, 2.0]),
+                        eta_axis=np.array([2.0, 3.0]),
+                        dt_axis=np.array([0, 2]), runs=5)
+        result = grid_scan(er200, tt, tu, grid, base_seed=4,
+                           keep_scores=True)
+        assert [(p.lam, p.eta_star, p.delta_t) for p, _ in seen] == [
+            row[:3] for row in result.scan]
+        for k in range(0, len(seen), 3):
+            group = [prof for _, prof in seen[k:k + 3]]
+            assert group[0].activities[:8].any()
+            for prof in group[1:]:
+                assert np.array_equal(prof.activities[:8],
+                                      group[0].activities[:8])
+                assert np.array_equal(prof.distinct_users[:8],
+                                      group[0].distinct_users[:8])
+            # the branches differ after the peak
+            assert not np.array_equal(group[0].activities,
+                                      group[2].activities)
+
+    def test_threads_beyond_groups_do_not_change_result(self, er200,
+                                                        monkeypatch):
+        monkeypatch.setattr(fitter.os, "cpu_count", lambda: 8)
+        true = ModelParams(lam=0.5, eta_star=3, delta_t=1)
+        tt, tu = _targets(er200, true, seed=71, runs=5)
+        grid = GridSpec(lambda_axis=np.array([0.0, 0.5, 1.0, 2.0]),
+                        eta_axis=np.array([3.0]),
+                        dt_axis=np.array([0, 1]), runs=5)
+        serial = grid_scan(er200, tt, tu, grid, base_seed=2, threads=1,
+                           keep_scores=True)
+        threaded = grid_scan(er200, tt, tu, grid, base_seed=2, threads=8,
+                             keep_scores=True)
+        assert serial == threaded
