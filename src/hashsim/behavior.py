@@ -37,8 +37,11 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("lam", "eta_star", "delta_t", "sigma"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool")
             try:
-                finite = math.isfinite(getattr(self, name))
+                finite = math.isfinite(value)
             except OverflowError:  # an int beyond the float range
                 finite = False
             if not finite:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .behavior import ModelParams
+from .engine import N_DAYS, PEAK_INDEX
 from .metric import FractionProfile
 
 SUB_HIGH = "high-eta"
@@ -93,10 +94,11 @@ def classify_profile(p: FractionProfile,
     b = boundaries or ClassBoundaries()
     if p.degenerate:
         raise ValueError("cannot classify a degenerate (all-zero) profile")
-    if len(p) != 15:
-        raise ValueError("profile must cover the 15-day window")
+    if len(p) != N_DAYS:
+        raise ValueError(f"profile must cover the {N_DAYS}-day window")
     fr = p.fractions
-    before, peak, after = fr[:7].sum(), fr[7], fr[8:].sum()
+    before, peak = fr[:PEAK_INDEX].sum(), fr[PEAK_INDEX]
+    after = fr[PEAK_INDEX + 1:].sum()
     if peak >= b.peak_frac:
         return "P"
     if after >= b.side_frac and before < b.side_frac:

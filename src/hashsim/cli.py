@@ -34,6 +34,10 @@ EXIT_IO = 3
 # axes have 41, 60 and 8 points), so a longer axis cannot be scanned; one
 # such as 0:1e15:1 would otherwise fail to allocate with a traceback.
 MAX_AXIS_POINTS = 10_000
+# Runs in one ensemble, 200x the paper's 50, checked before anything is
+# loaded. Every run holds a seed and (users,) rows of state, so a count
+# such as 10**9 would otherwise fail to allocate with a traceback.
+MAX_RUNS = 10_000
 
 
 class UsageError(Exception):
@@ -116,6 +120,11 @@ def _model_params(args) -> ModelParams:
         raise UsageError(str(exc)) from None
 
 
+def _check_runs(runs: int) -> None:
+    if not 1 <= runs <= MAX_RUNS:
+        raise UsageError(f"--runs must be in [1, {MAX_RUNS}]")
+
+
 def _write_text(path: str, payload: str) -> None:
     if path == "-":
         sys.stdout.write(payload)
@@ -132,8 +141,7 @@ def cmd_stats(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = _model_params(args)
-    if args.runs < 1:
-        raise UsageError("--runs must be >= 1")
+    _check_runs(args.runs)
     net = load_edge_list(args.network, direction=args.direction)
     profile = run_ensemble(net, params, args.seed, args.runs)
     if args.out == "-":
@@ -146,6 +154,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _check_runs(args.runs)
     grid = parse_grid(args.grid, args.runs)
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")

@@ -34,17 +34,18 @@ y and eta are integer sums below 2**53, so both directions give the same
 float64 bits as a from-scratch recomputation.
 
 Interest is 1 on every day up to the peak, so days -delta_t..0 do not
-depend on lambda. peak_state simulates them once and returns the batch's
-state (BatchState); run_ensemble(..., start=snapshot) continues a copy of
-it through days 1..end_offset, with the same bytes as a run from day
--delta_t.
+depend on lambda. Every batch takes one path: peak_state simulates those
+days and returns the batch's state (BatchState), and run_ensemble
+continues it through days 1..7. Given start=snapshot, run_ensemble
+continues a copy of that snapshot instead of building one, so a scan
+simulates the pre-peak days once for every lambda that shares the other
+parameters.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
-import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -52,14 +53,14 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .behavior import (ModelParams, action_probability, activeness,
-                       exposure_probability, hesitancy, interest,
+from .behavior import (MAX_DELTA_T, ModelParams, action_probability,
+                       activeness, exposure_probability, hesitancy, interest,
                        per_retweet_probability, retweet_count, retweet_gate)
 from .network import FollowNetwork
 
-DAY_OFFSETS = np.arange(-7, 8)
-N_DAYS = 15
-_FIRST_DAY, _LAST_DAY = int(DAY_OFFSETS[0]), int(DAY_OFFSETS[-1])
+DAY_OFFSETS = np.arange(-MAX_DELTA_T, MAX_DELTA_T + 1)
+N_DAYS = DAY_OFFSETS.size
+PEAK_INDEX = MAX_DELTA_T  # DAY_OFFSETS[PEAK_INDEX] is the peak day, 0
 _NEVER = np.int16(-100)  # "no activity yet"; below every real day offset
 
 # Push a day's actors to their followers when their out-edge volume is at
@@ -80,7 +81,7 @@ class ActivityProfile:
     """15-day series of activity counts (tweets + retweets) and distinct users.
 
     Entries are integers for a single run and real means for ensembles; both
-    are stored as float64. Index 7 is the peak day (offset 0).
+    are stored as float64. Index PEAK_INDEX is the peak day (offset 0).
     """
 
     activities: np.ndarray
@@ -302,32 +303,14 @@ def _spread(streams, day_index: int, exposure: _Exposure, eta_star: float,
     return counts
 
 
-def _day_range(first: int, end_offset) -> range:
-    """Indices into DAY_OFFSETS of the days first..end_offset.
-
-    end_offset must be an integer day offset of the window. Both ends are
-    clamped to the window, so the range never indexes past DAY_OFFSETS.
-    """
-    try:
-        valid = (math.isfinite(end_offset) and end_offset == int(end_offset)
-                 and _FIRST_DAY <= end_offset <= _LAST_DAY)
-    except (TypeError, OverflowError):
-        valid = False
-    if not valid:
-        raise ValueError(f"end_offset must be an integer in [{_FIRST_DAY}, "
-                         f"{_LAST_DAY}], got {end_offset!r}")
-    return range(max(int(first), _FIRST_DAY) - _FIRST_DAY,
-                 min(int(end_offset), _LAST_DAY) - _FIRST_DAY + 1)
-
-
 @dataclass(eq=False)
 class BatchState:
     """A batch of runs between two simulated days.
 
     peak_state returns one taken at the end of the peak day, and
-    run_ensemble(start=...) continues copies of it. streams, a_vec, h_vec,
-    last and pending are never written in place (a day replaces last), so
-    copies share them; the exposure and the tallies are copied.
+    run_ensemble continues a copy of it. streams, a_vec, h_vec, last and
+    pending are never written in place (a day replaces last), so copies
+    share them; the exposure and the tallies are copied.
     """
 
     net: FollowNetwork
@@ -339,39 +322,21 @@ class BatchState:
     last: np.ndarray
     acts: np.ndarray
     dist: np.ndarray
-    exposure: Optional[_Exposure]
+    exposure: _Exposure
     # (last before, actors) of the latest day with actors, applied to the
     # exposure only when a later day needs it
     pending: Optional[tuple] = None
-    any_activity: bool = False
-
-    @classmethod
-    def initial(cls, net: FollowNetwork, params: ModelParams,
-                seeds) -> BatchState:
-        """The state before the first day: nobody has acted."""
-        seeds = tuple(seeds)
-        runs = len(seeds)
-        a_vec, h_vec = user_arrays(net)
-        return cls(net=net, params=params, seeds=seeds,
-                   streams=rng.stream_matrix(seeds, net.user_count),
-                   a_vec=a_vec, h_vec=h_vec,
-                   last=np.full((runs, net.user_count), _NEVER,
-                                dtype=np.int16),
-                   acts=np.zeros((runs, N_DAYS)),
-                   dist=np.zeros((runs, N_DAYS)),
-                   exposure=(_Exposure(net, runs) if net.edge_count
-                             else None))
 
     def branch(self, params: ModelParams) -> BatchState:
         """An independent copy that goes on with `params`."""
-        exposure = None if self.exposure is None else self.exposure.copy()
         return dataclasses.replace(self, params=params,
                                    acts=self.acts.copy(),
-                                   dist=self.dist.copy(), exposure=exposure)
+                                   dist=self.dist.copy(),
+                                   exposure=self.exposure.copy())
 
     def settle(self) -> None:
         """Apply the pending actors to the exposure."""
-        if self.pending is not None and self.exposure is not None:
+        if self.pending is not None:
             self.exposure.update(*self.pending, self.last)
         self.pending = None
 
@@ -392,32 +357,15 @@ class BatchState:
             rho = exposure_probability(self.a_vec, float(d), params)
             _inject(self.streams, day_index, rho, t_vec, acted)
             day_acts = acted.sum(axis=1)
-            if self.any_activity and self.exposure is not None:
-                self.settle()
-                day_acts += _spread(self.streams, day_index, self.exposure,
-                                    eta_star, infl, t_vec, acted)
+            self.settle()
+            day_acts += _spread(self.streams, day_index, self.exposure,
+                                eta_star, infl, t_vec, acted)
 
             self.acts[:, day_index] = day_acts
             self.dist[:, day_index] = acted.sum(axis=1)
             if acted.any():
                 self.pending = (self.last, acted)
                 self.last = np.where(acted, np.int16(d), self.last)
-                self.any_activity = True
-
-
-def _simulate_batch(net: FollowNetwork, params: ModelParams, seeds,
-                    end_offset: int = 7) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate one run per seed; returns (activities, distinct) of shape (runs, 15)."""
-    days = _day_range(-params.delta_t, end_offset)
-    state = BatchState.initial(net, params, seeds)
-    state.simulate(days)
-    return state.acts, state.dist
-
-
-def _ensemble_seeds(base_seed: int, runs: int) -> tuple:
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    return tuple(base_seed + k for k in range(runs))
 
 
 def peak_state(net: FollowNetwork, params: ModelParams, base_seed: int,
@@ -426,46 +374,51 @@ def peak_state(net: FollowNetwork, params: ModelParams, base_seed: int,
 
     Interest is 1 on every day up to the peak, so nothing here depends on
     params.lam: run_ensemble(..., start=snapshot) continues the snapshot
-    for any lam that shares the other parameters, with the same bytes as
-    a run from day -delta_t.
+    for any lam that shares the other parameters.
     """
-    state = BatchState.initial(net, params, _ensemble_seeds(base_seed, runs))
-    state.simulate(_day_range(-params.delta_t, 0))
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    seeds = tuple(base_seed + k for k in range(runs))
+    a_vec, h_vec = user_arrays(net)
+    state = BatchState(net=net, params=params, seeds=seeds,
+                       streams=rng.stream_matrix(seeds, net.user_count),
+                       a_vec=a_vec, h_vec=h_vec,
+                       last=np.full((runs, net.user_count), _NEVER,
+                                    dtype=np.int16),
+                       acts=np.zeros((runs, N_DAYS)),
+                       dist=np.zeros((runs, N_DAYS)),
+                       exposure=_Exposure(net, runs))
+    state.simulate(range(PEAK_INDEX - int(params.delta_t), PEAK_INDEX + 1))
     state.settle()  # once here, rather than once per branch
     return state
 
 
-def run_simulation(net: FollowNetwork, params: ModelParams, seed: int,
-                   end_offset: int = 7) -> ActivityProfile:
+def run_simulation(net: FollowNetwork, params: ModelParams,
+                   seed: int) -> ActivityProfile:
     """One stochastic run; deterministic for a fixed seed."""
-    acts, dist = _simulate_batch(net, params, [seed], end_offset)
-    return ActivityProfile(acts[0], dist[0])
+    return run_ensemble(net, params, seed, 1)
 
 
 def run_ensemble(net: FollowNetwork, params: ModelParams, base_seed: int,
-                 runs: int, end_offset: int = 7, *,
+                 runs: int, *,
                  start: Optional[BatchState] = None) -> ActivityProfile:
     """Mean profile over runs with seeds base_seed .. base_seed + runs - 1.
 
-    With `start` from peak_state, only days 1..end_offset are simulated.
-    The snapshot must come from the same network, seeds and runs, and from
-    params that differ at most in lam; otherwise ValueError.
+    Each run is its peak state continued through days 1..7. Without
+    `start` the peak state is built here; with `start` from peak_state, a
+    copy of it is continued, with the same bytes. The snapshot must come
+    from the same network, seeds and runs, and from params that differ at
+    most in lam; otherwise ValueError.
     """
-    seeds = _ensemble_seeds(base_seed, runs)
     if start is None:
-        acts, dist = _simulate_batch(net, params, seeds, end_offset)
+        state = peak_state(net, params, base_seed, runs)
     else:
         if start.net is not net:
             raise ValueError("snapshot is of another network")
-        if start.seeds != seeds:
+        if start.seeds != tuple(base_seed + k for k in range(runs)):
             raise ValueError("snapshot has other seeds or runs")
         if dataclasses.replace(start.params, lam=params.lam) != params:
             raise ValueError("snapshot has other parameters than lam")
-        days = _day_range(1, end_offset)
-        if end_offset < 0:
-            raise ValueError("a snapshot ends at day 0; end_offset must "
-                             "be >= 0")
         state = start.branch(params)
-        state.simulate(days)
-        acts, dist = state.acts, state.dist
-    return ActivityProfile(acts.mean(axis=0), dist.mean(axis=0))
+    state.simulate(range(PEAK_INDEX + 1, N_DAYS))
+    return ActivityProfile(state.acts.mean(axis=0), state.dist.mean(axis=0))

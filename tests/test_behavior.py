@@ -220,6 +220,11 @@ class TestModelParams:
         dict(lam=0.0, eta_star=1, delta_t=8),
         dict(lam=0.0, eta_star=1, delta_t=-1),
         dict(lam=0.0, eta_star=1, delta_t=0, sigma=1.5),
+        # JSON booleans would otherwise pass as 0 and 1
+        dict(lam=False, eta_star=1, delta_t=0),
+        dict(lam=0.0, eta_star=True, delta_t=0),
+        dict(lam=0.0, eta_star=1, delta_t=True),
+        dict(lam=0.0, eta_star=1, delta_t=0, sigma=np.True_),
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hashsim
-from hashsim.cli import MAX_AXIS_POINTS, main, parse_grid, UsageError
+from hashsim.cli import (MAX_AXIS_POINTS, MAX_RUNS, main, parse_grid,
+                         UsageError)
 
 # grid-axis fields: plain numbers, extremes and junk
 _FIELD = st.one_of(st.integers(-3, 70).map(str), st.floats().map(repr),
@@ -139,6 +140,22 @@ class TestExitCodes:
                      "--runs", "0"] + grid) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    @pytest.mark.parametrize("runs,code", [("0", 1), (str(MAX_RUNS + 1), 1),
+                                           ("1000000000", 1),
+                                           (str(MAX_RUNS), 3)])
+    def test_runs_are_bounded_before_loading(self, tmp_path, capsys, command,
+                                             runs, code):
+        # the inputs do not exist, so a run count that passes exits 3
+        rest = {"simulate": ["--lambda", "0.5", "--eta-star", "2",
+                             "--delta-t", "0"],
+                "fit": ["--hashtag", str(tmp_path / "no.csv")]}[command]
+        assert main([command, "--network", str(tmp_path / "no.txt"),
+                     "--runs", runs] + rest) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("--runs" in err) == (code == 1)
+
     @settings(max_examples=300, deadline=None)
     @given(grid=_GRID, runs=st.sampled_from(["1", "0", "-2", "x"]),
            theta=st.sampled_from(["0.04", "nan", "-1"]))
@@ -160,7 +177,8 @@ class TestExitCodes:
 
 class TestSynth:
     def test_star_edges(self, star_file):
-        lines = open(star_file).read().splitlines()
+        with open(star_file) as fh:
+            lines = fh.read().splitlines()
         assert lines == [f"{i} 0" for i in range(1, 11)]
 
     def test_zero_prob_network_is_empty_and_invalid_to_load(self, tmp_path,
@@ -306,7 +324,10 @@ class TestFitAndClassify:
     @pytest.mark.parametrize("key,value", [("lambda", "NaN"),
                                            ("eta_star", "Infinity"),
                                            ("delta_t", "2.5"),
-                                           ("delta_t", "9" * 400)])
+                                           ("delta_t", "9" * 400),
+                                           ("lambda", "false"),
+                                           ("eta_star", "true"),
+                                           ("delta_t", "true")])
     def test_classify_out_of_domain_fit_is_validation(self, tmp_path, capsys,
                                                       key, value):
         fields = {"lambda": "0.5", "eta_star": "5", "delta_t": "1",

@@ -159,13 +159,15 @@ class TestSingleRun:
             assert not np.any(prof.activities[:cutoff])
 
     def test_causality_truncation(self, er200):
+        # the peak state is the full run cut after day 0
         full = run_simulation(er200, PARAMS, 13)
-        for end in (-2, 0, 3):
-            part = run_simulation(er200, PARAMS, 13, end_offset=end)
-            idx = end + 7
-            assert np.array_equal(part.activities[:idx + 1],
-                                  full.activities[:idx + 1])
-            assert not np.any(part.activities[idx + 1:])
+        state = engine.peak_state(er200, PARAMS, 13, 1)
+        cut = engine.PEAK_INDEX + 1
+        assert np.array_equal(state.acts[0, :cut], full.activities[:cut])
+        assert np.array_equal(state.dist[0, :cut], full.distinct_users[:cut])
+        assert not np.any(state.acts[:, cut:])
+        assert not np.any(state.dist[:, cut:])
+        assert np.any(full.activities[cut:])
 
     def test_distinct_bounded_by_activities_and_users(self, er200):
         prof = run_simulation(er200, PARAMS, 4)
@@ -336,7 +338,10 @@ class TestAgainstReference:
     SPARSE_SEEDS = [11, 12, 13, 14]
 
     def assert_rows_match_reference(self, net, params, seeds):
-        acts, dist = engine._simulate_batch(net, params, seeds)
+        state = engine.peak_state(net, params, seeds[0], len(seeds))
+        assert state.seeds == tuple(seeds)
+        state.simulate(range(engine.PEAK_INDEX + 1, engine.N_DAYS))
+        acts, dist = state.acts, state.dist
         for row, seed in enumerate(seeds):
             ref = simulate_reference(net, params, seed)
             assert np.array_equal(acts[row], ref.activities)
@@ -425,30 +430,6 @@ class TestEnsemble:
         assert np.all(ens.distinct_users <= 1.0)
 
 
-class TestEndOffset:
-    @pytest.mark.parametrize("end", [float("nan"), 2.5, 8, -8,
-                                     float("inf"), "3", None])
-    def test_invalid_end_offset_rejected(self, er200, end):
-        with pytest.raises(ValueError, match="end_offset"):
-            run_simulation(er200, PARAMS, 1, end_offset=end)
-        with pytest.raises(ValueError, match="end_offset"):
-            run_ensemble(er200, PARAMS, 1, 2, end_offset=end)
-
-    def test_integral_float_end_offset_accepted(self, er200):
-        whole = run_simulation(er200, PARAMS, 1, end_offset=3)
-        again = run_simulation(er200, PARAMS, 1, end_offset=3.0)
-        assert np.array_equal(whole.activities, again.activities)
-
-    def test_day_range_stays_in_the_window(self):
-        for first in range(-20, 9):
-            for end in range(-7, 8):
-                days = engine._day_range(first, end)
-                assert all(0 <= i < engine.N_DAYS for i in days)
-                assert list(days) == [i for i, d in
-                                      enumerate(engine.DAY_OFFSETS)
-                                      if first <= d <= end]
-
-
 def _coverage(x):
     return 1.0 if x <= 0 else 0.4
 
@@ -470,13 +451,12 @@ class TestBranchAtPeak:
         for lam in (0.0, 0.5, 1.5, 40.0):
             params = ModelParams(lam=lam, eta_star=2, delta_t=delta_t,
                                  coverage=coverage)
-            for end in (0, 3, 7):
-                branched = run_ensemble(er200, params, seed, self.RUNS, end,
-                                        start=snapshot)
-                plain = run_ensemble(er200, params, seed, self.RUNS, end)
-                assert np.array_equal(branched.activities, plain.activities)
-                assert np.array_equal(branched.distinct_users,
-                                      plain.distinct_users)
+            branched = run_ensemble(er200, params, seed, self.RUNS,
+                                    start=snapshot)
+            plain = run_ensemble(er200, params, seed, self.RUNS)
+            assert np.array_equal(branched.activities, plain.activities)
+            assert np.array_equal(branched.distinct_users,
+                                  plain.distinct_users)
         assert plain.activities[7] > 0
 
     def test_edgeless_network_branches(self):
@@ -493,7 +473,7 @@ class TestBranchAtPeak:
         pytest.param(dict(eta_star=3), id="eta_star"),
         pytest.param(dict(sigma=0.5), id="sigma"),
         pytest.param(dict(coverage=_coverage), id="coverage"),
-        pytest.param(dict(end_offset=-1), id="end_offset"),
+        pytest.param(dict(runs=0), id="zero-runs"),
     ])
     def test_mismatched_snapshot_rejected(self, er200, change):
         snapshot = engine.peak_state(er200, PARAMS, 7, 4)
@@ -504,8 +484,22 @@ class TestBranchAtPeak:
         params = ModelParams(lam=1.0, **fields)
         with pytest.raises(ValueError):
             run_ensemble(net, params, change.get("base_seed", 7),
-                         change.get("runs", 4), change.get("end_offset", 7),
-                         start=snapshot)
+                         change.get("runs", 4), start=snapshot)
+
+    def test_integral_float_delta_t_simulates_as_int(self, er200):
+        as_int = ModelParams(lam=0.5, eta_star=2, delta_t=2)
+        as_float = ModelParams(lam=0.5, eta_star=2, delta_t=2.0)
+        snapshot = engine.peak_state(er200, as_float, 3, 4)
+        pairs = [(run_simulation(er200, as_int, 3),
+                  run_simulation(er200, as_float, 3)),
+                 (run_ensemble(er200, as_int, 3, 4),
+                  run_ensemble(er200, as_float, 3, 4)),
+                 (run_ensemble(er200, as_int, 3, 4),
+                  run_ensemble(er200, as_int, 3, 4, start=snapshot))]
+        for want, got in pairs:
+            assert np.array_equal(want.activities, got.activities)
+            assert np.array_equal(want.distinct_users, got.distinct_users)
+            assert np.any(want.activities[:engine.PEAK_INDEX])
 
 
 def test_benchmark_tracing_wraps_the_engine(star11):

@@ -212,10 +212,8 @@ class TestCommonRandomNumbers:
                                                         monkeypatch):
         seen = []
 
-        def recording(net, params, base_seed, runs, end_offset=7, *,
-                      start=None):
-            prof = run_ensemble(net, params, base_seed, runs, end_offset,
-                                start=start)
+        def recording(net, params, base_seed, runs, *, start=None):
+            prof = run_ensemble(net, params, base_seed, runs, start=start)
             seen.append((params, prof))
             return prof
 
