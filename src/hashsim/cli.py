@@ -35,8 +35,10 @@ EXIT_IO = 3
 # such as 0:1e15:1 would otherwise fail to allocate with a traceback.
 MAX_AXIS_POINTS = 10_000
 # Runs in one ensemble, 200x the paper's 50, checked before anything is
-# loaded. Every run holds a seed and (users,) rows of state, so a count
-# such as 10**9 would otherwise fail to allocate with a traceback.
+# loaded, so a count such as 10**9 is refused before its seeds are built.
+# It does not bound memory: an ensemble holds ~30 bytes of state per (run,
+# user), so 10,000 runs of an 81k-user graph need ~24 GB. main reports a
+# failed allocation as a usage error.
 MAX_RUNS = 10_000
 
 
@@ -301,9 +303,17 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except MemoryError:
+        hint = ""
+        if hasattr(args, "runs"):
+            hint = (": the simulation state grows with runs x users; "
+                    f"try a lower --runs than {args.runs}")
+        print(f"out of memory{hint}", file=sys.stderr)
+        return EXIT_USAGE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

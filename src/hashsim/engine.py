@@ -27,11 +27,21 @@ simulated day, in one of two directions (Beamer, Asanovic & Patterson,
   most _PUSH_MAX_FRAC of runs x E;
 - pull recomputes y and eta from `last` over every edge, as one segmented
   sum over the follower-sorted leader CSR of per-edge int64 weights that
-  pack F_j above a count of 1, in chunks of runs so that no more than
-  _PULL_CHUNK_EDGES (run, edge) pairs are held at once.
+  pack F_j above a count of 1.
 
 y and eta are integer sums below 2**53, so both directions give the same
 float64 bits as a from-scratch recomputation.
+
+A day is simulated in blocks of consecutive runs, each of at most
+_BLOCK_EDGES (run, edge) pairs, or one run when a single run has more
+edges. The quantities that depend on the user alone (interest, action
+and exposure probabilities, who can post) are computed once per day; then
+each block draws its tweets, applies the previous day's actors to its
+exposure (choosing push or pull for itself) and draws its retweets. So
+the temporaries of a day are bounded by the budget, not by runs x users
+or runs x E, while the state itself still holds a few arrays of shape
+(runs, users). Runs are independent, draws are addressed and y and eta
+are exact, so the blocks give the same bytes as one block of every run.
 
 Interest is 1 on every day up to the peak, so days -delta_t..0 do not
 depend on lambda. Every batch takes one path: peak_state simulates those
@@ -69,9 +79,10 @@ _NEVER = np.int16(-100)  # "no activity yet"; below every real day offset
 # no value was clearly faster than 0.3 on both a 1k-node ER scan and a
 # dense 20k-node heavy-tailed graph.
 _PUSH_MAX_FRAC = 0.3
-# A pull works on at most this many (run, edge) pairs at a time (at most
-# ~9 bytes of temporaries each: the bool comparison and its int64 weights).
-_PULL_CHUNK_EDGES = 1 << 21
+# A day works on blocks of at most this many (run, edge) pairs (at least one
+# run). A pull holds ~9 bytes of temporaries per pair (the bool comparison
+# and its int64 weights), and a push at most _PUSH_MAX_FRAC of the pairs.
+_BLOCK_EDGES = 1 << 21
 
 PROFILE_CSV_HEADER = "day,activities,distinct_users"
 
@@ -200,49 +211,54 @@ class _Exposure:
         twin.y, twin.eta = self.y.copy(), self.eta.copy()
         return twin
 
-    def update(self, last_old, acted, last_new) -> None:
-        """Bring the state from last_old to last_new, which adds `acted`."""
-        runs = acted.shape[0]
-        volume = int(acted.sum(axis=0) @ self.net.follower_count)
-        if volume <= _PUSH_MAX_FRAC * runs * self.net.edge_count:
-            self._push(last_old, acted)
-        else:
-            self._pull(last_new)
+    def update(self, rows: slice, last_old, acted, last_new) -> None:
+        """Bring these rows from last_old to last_new, which adds `acted`.
 
-    def _push(self, last_old, acted) -> None:
+        last_old, acted and last_new hold these rows only: one block.
+        """
+        net = self.net
+        actors = np.flatnonzero(acted)
+        volume = int(net.follower_count[actors % net.user_count].sum())
+        if volume <= _PUSH_MAX_FRAC * acted.shape[0] * net.edge_count:
+            self._push(rows, last_old, actors)
+        else:
+            self._pull(rows, last_new)
+
+    def _push(self, rows: slice, last_old, actors) -> None:
         """Add one day's actors to the exposure of their followers.
 
-        A follower i gains F_j and 1 from an actor j, unless j already
-        counted for it (last_old[j] > last_old[i]). Actors then drop to
-        zero, since no leader can be more recent than today.
+        `actors` are flat indices into these rows. A follower i gains F_j
+        and 1 from an actor j, unless j already counted for it
+        (last_old[j] > last_old[i]). Actors then drop to zero, since no
+        leader can be more recent than today.
         """
         net, n = self.net, self.net.user_count
+        y, eta = self.y[rows].reshape(-1), self.eta[rows].reshape(-1)
+        last_old = last_old.reshape(-1)
         indptr, follower_ids = net.follower_csr
-        r, j = np.nonzero(acted)
+        j = actors % n
         count = net.follower_count[j]
         # (actor, follower) pairs: follower i and the flat (run, i) index
         pos = np.arange(count.sum()) + np.repeat(
             indptr[j] - (np.cumsum(count) - count), count)
-        flat = np.repeat(r * n, count) + follower_ids[pos]
-        last_j = np.repeat(last_old[r, j], count)
+        flat = np.repeat(actors - j, count) + follower_ids[pos]
+        last_j = np.repeat(last_old[actors], count)
         keep = last_j <= np.take(last_old, flat)
         flat = flat[keep]
-        np.add.at(self.y.reshape(-1), flat,
-                  np.repeat(count.astype(float), count)[keep])
-        np.add.at(self.eta.reshape(-1), flat, 1.0)
-        self.y[acted] = 0.0
-        self.eta[acted] = 0.0
+        np.add.at(y, flat, np.repeat(count.astype(float), count)[keep])
+        np.add.at(eta, flat, 1.0)
+        y[actors] = 0.0
+        eta[actors] = 0.0
 
-    def _pull(self, last) -> None:
-        """Recompute the state from `last` over every edge, in run chunks.
+    def _pull(self, rows: slice, last) -> None:
+        """Recompute these rows from their `last` over every edge.
 
         Edges are sorted by follower, so each user's leaders form one
         segment. Each edge j -> i weighs (F_j << b) | 1, and one segmented
         sum of the weights of the recent edges packs y above eta: eta <=
         l_max < 2**b and y <= E, so the two fields never carry into each
-        other. A chunk covers at most _PULL_CHUNK_EDGES (run, edge) pairs,
-        so the memory a pull needs is bounded by that budget, not by
-        runs x E.
+        other. The rows are one block, so a pull holds at most
+        _BLOCK_EDGES (run, edge) pairs, or one run's edges.
         """
         net = self.net
         shift = net.l_max.bit_length()
@@ -250,51 +266,50 @@ class _Exposure:
             raise ValueError("network too large to pack y and eta in int64")
         weights = net.follower_count[net.leader_ids] << shift
         weights |= 1
-        runs = last.shape[0]
-        chunk = max(1, _PULL_CHUNK_EDGES // net.edge_count)
         has_leaders = net.leader_count > 0
-        starts = net.leader_indptr[:-1][has_leaders]
-        for lo in range(0, runs, chunk):
-            rows = last[lo:lo + chunk]
-            recent = (np.take(rows, net.leader_ids, axis=1)
-                      > np.repeat(rows, net.leader_count, axis=1))
-            packed = np.add.reduceat(recent * weights, starts, axis=1)
-            self.y[lo:lo + chunk, has_leaders] = packed >> shift
-            self.eta[lo:lo + chunk, has_leaders] = packed & ((1 << shift) - 1)
+        recent = (np.take(last, net.leader_ids, axis=1)
+                  > np.repeat(last, net.leader_count, axis=1))
+        packed = np.add.reduceat(recent * weights,
+                                 net.leader_indptr[:-1][has_leaders], axis=1)
+        self.y[rows, has_leaders] = packed >> shift
+        self.eta[rows, has_leaders] = packed & ((1 << shift) - 1)
 
 
-def _inject(streams, day_index: int, rho, t_vec, acted) -> None:
+def _inject(streams, day_index: int, can_post, rho_post, t_vec,
+            acted) -> None:
     """Exogenous stimulus: mark in `acted` who is exposed and tweets today.
 
     u < rho and u < t hold only where rho and t are positive, so slot 0 is
-    drawn only there and slot 1 only where slot 0 passed. The day's
-    temporaries die on return, before the next exposure update.
+    drawn only at the users who can post (rho_post is rho there) and slot
+    1 only where slot 0 passed. The day's temporaries die on return,
+    before the next exposure update.
     """
-    can_post = np.nonzero((t_vec > 0.0) & (rho > 0.0))[0]
     u_exp = rng.uniforms(streams[:, can_post], day_index, 0)
-    run, j = np.nonzero(u_exp < rho[can_post])
-    user = can_post[j]
+    hit = np.flatnonzero(u_exp < rho_post)
+    run = hit // can_post.size
+    user = can_post[hit - run * can_post.size]
     tweeted = rng.uniforms(streams[run, user], day_index, 1) < t_vec[user]
     acted[run[tweeted], user[tweeted]] = True
 
 
-def _spread(streams, day_index: int, exposure: _Exposure, eta_star: float,
-            infl, t_vec, acted) -> np.ndarray:
+def _spread(streams, day_index: int, y, eta, eta_star: float, infl, t_vec,
+            acted) -> np.ndarray:
     """Endogenous stimulus: mark in `acted` who retweets today.
 
+    y and eta are the exposure of the same rows as streams and acted.
     Slot 2 is drawn only at the (run, user) pairs that pass the gate, and
     the day's temporaries die on return, as in _inject. Pairs are handled
-    by flat index into the (runs, users) arrays, which numpy gathers and
-    scatters faster than (row, column) pairs. Returns each run's retweet
+    by flat index into the (rows, users) arrays, which numpy gathers and
+    scatters faster than (row, column) pairs. Returns each row's retweet
     count.
     """
     counts = np.zeros(acted.shape[0], dtype=np.int64)
-    flat = np.flatnonzero(retweet_gate(exposure.y, eta_star, infl))
+    flat = np.flatnonzero(retweet_gate(y, eta_star, infl))
     if flat.size:
         run = flat // acted.shape[1]
         user = flat - run * acted.shape[1]
-        nu = retweet_count(exposure.eta.reshape(-1)[flat],
-                           exposure.y.reshape(-1)[flat], eta_star, infl[user])
+        nu = retweet_count(eta.reshape(-1)[flat], y.reshape(-1)[flat],
+                           eta_star, infl[user])
         r_each = per_retweet_probability(t_vec[user], nu)
         u_rt = rng.uniforms(streams.reshape(-1)[flat], day_index, 2)
         retweets = binomial_count(u_rt, nu, r_each)
@@ -334,35 +349,56 @@ class BatchState:
                                    dist=self.dist.copy(),
                                    exposure=self.exposure.copy())
 
-    def settle(self) -> None:
-        """Apply the pending actors to the exposure."""
+    def _blocks(self) -> list:
+        """Row slices of at most _BLOCK_EDGES (run, edge) pairs each.
+
+        A block holds at least one run, so a run with more edges than the
+        budget is a block of its own.
+        """
+        size = max(1, _BLOCK_EDGES // max(1, self.net.edge_count))
+        return [slice(lo, lo + size)
+                for lo in range(0, self.last.shape[0], size)]
+
+    def _apply_pending(self, rows: slice) -> None:
         if self.pending is not None:
-            self.exposure.update(*self.pending, self.last)
+            last_old, acted = self.pending
+            self.exposure.update(rows, last_old[rows], acted[rows],
+                                 self.last[rows])
+
+    def settle(self) -> None:
+        """Apply the pending actors to the exposure, block by block."""
+        for rows in self._blocks():
+            self._apply_pending(rows)
         self.pending = None
 
     def simulate(self, days: range) -> None:
         """Simulate the days with these indices into DAY_OFFSETS, in order."""
         params, h_vec = self.params, self.h_vec
-        infl = self.net.influence
+        infl, y, eta = self.net.influence, self.exposure.y, self.exposure.eta
         eta_star = float(params.eta_star)
         sigma = float(params.sigma)
+        blocks = self._blocks()
         for day_index in days:
             d = DAY_OFFSETS[day_index]
             tau = interest(float(d), params.lam)
             t_vec = action_probability(sigma, tau, h_vec)  # tweet == retweet
             if not np.any(t_vec > 0.0):
                 continue  # nobody can post today; state cannot change
+            rho = exposure_probability(self.a_vec, float(d), params)
+            can_post = np.nonzero((t_vec > 0.0) & (rho > 0.0))[0]
+            rho_post = rho[can_post]
 
             acted = np.zeros(self.last.shape, dtype=bool)
-            rho = exposure_probability(self.a_vec, float(d), params)
-            _inject(self.streams, day_index, rho, t_vec, acted)
-            day_acts = acted.sum(axis=1)
-            self.settle()
-            day_acts += _spread(self.streams, day_index, self.exposure,
-                                eta_star, infl, t_vec, acted)
-
-            self.acts[:, day_index] = day_acts
-            self.dist[:, day_index] = acted.sum(axis=1)
+            for rows in blocks:
+                streams, block = self.streams[rows], acted[rows]
+                _inject(streams, day_index, can_post, rho_post, t_vec, block)
+                tweets = block.sum(axis=1)
+                self._apply_pending(rows)
+                self.acts[rows, day_index] = tweets + _spread(
+                    streams, day_index, y[rows], eta[rows], eta_star, infl,
+                    t_vec, block)
+                self.dist[rows, day_index] = block.sum(axis=1)
+            self.pending = None
             if acted.any():
                 self.pending = (self.last, acted)
                 self.last = np.where(acted, np.int16(d), self.last)

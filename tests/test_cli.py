@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hashsim
+from hashsim import cli
 from hashsim.cli import (MAX_AXIS_POINTS, MAX_RUNS, main, parse_grid,
                          UsageError)
 
@@ -155,6 +156,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert ("--runs" in err) == (code == 1)
+
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_out_of_memory_is_usage(self, star_file, tmp_path, capsys,
+                                    monkeypatch, command):
+        # runs up to MAX_RUNS can still exceed memory on a large network
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_ensemble", exhausted)
+        monkeypatch.setattr(cli, "grid_scan", exhausted)
+        target = tmp_path / "tag.csv"
+        target.write_text("day,tweets,users\n"
+                          + "".join(f"{d},2,1\n" for d in range(-7, 8)))
+        rest = {"simulate": ["--lambda", "0.5", "--eta-star", "2",
+                             "--delta-t", "0"],
+                "fit": ["--hashtag", str(target),
+                        "--grid", "lambda=1,eta=2,dt=0"]}[command]
+        assert main([command, "--network", star_file, "--runs", "9000"]
+                    + rest) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "runs x users" in err and "--runs than 9000" in err
 
     @settings(max_examples=300, deadline=None)
     @given(grid=_GRID, runs=st.sampled_from(["1", "0", "-2", "x"]),

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hashsim import (ActivityProfile, FollowNetwork, HashtagCsvError,
-                     ModelParams, binomial_count, engine, generate_synthetic,
+from hashsim import (ActivityProfile, FollowNetwork, GridSpec,
+                     HashtagCsvError, ModelParams, binomial_count, engine,
+                     generate_synthetic, grid_scan, normalize,
                      read_hashtag_csv, rng, run_ensemble, run_simulation)
 from hashsim.behavior import action_probability, interest
 from reference import binomial_cdf, binomial_reference, simulate_reference
@@ -214,26 +215,16 @@ class TestExposure:
         net, last_old, acted, last_new = step
         if net.edge_count == 0:
             return
+        every = slice(None)
         pushed = engine._Exposure(net, last_old.shape[0])
-        pushed._pull(last_old)
-        pushed._push(last_old, acted)
+        pushed._pull(every, last_old)
+        pushed._push(every, last_old, np.flatnonzero(acted))
         pulled = engine._Exposure(net, last_old.shape[0])
-        pulled._pull(last_new)
+        pulled._pull(every, last_new)
         y, eta = exposure_by_definition(net, last_new)
         for state in (pushed, pulled):
             assert np.array_equal(state.y, y)
             assert np.array_equal(state.eta, eta)
-
-    def test_pull_in_single_run_chunks(self, monkeypatch, er200):
-        last = np.random.default_rng(5).integers(
-            -8, 3, size=(3, er200.user_count)).astype(np.int16)
-        whole = engine._Exposure(er200, 3)
-        whole._pull(last)
-        monkeypatch.setattr(engine, "_PULL_CHUNK_EDGES", 1)
-        chunked = engine._Exposure(er200, 3)
-        chunked._pull(last)
-        assert np.array_equal(whole.y, chunked.y)
-        assert np.array_equal(whole.eta, chunked.eta)
 
     def test_pull_counts_past_int8(self):
         # one user follows 300 leaders that are all more recent than it
@@ -242,7 +233,7 @@ class TestExposure:
         last = np.zeros((1, 301), dtype=np.int16)
         last[0, 0] = engine._NEVER
         state = engine._Exposure(net, 1)
-        state._pull(last)
+        state._pull(slice(None), last)
         assert state.eta[0, 0] == 300.0
         assert state.y[0, 0] == 300.0
 
@@ -261,7 +252,7 @@ class TestExposure:
         last[:, :followers] = engine._NEVER
         last[1, followers::3] = engine._NEVER
         state = engine._Exposure(net, 2)
-        state._pull(last)
+        state._pull(slice(None), last)
         assert state.eta[0, 0] == leaders
         assert state.y[0, 0] == net.edge_count
         y, eta = exposure_by_definition(net, last)
@@ -271,7 +262,8 @@ class TestExposure:
     def test_pull_rejects_networks_too_large_to_pack(self):
         net = SimpleNamespace(user_count=1, edge_count=1 << 60, l_max=7)
         with pytest.raises(ValueError, match="too large"):
-            engine._Exposure(net, 1)._pull(np.zeros((1, 1), dtype=np.int16))
+            engine._Exposure(net, 1)._pull(slice(None),
+                                           np.zeros((1, 1), dtype=np.int16))
 
 
 def count_directions(monkeypatch):
@@ -337,36 +329,40 @@ class TestAgainstReference:
     SPARSE = dict(kind="uniform-random", n=150, edge_prob=0.02, seed=4)
     SPARSE_SEEDS = [11, 12, 13, 14]
 
-    def assert_rows_match_reference(self, net, params, seeds):
-        state = engine.peak_state(net, params, seeds[0], len(seeds))
-        assert state.seeds == tuple(seeds)
-        state.simulate(range(engine.PEAK_INDEX + 1, engine.N_DAYS))
-        acts, dist = state.acts, state.dist
-        for row, seed in enumerate(seeds):
-            ref = simulate_reference(net, params, seed)
-            assert np.array_equal(acts[row], ref.activities)
-            assert np.array_equal(dist[row], ref.distinct_users)
+    def assert_rows_match_reference(self, monkeypatch, net, params, seeds):
+        # once in one block of every run, once in blocks of one run
+        for budget in (engine._BLOCK_EDGES, 1):
+            monkeypatch.setattr(engine, "_BLOCK_EDGES", budget)
+            state = engine.peak_state(net, params, seeds[0], len(seeds))
+            assert state.seeds == tuple(seeds)
+            assert len(state._blocks()) == (1 if budget > 1 else len(seeds))
+            state.simulate(range(engine.PEAK_INDEX + 1, engine.N_DAYS))
+            acts, dist = state.acts, state.dist
+            for row, seed in enumerate(seeds):
+                ref = simulate_reference(net, params, seed)
+                assert np.array_equal(acts[row], ref.activities)
+                assert np.array_equal(dist[row], ref.distinct_users)
         return acts, dist
 
-    def test_batch_rows_match_reference(self):
+    def test_batch_rows_match_reference(self, monkeypatch):
         net = generate_synthetic(**self.SPARSE)
         params = ModelParams(lam=1.0, eta_star=1, delta_t=3)
         _, h = engine.user_arrays(net)
         t_after = action_probability(1.0, interest(2.0, params.lam), h)
         assert np.any(net.follower_count == 0)
         assert np.any(t_after == 0.0) and np.any(t_after > 0.0)
-        acts, dist = self.assert_rows_match_reference(net, params,
-                                                      self.SPARSE_SEEDS)
+        acts, dist = self.assert_rows_match_reference(
+            monkeypatch, net, params, self.SPARSE_SEEDS)
         assert np.all(acts.sum(axis=1) > dist.sum(axis=1))  # retweets
 
-    def test_days_without_exposure_match_reference(self):
+    def test_days_without_exposure_match_reference(self, monkeypatch):
         # chi = 0 from the peak on: no user can be exposed, so the slot-0
         # draw is empty, but retweets still spread on those days
         net = generate_synthetic(**self.SPARSE)
         params = ModelParams(lam=1.0, eta_star=1, delta_t=3,
                              coverage=lambda x: 1.0 if x < 0 else 0.0)
-        acts, _ = self.assert_rows_match_reference(net, params,
-                                                   self.SPARSE_SEEDS)
+        acts, _ = self.assert_rows_match_reference(
+            monkeypatch, net, params, self.SPARSE_SEEDS)
         assert np.all(acts[:, 7] > 0)
 
     def test_user_order_is_irrelevant(self):
@@ -500,6 +496,63 @@ class TestBranchAtPeak:
             assert np.array_equal(want.activities, got.activities)
             assert np.array_equal(want.distinct_users, got.distinct_users)
             assert np.any(want.activities[:engine.PEAK_INDEX])
+
+
+class TestBlocks:
+    """A day is simulated in blocks of runs, of at most _BLOCK_EDGES edges."""
+
+    PARAMS = ModelParams(lam=0.5, eta_star=1, delta_t=7)
+
+    def outputs(self, er200):
+        """Bytes of every path that simulates: plain, branched, scanned."""
+        star = generate_synthetic("star", 60)  # the hub's days pull
+        out = []
+        for net in (er200, star):
+            snapshot = engine.peak_state(net, self.PARAMS, 5, 6)
+            out += [run_simulation(net, self.PARAMS, 3),
+                    run_ensemble(net, self.PARAMS, 5, 6)]
+            out += [run_ensemble(net, ModelParams(lam, 1, 7), 5, 6,
+                                 start=snapshot) for lam in (0.0, 1.5)]
+        data = [a for p in out for a in (p.activities, p.distinct_users)]
+        target = normalize(out[1].activities)
+        grid = GridSpec(lambda_axis=np.array([0.0, 1.0]),
+                        eta_axis=np.array([1.0, 3.0]),
+                        dt_axis=np.array([0, 7]), runs=5)
+        scan = grid_scan(er200, target, target, grid, base_seed=2,
+                         keep_scores=True).scan
+        return data, scan
+
+    def test_one_run_blocks_give_the_same_bytes(self, monkeypatch, er200):
+        assert len(engine.peak_state(er200, self.PARAMS, 5, 6)._blocks()) == 1
+        data, scan = self.outputs(er200)
+        monkeypatch.setattr(engine, "_BLOCK_EDGES", 1)
+        assert len(engine.peak_state(er200, self.PARAMS, 5, 6)._blocks()) == 6
+        one_run_data, one_run_scan = self.outputs(er200)
+        assert all(np.array_equal(a, b) for a, b in zip(data, one_run_data))
+        assert scan == one_run_scan
+
+    def test_no_call_gets_more_rows_than_the_budget(self, monkeypatch,
+                                                    er200):
+        # the memory contract: push, pull and spread see one block at a time
+        seen = {"_push": [], "_pull": [], "_spread": []}
+
+        def spy(owner, name, rows_of):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                seen[name].append(rows_of(args))
+                return original(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(engine._Exposure, "_push", lambda args: args[2].shape[0])
+        spy(engine._Exposure, "_pull", lambda args: args[2].shape[0])
+        spy(engine, "_spread", lambda args: args[0].shape[0])
+        star = generate_synthetic("star", 60)
+        for net in (er200, star):
+            monkeypatch.setattr(engine, "_BLOCK_EDGES", 3 * net.edge_count + 1)
+            run_ensemble(net, self.PARAMS, 5, 8)  # blocks of 3, 3 and 2
+        assert all(seen.values())
+        assert max(max(rows) for rows in seen.values()) == 3
 
 
 def test_benchmark_tracing_wraps_the_engine(star11):
