@@ -511,8 +511,9 @@ class TestBlocks:
             snapshot = engine.peak_state(net, self.PARAMS, 5, 6)
             out += [run_simulation(net, self.PARAMS, 3),
                     run_ensemble(net, self.PARAMS, 5, 6)]
-            out += [run_ensemble(net, ModelParams(lam, 1, 7), 5, 6,
-                                 start=snapshot) for lam in (0.0, 1.5)]
+            out += [run_ensemble(net, ModelParams(lam=lam, eta_star=1,
+                                                  delta_t=7),
+                                 5, 6, start=snapshot) for lam in (0.0, 1.5)]
         data = [a for p in out for a in (p.activities, p.distinct_users)]
         target = normalize(out[1].activities)
         grid = GridSpec(lambda_axis=np.array([0.0, 1.0]),
