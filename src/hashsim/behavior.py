@@ -99,14 +99,23 @@ def action_probability(sigma: float, tau: float, h):
     return np.clip(sigma * tau - h, 0.0, 1.0)
 
 
-def retweet_gate(y, eta_star: float, influence):
+def gate_threshold(eta_star: float, influence):
+    """The exposure y at which the retweet gate opens: eta_star * influence."""
+    return eta_star * influence
+
+
+def retweet_gate(y, eta_star: float, influence, threshold=None):
     """Necessary condition for retweeting: y >= eta_star * influence.
 
     The extra y > 0 guard keeps leaderless users (influence == 0, hence
     y == 0) from passing vacuously. `&` rather than `and`, so that arrays
-    work elementwise and scalars still give a bool.
+    work elementwise and scalars still give a bool. A caller that applies
+    the gate many times with the same eta_star and influence passes
+    threshold=gate_threshold(eta_star, influence), computed once.
     """
-    return (y > 0) & (y >= eta_star * influence)
+    if threshold is None:
+        threshold = gate_threshold(eta_star, influence)
+    return (y > 0) & (y >= threshold)
 
 
 def retweet_count(eta_i, y, eta_star: float, influence):
@@ -120,7 +129,7 @@ def retweet_count(eta_i, y, eta_star: float, influence):
     influence = np.asarray(influence, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         value = np.floor(np.sqrt((eta_i / eta_star)
-                                 * (y / (eta_star * influence))))
+                                 * (y / gate_threshold(eta_star, influence))))
     return np.where(influence == 0, 1,
                     np.maximum(value, 1.0)).astype(np.int64)[()]
 

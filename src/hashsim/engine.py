@@ -64,8 +64,9 @@ import numpy as np
 
 from . import rng
 from .behavior import (MAX_DELTA_T, ModelParams, action_probability,
-                       activeness, exposure_probability, hesitancy, interest,
-                       per_retweet_probability, retweet_count, retweet_gate)
+                       activeness, exposure_probability, gate_threshold,
+                       hesitancy, interest, per_retweet_probability,
+                       retweet_count, retweet_gate)
 from .network import FollowNetwork
 
 DAY_OFFSETS = np.arange(-MAX_DELTA_T, MAX_DELTA_T + 1)
@@ -292,11 +293,12 @@ def _inject(streams, day_index: int, can_post, rho_post, t_vec,
     acted[run[tweeted], user[tweeted]] = True
 
 
-def _spread(streams, day_index: int, y, eta, eta_star: float, infl, t_vec,
-            acted) -> np.ndarray:
+def _spread(streams, day_index: int, y, eta, eta_star: float, infl,
+            threshold, t_vec, acted) -> np.ndarray:
     """Endogenous stimulus: mark in `acted` who retweets today.
 
-    y and eta are the exposure of the same rows as streams and acted.
+    y and eta are the exposure of the same rows as streams and acted;
+    threshold is gate_threshold(eta_star, infl), computed once per batch.
     Slot 2 is drawn only at the (run, user) pairs that pass the gate, and
     the day's temporaries die on return, as in _inject. Pairs are handled
     by flat index into the (rows, users) arrays, which numpy gathers and
@@ -304,7 +306,7 @@ def _spread(streams, day_index: int, y, eta, eta_star: float, infl, t_vec,
     count.
     """
     counts = np.zeros(acted.shape[0], dtype=np.int64)
-    flat = np.flatnonzero(retweet_gate(y, eta_star, infl))
+    flat = np.flatnonzero(retweet_gate(y, eta_star, infl, threshold))
     if flat.size:
         run = flat // acted.shape[1]
         user = flat - run * acted.shape[1]
@@ -376,6 +378,7 @@ class BatchState:
         params, h_vec = self.params, self.h_vec
         infl, y, eta = self.net.influence, self.exposure.y, self.exposure.eta
         eta_star = float(params.eta_star)
+        threshold = gate_threshold(eta_star, infl)
         sigma = float(params.sigma)
         blocks = self._blocks()
         for day_index in days:
@@ -396,7 +399,7 @@ class BatchState:
                 self._apply_pending(rows)
                 self.acts[rows, day_index] = tweets + _spread(
                     streams, day_index, y[rows], eta[rows], eta_star, infl,
-                    t_vec, block)
+                    threshold, t_vec, block)
                 self.dist[rows, day_index] = block.sum(axis=1)
             self.pending = None
             if acted.any():

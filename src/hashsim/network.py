@@ -2,6 +2,12 @@
 
 Node ids are compacted to 0..N-1 at load time so the hot simulation loops can
 use plain array indexing; the original ids are kept for reporting.
+
+Memory: a network keeps 8 bytes per edge (leader_ids) and 40 per user, and
+its follower CSR, once built, another 8 per edge and 8 per user. A load
+peaks while it parses, holding the raw input and 16 bytes per line of
+parsed ids: 38 bytes per line, 67 MB, on a SNAP-sized file
+(load_edge_list lists what each stage holds).
 """
 
 from __future__ import annotations
@@ -38,15 +44,13 @@ class FollowNetwork:
 
     leader_ids[leader_indptr[i]:leader_indptr[i+1]] lists the leaders of user
     i (the users i follows), so leader_count[i] is L_i and follower_count[i]
-    is F_i. edge_follower is the CSR row index expanded per edge (the i for
-    each entry of leader_ids). influence[i] is the mean follower count of
-    i's leaders, 0 when i has no leaders.
+    is F_i. influence[i] is the mean follower count of i's leaders, 0 when
+    i has no leaders.
     """
 
     user_count: int
     leader_indptr: np.ndarray
     leader_ids: np.ndarray
-    edge_follower: np.ndarray
     follower_count: np.ndarray
     leader_count: np.ndarray
     f_max: int
@@ -59,26 +63,29 @@ class FollowNetwork:
         """Build a network from parallel (follower, leader) id arrays.
 
         Self-loops are dropped and duplicate edges collapsed. Ids must
-        already be compact in [0, user_count).
+        already be compact in [0, user_count). Integer id arrays of any
+        width and stride are read as they are: the only edge-sized int64
+        array made from them is the key.
         """
         if user_count < 1:
             raise EdgeListError("graph must have at least one node")
-        followers = np.asarray(followers, dtype=np.int64)
-        leaders = np.asarray(leaders, dtype=np.int64)
-        keep = followers != leaders
-        followers, leaders = followers[keep], leaders[keep]
+        followers, leaders = _int_ids(followers), _int_ids(leaders)
         # unique (follower, leader) pairs, sorted by follower then leader
-        key = followers * np.int64(user_count) + leaders
+        key = followers.astype(np.int64)
+        key *= np.int64(user_count)
+        key += leaders
+        key = key[followers != leaders]
         key.sort()
         key = key[_run_starts(key)]
-        followers = key // user_count
         leaders = key % user_count
+        followers = key  # in place: the key is not needed after this
+        followers //= user_count
 
         leader_count = np.bincount(followers, minlength=user_count)
         follower_count = np.bincount(leaders, minlength=user_count)
         indptr = np.concatenate(([0], np.cumsum(leader_count)))
         inf_sum = np.bincount(followers,
-                              weights=follower_count[leaders].astype(float),
+                              weights=follower_count.astype(float)[leaders],
                               minlength=user_count)
         influence = np.where(leader_count > 0,
                              inf_sum / np.maximum(leader_count, 1), 0.0)
@@ -87,15 +94,14 @@ class FollowNetwork:
         else:
             original_ids = np.asarray(original_ids, dtype=np.int64)
 
-        arrays = (indptr, leaders, followers, follower_count, leader_count,
-                  influence, original_ids)
+        arrays = (indptr, leaders, follower_count, leader_count, influence,
+                  original_ids)
         for a in arrays:
             a.flags.writeable = False
         return cls(
             user_count=int(user_count),
             leader_indptr=indptr,
             leader_ids=leaders,
-            edge_follower=followers,
             follower_count=follower_count,
             leader_count=leader_count,
             f_max=int(follower_count.max()),
@@ -116,11 +122,12 @@ class FollowNetwork:
         ascending order. Built on first use and kept, so loading a network
         does not pay for it.
         """
+        followers = np.repeat(np.arange(self.user_count), self.leader_count)
         # (leader, follower) keys are unique, so any sort orders them fully
         order = np.argsort(self.leader_ids * np.int64(self.user_count)
-                           + self.edge_follower)
+                           + followers)
         indptr = np.concatenate(([0], np.cumsum(self.follower_count)))
-        ids = self.edge_follower[order]
+        ids = followers[order]
         indptr.flags.writeable = False
         ids.flags.writeable = False
         return indptr, ids
@@ -137,26 +144,50 @@ def load_edge_list(source, direction: str = DIRECTION_FOLLOWS) -> FollowNetwork:
     node ids; blank lines and lines whose first non-blank character is '#'
     are skipped. Node ids are arbitrary integers in [0, 2^63) and get
     compacted to 0..N-1 in ascending id order (original ids retained).
+
+    Memory: the raw input dies before the ids are compacted, and the
+    parsed pairs before the compact ids are made. Per line of the file,
+    the three stages hold:
+    - parse: the raw input (21 B/line for SNAP-sized ids; for a text
+      stream its str too) and the (m, 2) int64 pairs (16) that np.loadtxt
+      grows;
+    - compaction, in place in the pairs: the pairs as sort keys (16),
+      int32 positions (8) and the first-of-run mask (2), then the int32
+      ranks and compact ids (8 each);
+    - FollowNetwork.from_edges: the compact ids (8), the int64 edge keys
+      (8, briefly 16 while self-loops and duplicates are dropped), the
+      leaders (8) and their float64 follower counts (8).
+    On a 1.77M-line, 37 MB file the traced peaks are 67, 47 and 59 MB
+    (38, 26 and 33 B/line), and the process peak RSS rises by ~64 MB.
     """
     if direction not in (DIRECTION_FOLLOWS, DIRECTION_FOLLOWED_BY):
         raise ValueError(f"unknown direction {direction!r}")
+    # the parsed pairs go straight in, so that no reference here keeps
+    # them alive while _compact_ids reuses and then frees them
+    ids, compact = _compact_ids(_read_pairs(source))
+    followers, leaders = compact[0::2], compact[1::2]
+    if direction == DIRECTION_FOLLOWED_BY:
+        followers, leaders = leaders, followers
+    return FollowNetwork.from_edges(followers, leaders, ids.size,
+                                    original_ids=ids)
+
+
+def _read_pairs(source) -> np.ndarray:
+    """The (m, 2) int64 id pairs of an edge-list source, one row per edge.
+
+    The raw input (and a text stream's str) dies on return, before the ids
+    are compacted.
+    """
     if hasattr(source, "read"):
         raw = source.read()
     else:
         with open(os.fspath(source), "rb") as fh:
             raw = fh.read()
-
     pairs = _parse_canonical(raw)
     if pairs is None:
         text = raw if isinstance(raw, str) else raw.decode("utf-8")
         pairs = _parse_lines(text)
-    a_compact, b_compact, ids = _compact_ids(*pairs)
-    if direction == DIRECTION_FOLLOWS:
-        followers, leaders = a_compact, b_compact
-    else:
-        followers, leaders = b_compact, a_compact
-    return FollowNetwork.from_edges(followers, leaders, len(ids),
-                                    original_ids=ids)
+    return pairs
 
 
 def _parse_canonical(raw):
@@ -165,10 +196,10 @@ def _parse_canonical(raw):
     Canonical input is ASCII, holds none of _EXTRA_LINE_BREAKS, and has '#'
     only as the first non-blank byte of a line, with no lone '\\r' later in
     that line. On it np.loadtxt splits lines, fields and comments as the
-    line loop does, so its result is kept when no warning was raised and it
-    has at least one row, two columns and no negative id. Any other input,
-    malformed input included, goes to _parse_lines, which alone reports
-    errors with line numbers.
+    line loop does, so its (m, 2) result is kept when no warning was raised
+    and it has at least one row, two columns and no negative id. Any other
+    input, malformed input included, goes to _parse_lines, which alone
+    reports errors with line numbers.
     """
     if not raw.isascii():
         return None
@@ -196,17 +227,17 @@ def _parse_canonical(raw):
             return None
     if pairs.shape[0] < 1 or pairs.shape[1] != 2 or pairs.min() < 0:
         return None
-    return pairs[:, 0], pairs[:, 1]
+    return pairs
 
 
-def _parse_lines(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-line parse of edge-list text into (a, b) int64 id arrays.
+def _parse_lines(text: str) -> np.ndarray:
+    """Per-line parse of edge-list text into (m, 2) int64 id pairs.
 
     Accepts what int() accepts for an id (also '+5', '1_000' and non-ASCII
     digits) and raises EdgeListError, with the line number where there is
     one, on malformed input.
     """
-    a_ids, b_ids = [], []
+    ids = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -223,14 +254,12 @@ def _parse_lines(text: str) -> tuple[np.ndarray, np.ndarray]:
                 lineno) from None
         if a < 0 or b < 0:
             raise EdgeListError(f"line {lineno}: negative node id", lineno)
-        a_ids.append(a)
-        b_ids.append(b)
-    if not a_ids:
+        ids += (a, b)
+    if not ids:
         raise EdgeListError("edge list contains no edges")
 
     try:
-        return (np.asarray(a_ids, dtype=np.int64),
-                np.asarray(b_ids, dtype=np.int64))
+        return np.array(ids, dtype=np.int64).reshape(-1, 2)
     except OverflowError:
         # a rare input error, so it is located in a second pass rather than
         # checked on every line of the loop above
@@ -244,34 +273,54 @@ def _parse_lines(text: str) -> tuple[np.ndarray, np.ndarray]:
         raise
 
 
-def _compact_ids(a_ids, b_ids):
-    """Map ids to 0..N-1 in ascending id order with one sort.
+def _compact_ids(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map the ids of (m, 2) int64 pairs to 0..N-1 in ascending id order.
 
-    Returns (a_compact, b_compact, ids), where ids is the sorted array of
-    distinct ids, so ids[a_compact] == a_ids. When the id range leaves room
-    for the p bits of a position, the sort is an in-place np.sort of the
-    keys ((id - min) << p) | position, several times faster than an
-    argsort; wider ranges (e.g. Snowflake-sized ids) take the argsort.
+    Returns (ids, compact): ids is the sorted array of distinct ids, and
+    compact the compact ids of the flat, interleaved pairs (a0 b0 a1 b1 ...),
+    int32 when 2m <= 2^31, so ids[compact] == pairs.reshape(-1). `pairs` is
+    overwritten and used as the sort buffer, and freed before compact is
+    made; the caller must hold no other reference to it.
+
+    One sort does the work. When the id range leaves room for the p bits
+    of a position, it is an in-place np.sort of the keys
+    ((id - min) << p) | position, several times faster than an argsort;
+    wider ranges (e.g. Snowflake-sized ids) take the argsort.
     """
-    ids = np.concatenate((a_ids, b_ids))
-    p = (ids.size - 1).bit_length()
-    lowest = ids.min()
-    if (int(ids.max()) - int(lowest)).bit_length() <= 63 - p:
-        ids -= lowest
-        ids <<= p
-        ids |= np.arange(ids.size)
-        ids.sort()
-        order = ids & ((1 << p) - 1)
-        ids >>= p
-        ids += lowest
+    flat = pairs.reshape(-1)
+    del pairs
+    size = flat.size
+    itype = np.int32 if size <= 1 << 31 else np.int64
+    p = (size - 1).bit_length()
+    lowest = flat.min()
+    if (int(flat.max()) - int(lowest)).bit_length() <= 63 - p:
+        flat -= lowest
+        flat <<= p
+        flat |= np.arange(size, dtype=itype)
+        flat.sort()
+        order = flat.astype(itype)  # the low p bits survive the cast
+        order &= (1 << p) - 1
+        flat >>= p
+        flat += lowest
     else:
-        order = np.argsort(ids)
-        ids = ids[order]
-    first = _run_starts(ids)
-    compact = np.empty(ids.size, dtype=np.int64)
-    compact[order] = np.cumsum(first, dtype=np.int64) - 1
-    m = len(a_ids)
-    return compact[:m], compact[m:], ids[first]
+        order = np.argsort(flat)
+        flat = flat[order]
+    first = _run_starts(flat)
+    ids = flat[first]
+    del flat
+    ranks = np.cumsum(first, dtype=itype)
+    ranks -= 1
+    compact = np.empty(size, dtype=itype)
+    compact[order] = ranks
+    return ids, compact
+
+
+def _int_ids(values) -> np.ndarray:
+    """values as an integer array: as it is when int64 holds its dtype."""
+    values = np.asarray(values)
+    if np.can_cast(values.dtype, np.int64):
+        return values
+    return values.astype(np.int64)
 
 
 def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
@@ -285,8 +334,9 @@ def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
 def write_edge_list(net: FollowNetwork, dest) -> None:
     """Write the network as edge-list text ("i j" means i follows j)."""
     orig = net.original_ids
+    followers = np.repeat(np.arange(net.user_count), net.leader_count)
     lines = [f"{orig[f]} {orig[l]}"
-             for f, l in zip(net.edge_follower, net.leader_ids)]
+             for f, l in zip(followers, net.leader_ids)]
     payload = "\n".join(lines) + ("\n" if lines else "")
     if hasattr(dest, "write"):
         dest.write(payload)

@@ -15,6 +15,11 @@ from hashsim.engine import ActivityProfile
 _NEVER = -100
 
 
+def edge_followers(net):
+    """The follower of each entry of net.leader_ids: its leader-CSR row."""
+    return np.repeat(np.arange(net.user_count), net.leader_count)
+
+
 def binomial_cdf(n, p):
     """CDF(0), ..., CDF(n) of Binomial(n, p), 0 < p < 1, one k at a time.
 

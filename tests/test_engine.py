@@ -12,7 +12,8 @@ from hashsim import (ActivityProfile, FollowNetwork, GridSpec,
                      generate_synthetic, grid_scan, normalize,
                      read_hashtag_csv, rng, run_ensemble, run_simulation)
 from hashsim.behavior import action_probability, interest
-from reference import binomial_cdf, binomial_reference, simulate_reference
+from reference import (binomial_cdf, binomial_reference, edge_followers,
+                       simulate_reference)
 
 PARAMS = ModelParams(lam=0.5, eta_star=2, delta_t=3)
 
@@ -181,7 +182,7 @@ def exposure_by_definition(net, last):
     y = np.zeros(last.shape)
     eta = np.zeros(last.shape)
     for r in range(last.shape[0]):
-        for i, j in zip(net.edge_follower, net.leader_ids):
+        for i, j in zip(edge_followers(net), net.leader_ids):
             if last[r, j] > last[r, i]:
                 y[r, i] += net.follower_count[j]
                 eta[r, i] += 1
@@ -302,7 +303,7 @@ class TestAgainstReference:
                                 seed=1)
         spokes = np.arange(1, 200)
         net = FollowNetwork.from_edges(
-            np.concatenate((er.edge_follower, spokes)),
+            np.concatenate((edge_followers(er), spokes)),
             np.concatenate((er.leader_ids, np.zeros_like(spokes))), 200)
         params = ModelParams(lam=0.3, eta_star=8, delta_t=7)
         calls = count_directions(monkeypatch)

@@ -1,16 +1,19 @@
 import dataclasses
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from hashsim import (EdgeListError, FollowNetwork, generate_synthetic,
                      load_edge_list, network_stats, write_edge_list)
 from hashsim import network
 from hashsim.network import DIRECTION_FOLLOWED_BY, DIRECTION_FOLLOWS
+from reference import edge_followers
 
 
 def test_load_tiny_edge_list(tiny_net):
@@ -143,7 +146,7 @@ def test_random_is_deterministic_per_seed():
     a = generate_synthetic("uniform-random", 60, edge_prob=0.1, seed=5)
     b = generate_synthetic("uniform-random", 60, edge_prob=0.1, seed=5)
     assert np.array_equal(a.leader_ids, b.leader_ids)
-    assert np.array_equal(a.edge_follower, b.edge_follower)
+    assert np.array_equal(edge_followers(a), edge_followers(b))
 
 
 def test_synthetic_argument_errors():
@@ -169,8 +172,9 @@ def test_influence_matches_brute_force(er200):
 
 
 def test_no_self_loops_or_duplicates(er200):
-    assert np.all(er200.edge_follower != er200.leader_ids)
-    keys = er200.edge_follower * er200.user_count + er200.leader_ids
+    followers = edge_followers(er200)
+    assert np.all(followers != er200.leader_ids)
+    keys = followers * er200.user_count + er200.leader_ids
     assert len(np.unique(keys)) == len(keys)
 
 
@@ -200,7 +204,7 @@ def test_follower_csr_is_the_transpose(er200):
 
 def _loop_load(text, direction):
     """Reference loader: the per-line parse, then np.unique compaction."""
-    a, b = network._parse_lines(text)
+    a, b = network._parse_lines(text).T
     ids = np.unique(np.concatenate((a, b)))
     a, b = np.searchsorted(ids, a), np.searchsorted(ids, b)
     if direction == DIRECTION_FOLLOWED_BY:
@@ -316,8 +320,8 @@ class TestLoaderMatchesLineLoop:
                                       " +5  0 \n\n"])
     def test_canonical_input_takes_the_fast_path(self, text):
         for raw in (text, text.encode("ascii")):
-            a, b = network._parse_canonical(raw)
-            want_a, want_b = network._parse_lines(text)
+            a, b = network._parse_canonical(raw).T
+            want_a, want_b = network._parse_lines(text).T
             assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
 
 
@@ -330,8 +334,77 @@ def test_from_edges_dedup_matches_np_unique(n, pairs):
     net = FollowNetwork.from_edges(followers, leaders, n)
     keep = followers != leaders
     key = np.unique(followers[keep] * n + leaders[keep])
-    assert np.array_equal(net.edge_follower, key // n)
+    edge_follower = edge_followers(net)
+    assert np.array_equal(edge_follower, key // n)
     assert np.array_equal(net.leader_ids, key % n)
-    assert net.edge_follower.dtype == net.leader_ids.dtype == np.int64
+    assert edge_follower.dtype == net.leader_ids.dtype == np.int64
     assert np.array_equal(net.leader_count,
                           np.bincount(key // n, minlength=n))
+
+
+# ids within 40 of 0 or of a high offset: all low or all high is a narrow
+# range (the packed-key sort), a mix of both is a range of at least 2^62
+# (the argsort)
+_HIGH = st.sampled_from([2**62, 2**63 - 41])
+
+
+@st.composite
+def _id_pairs(draw):
+    high = draw(_HIGH)
+    one_id = st.one_of(st.integers(0, 40),
+                       st.integers(0, 40).map(lambda v: v + high))
+    return draw(st.lists(st.tuples(one_id, one_id), min_size=1,
+                         max_size=60))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_id_pairs(), st.sampled_from([DIRECTION_FOLLOWS,
+                                     DIRECTION_FOLLOWED_BY]),
+       st.sampled_from(["path", "bytes", "text"]))
+@example([(3, 1), (1, 1), (3, 1)], DIRECTION_FOLLOWS, "path")
+@example([(2**62 + 5, 2**62)], DIRECTION_FOLLOWED_BY, "bytes")
+@example([(0, 2**63 - 1), (2**63 - 2, 7)], DIRECTION_FOLLOWS, "text")
+def test_compaction_matches_np_unique(tmp_path, pairs, direction, kind):
+    flat = np.array(pairs, dtype=np.int64).reshape(-1)
+    want_ids, inverse = np.unique(flat, return_inverse=True)
+
+    ids, compact = network._compact_ids(flat.reshape(-1, 2).copy())
+    assert np.array_equal(ids, want_ids) and ids.dtype == np.int64
+    assert np.array_equal(compact, inverse) and compact.dtype == np.int32
+
+    a, b = inverse[0::2], inverse[1::2]
+    if direction == DIRECTION_FOLLOWED_BY:
+        a, b = b, a
+    want = FollowNetwork.from_edges(a, b, want_ids.size,
+                                    original_ids=want_ids)
+    text = "".join(f"{x} {y}\n" for x, y in pairs)
+    if kind == "path":
+        source = tmp_path / "edges.txt"
+        source.write_text(text, encoding="ascii")
+    elif kind == "bytes":
+        source = io.BytesIO(text.encode("ascii"))
+    else:
+        source = io.StringIO(text)
+    _assert_same_network(load_edge_list(source, direction=direction), want)
+
+
+def test_load_peak_memory_per_line(tmp_path):
+    """The load's traced peak stays within 64 bytes per parsed line.
+
+    At its peak the load holds either the raw bytes and the (m, 2) int64
+    pairs, or the int32 compact ids and the int64 edge keys of from_edges.
+    """
+    net = generate_synthetic("uniform-random", 5000, edge_prob=0.002, seed=0)
+    path = tmp_path / "edges.txt"
+    write_edge_list(net, path)
+    lines = net.edge_count
+    del net
+    tracemalloc.start()
+    try:
+        load_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lines > 45_000
+    assert peak <= 64 * lines, f"{peak / lines:.1f} bytes per line"
