@@ -36,8 +36,8 @@ EXIT_IO = 3
 MAX_AXIS_POINTS = 10_000
 # Runs in one ensemble, 200x the paper's 50, checked before anything is
 # loaded, so a count such as 10**9 is refused before its seeds are built.
-# It does not bound memory: an ensemble holds ~30 bytes of state per (run,
-# user), so 10,000 runs of an 81k-user graph need ~24 GB. main reports a
+# It does not bound memory: an ensemble holds ~22 bytes of state per (run,
+# user), so 10,000 runs of an 81k-user graph need ~18 GB. main reports a
 # failed allocation as a usage error.
 MAX_RUNS = 10_000
 

@@ -15,22 +15,28 @@ are drawn.
 
 Exposure is state, not a per-day recomputation. For every (run, user) the
 engine keeps y (summed follower counts of the leaders active more recently
-than the user) and eta (their number) as float64 arrays of shape
-(runs, users). A day's actors change them only locally: an actor's own y
-and eta drop to 0, and each follower that did not act gains F_j and 1 from
-every actor j it had not yet counted. The update is applied before the next
-simulated day, in one of two directions (Beamer, Asanovic & Patterson,
+than the user) and eta (their number) packed in one int64, (y << b) | eta
+with b = l_max.bit_length(), in an array of shape (runs, users). eta <=
+l_max < 2**b and y <= E, so the fields never carry into each other, and a
+packed sum of per-leader weights (F_j << b) | 1 adds to both at once. A
+day's actors change the state only locally: an actor's own exposure drops
+to 0, and each follower that did not act gains the weight of every actor j
+it had not yet counted. The update is applied before the next simulated
+day, in one of two directions (Beamer, Asanovic & Patterson,
 "Direction-optimizing BFS", SC 2012):
 
 - push walks the follower CSR (the transpose of the leader CSR, built once
   per network) from the actors, when their out-edge volume sum(F_j) is at
-  most _PUSH_MAX_FRAC of runs x E;
-- pull recomputes y and eta from `last` over every edge, as one segmented
-  sum over the follower-sorted leader CSR of per-edge int64 weights that
-  pack F_j above a count of 1.
+  most _PUSH_MAX_FRAC of runs x E, and scatters their weights in one
+  np.add.at;
+- pull recomputes the packed rows from `last` over every edge, as one
+  segmented sum over the follower-sorted leader CSR of the per-edge
+  weights (FollowNetwork.pull_plan, built once per network on the first
+  pull).
 
 y and eta are integer sums below 2**53, so both directions give the same
-float64 bits as a from-scratch recomputation.
+values as a from-scratch recomputation, and the gate and nu convert them
+to float64 exactly.
 
 A day is simulated in blocks of consecutive runs, each of at most
 _BLOCK_EDGES (run, edge) pairs, or one run when a single run has more
@@ -39,9 +45,9 @@ and exposure probabilities, who can post) are computed once per day; then
 each block draws its tweets, applies the previous day's actors to its
 exposure (choosing push or pull for itself) and draws its retweets. So
 the temporaries of a day are bounded by the budget, not by runs x users
-or runs x E, while the state itself still holds a few arrays of shape
-(runs, users). Runs are independent, draws are addressed and y and eta
-are exact, so the blocks give the same bytes as one block of every run.
+or runs x E, while the state itself holds about 22 bytes per (run, user).
+Runs are independent, draws are addressed and y and eta are exact, so the
+blocks give the same bytes as one block of every run.
 
 Interest is 1 on every day up to the peak, so days -delta_t..0 do not
 depend on lambda. Every batch takes one path: peak_state simulates those
@@ -75,10 +81,13 @@ PEAK_INDEX = MAX_DELTA_T  # DAY_OFFSETS[PEAK_INDEX] is the peak day, 0
 _NEVER = np.int16(-100)  # "no activity yet"; below every real day offset
 
 # Push a day's actors to their followers when their out-edge volume is at
-# most this fraction of runs x E; otherwise pull. A push costs several times
-# more per (actor, follower) pair than a pull per (run, edge); of 0.1-0.5,
-# no value was clearly faster than 0.3 on both a 1k-node ER scan and a
-# dense 20k-node heavy-tailed graph.
+# most this fraction of runs x E; otherwise pull. On a dense 20k-node
+# heavy-tailed graph a push costs ~21 ns per (actor, follower) pair and a
+# pull ~9 ns per (run, edge). At 0.3 / 0.4 / 0.5 (medians of 3, seconds):
+# three 50-run ensembles on that graph 7.80 / 7.96 / 7.55, three 1k-node ER
+# fits 4.30 / 4.47 / 4.74 (peak 47.0 / 47.8 / 48.2 MB), and an 11-lambda
+# group of 10 runs on a SNAP-sized graph (1-run blocks) 6.10 / 6.13 / 6.03
+# at eta* 1 and 5.34 / 5.43 / 5.11 at eta* 5. No value was faster on all.
 _PUSH_MAX_FRAC = 0.3
 # A day works on blocks of at most this many (run, edge) pairs (at least one
 # run). A pull holds ~9 bytes of temporaries per pair (the bool comparison
@@ -197,19 +206,23 @@ def user_arrays(net: FollowNetwork) -> tuple[np.ndarray, np.ndarray]:
 class _Exposure:
     """Exposure of every (run, user), kept current with the `last` matrix.
 
-    y[r, i] sums F_j over the leaders j of i with last[r, j] > last[r, i],
-    and eta[r, i] counts them. Both are integer sums below 2**53, so every
-    order of summation gives the same float64 bits.
+    packed[r, i] is (y << shift) | eta: y sums F_j over the leaders j of i
+    with last[r, j] > last[r, i], and eta counts them. shift is
+    l_max.bit_length(), so eta <= l_max fits below y, and y <= E keeps the
+    packed value below 2**63 (checked here, once per state). Both fields
+    are exact integers below 2**53.
     """
 
     def __init__(self, net: FollowNetwork, runs: int):
         self.net = net
-        self.y = np.zeros((runs, net.user_count))
-        self.eta = np.zeros((runs, net.user_count))
+        self.shift = net.l_max.bit_length()
+        if (net.edge_count + 1) << self.shift >= 1 << 63:
+            raise ValueError("network too large to pack y and eta in int64")
+        self.packed = np.zeros((runs, net.user_count), dtype=np.int64)
 
     def copy(self) -> _Exposure:
         twin = copy.copy(self)
-        twin.y, twin.eta = self.y.copy(), self.eta.copy()
+        twin.packed = self.packed.copy()
         return twin
 
     def update(self, rows: slice, last_old, acted, last_new) -> None:
@@ -228,52 +241,43 @@ class _Exposure:
     def _push(self, rows: slice, last_old, actors) -> None:
         """Add one day's actors to the exposure of their followers.
 
-        `actors` are flat indices into these rows. A follower i gains F_j
-        and 1 from an actor j, unless j already counted for it
+        `actors` are flat indices into these rows. A follower i gains
+        (F_j << shift) | 1 from an actor j, unless j already counted for it
         (last_old[j] > last_old[i]). Actors then drop to zero, since no
         leader can be more recent than today.
         """
         net, n = self.net, self.net.user_count
-        y, eta = self.y[rows].reshape(-1), self.eta[rows].reshape(-1)
+        packed = self.packed[rows].reshape(-1)
         last_old = last_old.reshape(-1)
         indptr, follower_ids = net.follower_csr
         j = actors % n
         count = net.follower_count[j]
         # (actor, follower) pairs: follower i and the flat (run, i) index
-        pos = np.arange(count.sum()) + np.repeat(
-            indptr[j] - (np.cumsum(count) - count), count)
-        flat = np.repeat(actors - j, count) + follower_ids[pos]
-        last_j = np.repeat(last_old[actors], count)
-        keep = last_j <= np.take(last_old, flat)
-        flat = flat[keep]
-        np.add.at(y, flat, np.repeat(count.astype(float), count)[keep])
-        np.add.at(eta, flat, 1.0)
-        y[actors] = 0.0
-        eta[actors] = 0.0
+        pos = np.repeat(indptr[j] - (np.cumsum(count) - count), count)
+        pos += np.arange(pos.size)
+        flat = follower_ids[pos]
+        del pos
+        flat += np.repeat(actors - j, count)
+        weight = np.repeat((count << self.shift) | 1, count)
+        weight *= np.repeat(last_old[actors], count) <= last_old[flat]
+        np.add.at(packed, flat, weight)
+        packed[actors] = 0
 
     def _pull(self, rows: slice, last) -> None:
         """Recompute these rows from their `last` over every edge.
 
         Edges are sorted by follower, so each user's leaders form one
-        segment. Each edge j -> i weighs (F_j << b) | 1, and one segmented
-        sum of the weights of the recent edges packs y above eta: eta <=
-        l_max < 2**b and y <= E, so the two fields never carry into each
-        other. The rows are one block, so a pull holds at most
-        _BLOCK_EDGES (run, edge) pairs, or one run's edges.
+        segment, and one segmented sum of the weights of the recent edges
+        gives each packed value (FollowNetwork.pull_plan). The rows are one
+        block, so a pull holds at most _BLOCK_EDGES (run, edge) pairs, or
+        one run's edges.
         """
         net = self.net
-        shift = net.l_max.bit_length()
-        if (net.edge_count + 1) << shift >= 1 << 63:
-            raise ValueError("network too large to pack y and eta in int64")
-        weights = net.follower_count[net.leader_ids] << shift
-        weights |= 1
-        has_leaders = net.leader_count > 0
+        weights, starts, has_leaders = net.pull_plan
         recent = (np.take(last, net.leader_ids, axis=1)
                   > np.repeat(last, net.leader_count, axis=1))
-        packed = np.add.reduceat(recent * weights,
-                                 net.leader_indptr[:-1][has_leaders], axis=1)
-        self.y[rows, has_leaders] = packed >> shift
-        self.eta[rows, has_leaders] = packed & ((1 << shift) - 1)
+        self.packed[rows, has_leaders] = np.add.reduceat(recent * weights,
+                                                         starts, axis=1)
 
 
 def _inject(streams, day_index: int, can_post, rho_post, t_vec,
@@ -293,24 +297,26 @@ def _inject(streams, day_index: int, can_post, rho_post, t_vec,
     acted[run[tweeted], user[tweeted]] = True
 
 
-def _spread(streams, day_index: int, y, eta, eta_star: float, infl,
-            threshold, t_vec, acted) -> np.ndarray:
+def _spread(streams, day_index: int, packed, shift: int, eta_star: float,
+            infl, threshold, t_vec, acted) -> np.ndarray:
     """Endogenous stimulus: mark in `acted` who retweets today.
 
-    y and eta are the exposure of the same rows as streams and acted;
-    threshold is gate_threshold(eta_star, infl), computed once per batch.
-    Slot 2 is drawn only at the (run, user) pairs that pass the gate, and
-    the day's temporaries die on return, as in _inject. Pairs are handled
-    by flat index into the (rows, users) arrays, which numpy gathers and
-    scatters faster than (row, column) pairs. Returns each row's retweet
-    count.
+    packed is the exposure (y << shift) | eta of the same rows as streams
+    and acted; threshold is gate_threshold(eta_star, infl), computed once
+    per batch. Slot 2 is drawn only at the (run, user) pairs that pass the
+    gate, and the day's temporaries die on return, as in _inject. Pairs
+    are handled by flat index into the (rows, users) arrays, which numpy
+    gathers and scatters faster than (row, column) pairs. Returns each
+    row's retweet count.
     """
     counts = np.zeros(acted.shape[0], dtype=np.int64)
-    flat = np.flatnonzero(retweet_gate(y, eta_star, infl, threshold))
+    flat = np.flatnonzero(retweet_gate(packed >> shift, eta_star, infl,
+                                       threshold))
     if flat.size:
         run = flat // acted.shape[1]
         user = flat - run * acted.shape[1]
-        nu = retweet_count(eta.reshape(-1)[flat], y.reshape(-1)[flat],
+        gated = packed.reshape(-1)[flat]
+        nu = retweet_count(gated & ((1 << shift) - 1), gated >> shift,
                            eta_star, infl[user])
         r_each = per_retweet_probability(t_vec[user], nu)
         u_rt = rng.uniforms(streams.reshape(-1)[flat], day_index, 2)
@@ -376,7 +382,8 @@ class BatchState:
     def simulate(self, days: range) -> None:
         """Simulate the days with these indices into DAY_OFFSETS, in order."""
         params, h_vec = self.params, self.h_vec
-        infl, y, eta = self.net.influence, self.exposure.y, self.exposure.eta
+        infl = self.net.influence
+        packed, shift = self.exposure.packed, self.exposure.shift
         eta_star = float(params.eta_star)
         threshold = gate_threshold(eta_star, infl)
         sigma = float(params.sigma)
@@ -398,7 +405,7 @@ class BatchState:
                 tweets = block.sum(axis=1)
                 self._apply_pending(rows)
                 self.acts[rows, day_index] = tweets + _spread(
-                    streams, day_index, y[rows], eta[rows], eta_star, infl,
+                    streams, day_index, packed[rows], shift, eta_star, infl,
                     threshold, t_vec, block)
                 self.dist[rows, day_index] = block.sum(axis=1)
             self.pending = None

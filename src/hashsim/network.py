@@ -3,8 +3,9 @@
 Node ids are compacted to 0..N-1 at load time so the hot simulation loops can
 use plain array indexing; the original ids are kept for reporting.
 
-Memory: a network keeps 8 bytes per edge (leader_ids) and 40 per user, and
-its follower CSR, once built, another 8 per edge and 8 per user. A load
+Memory: a network keeps 8 bytes per edge (leader_ids) and 40 per user.
+Its follower CSR, once built, adds another 8 per edge and 8 per user, and
+the exposure pull's plan 8 per edge and at most 9 per user. A load
 peaks while it parses, holding the raw input and 16 bytes per line of
 parsed ids: 38 bytes per line, 67 MB, on a SNAP-sized file
 (load_edge_list lists what each stage holds).
@@ -12,6 +13,7 @@ parsed ids: 38 bytes per line, 67 MB, on a SNAP-sized file
 
 from __future__ import annotations
 
+import array
 import io
 import os
 import warnings
@@ -132,6 +134,26 @@ class FollowNetwork:
         ids.flags.writeable = False
         return indptr, ids
 
+    @cached_property
+    def pull_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The exposure pull's per-network arrays (weights, starts, has_leaders).
+
+        weights[e] is (F_j << b) | 1 for the leader j of edge e, with b =
+        l_max.bit_length(), the packing of hashsim.engine's exposure state.
+        has_leaders masks the users with at least one leader, and starts
+        holds the start of each of their segments in leader_ids, for
+        np.add.reduceat. Built on the first pull and kept, so a network
+        whose updates are all pushes does not hold its 8 bytes per edge.
+        """
+        weights = self.follower_count[self.leader_ids]
+        weights <<= self.l_max.bit_length()
+        weights |= 1
+        has_leaders = self.leader_count > 0
+        starts = self.leader_indptr[:-1][has_leaders]
+        for a in (weights, starts, has_leaders):
+            a.flags.writeable = False
+        return weights, starts, has_leaders
+
     def leaders_of(self, user: int) -> np.ndarray:
         lo, hi = self.leader_indptr[user], self.leader_indptr[user + 1]
         return self.leader_ids[lo:hi]
@@ -235,9 +257,11 @@ def _parse_lines(text: str) -> np.ndarray:
 
     Accepts what int() accepts for an id (also '+5', '1_000' and non-ASCII
     digits) and raises EdgeListError, with the line number where there is
-    one, on malformed input.
+    one, on malformed input. The ids are collected as int64 as they are
+    read, so an id above the int64 range is reported at its own line.
     """
-    ids = []
+    ids = array.array("q")
+    append = ids.append
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -254,23 +278,16 @@ def _parse_lines(text: str) -> np.ndarray:
                 lineno) from None
         if a < 0 or b < 0:
             raise EdgeListError(f"line {lineno}: negative node id", lineno)
-        ids += (a, b)
+        try:
+            append(a)
+            append(b)
+        except OverflowError:
+            raise EdgeListError(
+                f"line {lineno}: node id above {_MAX_NODE_ID}",
+                lineno) from None
     if not ids:
         raise EdgeListError("edge list contains no edges")
-
-    try:
-        return np.array(ids, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:
-        # a rare input error, so it is located in a second pass rather than
-        # checked on every line of the loop above
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            parts = line.split()
-            if (parts and not parts[0].startswith("#")
-                    and max(map(int, parts)) > _MAX_NODE_ID):
-                raise EdgeListError(
-                    f"line {lineno}: node id above {_MAX_NODE_ID}",
-                    lineno) from None
-        raise
+    return np.frombuffer(ids, dtype=np.int64).reshape(-1, 2)
 
 
 def _compact_ids(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

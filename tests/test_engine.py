@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import io
 from pathlib import Path
@@ -179,14 +180,26 @@ class TestSingleRun:
 
 def exposure_by_definition(net, last):
     """y and eta straight from their definition, one edge at a time."""
-    y = np.zeros(last.shape)
-    eta = np.zeros(last.shape)
+    y = np.zeros(last.shape, dtype=np.int64)
+    eta = np.zeros(last.shape, dtype=np.int64)
     for r in range(last.shape[0]):
         for i, j in zip(edge_followers(net), net.leader_ids):
             if last[r, j] > last[r, i]:
                 y[r, i] += net.follower_count[j]
                 eta[r, i] += 1
     return y, eta
+
+
+def unpacked(state):
+    """The y and eta fields of an _Exposure's packed (y << shift) | eta."""
+    return state.packed >> state.shift, state.packed & ((1 << state.shift) - 1)
+
+
+def assert_exposure_by_definition(state, net, last):
+    y, eta = unpacked(state)
+    want_y, want_eta = exposure_by_definition(net, last)
+    assert np.array_equal(y, want_y)
+    assert np.array_equal(eta, want_eta)
 
 
 @st.composite
@@ -219,13 +232,12 @@ class TestExposure:
         every = slice(None)
         pushed = engine._Exposure(net, last_old.shape[0])
         pushed._pull(every, last_old)
+        assert_exposure_by_definition(pushed, net, last_old)
         pushed._push(every, last_old, np.flatnonzero(acted))
         pulled = engine._Exposure(net, last_old.shape[0])
         pulled._pull(every, last_new)
-        y, eta = exposure_by_definition(net, last_new)
         for state in (pushed, pulled):
-            assert np.array_equal(state.y, y)
-            assert np.array_equal(state.eta, eta)
+            assert_exposure_by_definition(state, net, last_new)
 
     def test_pull_counts_past_int8(self):
         # one user follows 300 leaders that are all more recent than it
@@ -235,8 +247,10 @@ class TestExposure:
         last[0, 0] = engine._NEVER
         state = engine._Exposure(net, 1)
         state._pull(slice(None), last)
-        assert state.eta[0, 0] == 300.0
-        assert state.y[0, 0] == 300.0
+        y, eta = unpacked(state)
+        assert eta[0, 0] == 300
+        assert y[0, 0] == 300
+        assert_exposure_by_definition(state, net, last)
 
     @pytest.mark.parametrize("leaders", [255, 256])
     def test_pull_packing_boundary(self, leaders):
@@ -252,19 +266,74 @@ class TestExposure:
         last = np.zeros((2, net.user_count), dtype=np.int16)
         last[:, :followers] = engine._NEVER
         last[1, followers::3] = engine._NEVER
-        state = engine._Exposure(net, 2)
-        state._pull(slice(None), last)
-        assert state.eta[0, 0] == leaders
-        assert state.y[0, 0] == net.edge_count
-        y, eta = exposure_by_definition(net, last)
-        assert np.array_equal(state.y, y)
-        assert np.array_equal(state.eta, eta)
+        pulled = engine._Exposure(net, 2)
+        assert pulled.shift == leaders.bit_length()
+        pulled._pull(slice(None), last)
+        y, eta = unpacked(pulled)
+        assert eta[0, 0] == leaders
+        assert y[0, 0] == net.edge_count
+        assert_exposure_by_definition(pulled, net, last)
+        # the same state pushed from nothing: the leaders act on day 0
+        never = np.full(last.shape, engine._NEVER, dtype=np.int16)
+        acted = last == 0
+        pushed = engine._Exposure(net, 2)
+        pushed._push(slice(None), never, np.flatnonzero(acted))
+        assert np.array_equal(pushed.packed, pulled.packed)
 
-    def test_pull_rejects_networks_too_large_to_pack(self):
-        net = SimpleNamespace(user_count=1, edge_count=1 << 60, l_max=7)
+    def test_state_rejects_networks_too_large_to_pack(self):
+        # shift 3: (E + 1) << 3 must stay below 2**63
+        fits = SimpleNamespace(user_count=1, edge_count=(1 << 60) - 2,
+                               l_max=7)
+        assert engine._Exposure(fits, 1).shift == 3
+        net = SimpleNamespace(user_count=1, edge_count=(1 << 60) - 1,
+                              l_max=7)
         with pytest.raises(ValueError, match="too large"):
-            engine._Exposure(net, 1)._pull(slice(None),
-                                           np.zeros((1, 1), dtype=np.int16))
+            engine._Exposure(net, 1)
+
+    def test_pull_plan_is_built_once_per_network(self, monkeypatch):
+        builds = count_plan_builds(monkeypatch)
+        calls = count_directions(monkeypatch)
+        monkeypatch.setattr(engine, "_BLOCK_EDGES", 1)  # a pull per run
+        pushes_only = sparse_push_network()
+        run_ensemble(pushes_only, ModelParams(lam=0.3, eta_star=8,
+                                              delta_t=7), 1, 3)
+        assert calls["push"] > 0 and calls["pull"] == 0
+        assert builds == []
+        assert "pull_plan" not in vars(pushes_only)
+        # the hub's days pull, in every run of both networks
+        stars = [generate_synthetic("star", 60), generate_synthetic("star", 9)]
+        params = ModelParams(lam=0.3, eta_star=1, delta_t=7)
+        for net in stars + stars:
+            run_ensemble(net, params, 3, 4)
+        assert calls["pull"] > 2 * 2 * 4
+        assert list(map(id, builds)) == list(map(id, stars))
+
+
+def count_plan_builds(monkeypatch):
+    """The networks whose FollowNetwork.pull_plan is built, once per build."""
+    builds = []
+    build = FollowNetwork.pull_plan.func
+
+    def counted(net):
+        builds.append(net)
+        return build(net)
+    plan = functools.cached_property(counted)
+    plan.__set_name__(FollowNetwork, "pull_plan")
+    monkeypatch.setattr(FollowNetwork, "pull_plan", plan)
+    return builds
+
+
+def sparse_push_network():
+    """ER200 plus a hub that everyone follows: every exposure update pushes.
+
+    The hub sets f_max, so other users are rarely exposed, and each day's
+    frontier stays under a quarter of the edges.
+    """
+    er = generate_synthetic("uniform-random", 200, edge_prob=0.03, seed=1)
+    spokes = np.arange(1, 200)
+    return FollowNetwork.from_edges(
+        np.concatenate((edge_followers(er), spokes)),
+        np.concatenate((er.leader_ids, np.zeros_like(spokes))), 200)
 
 
 def count_directions(monkeypatch):
@@ -297,14 +366,7 @@ class TestAgainstReference:
         assert calls["pull"] > 0
 
     def test_sparse_high_threshold_pushes(self, monkeypatch):
-        # a hub followed by everyone sets f_max, so other users are rarely
-        # exposed: each day's frontier stays under a quarter of the edges
-        er = generate_synthetic("uniform-random", 200, edge_prob=0.03,
-                                seed=1)
-        spokes = np.arange(1, 200)
-        net = FollowNetwork.from_edges(
-            np.concatenate((edge_followers(er), spokes)),
-            np.concatenate((er.leader_ids, np.zeros_like(spokes))), 200)
+        net = sparse_push_network()
         params = ModelParams(lam=0.3, eta_star=8, delta_t=7)
         calls = count_directions(monkeypatch)
         eng = run_simulation(net, params, 1)

@@ -55,6 +55,13 @@ def test_id_above_int64_reports_line_number():
     assert exc.value.line_number == 3
 
 
+def test_first_bad_line_is_reported_when_an_id_is_out_of_range():
+    text = "0 1\n9223372036854775808 1\n0 1 2\nx 1\n"
+    with pytest.raises(EdgeListError, match="above") as exc:
+        load_edge_list(io.StringIO(text))
+    assert exc.value.line_number == 2
+
+
 def test_largest_int64_id_is_accepted():
     net = load_edge_list(io.StringIO("9223372036854775807 1\n"))
     assert net.original_ids.tolist() == [1, 9223372036854775807]
