@@ -81,13 +81,14 @@ PEAK_INDEX = MAX_DELTA_T  # DAY_OFFSETS[PEAK_INDEX] is the peak day, 0
 _NEVER = np.int16(-100)  # "no activity yet"; below every real day offset
 
 # Push a day's actors to their followers when their out-edge volume is at
-# most this fraction of runs x E; otherwise pull. On a dense 20k-node
-# heavy-tailed graph a push costs ~21 ns per (actor, follower) pair and a
-# pull ~9 ns per (run, edge). At 0.3 / 0.4 / 0.5 (medians of 3, seconds):
-# three 50-run ensembles on that graph 7.80 / 7.96 / 7.55, three 1k-node ER
-# fits 4.30 / 4.47 / 4.74 (peak 47.0 / 47.8 / 48.2 MB), and an 11-lambda
-# group of 10 runs on a SNAP-sized graph (1-run blocks) 6.10 / 6.13 / 6.03
-# at eta* 1 and 5.34 / 5.43 / 5.11 at eta* 5. No value was faster on all.
+# most this fraction of runs x E; otherwise pull. On a 2-vCPU x86-64 VM and
+# a dense 20k-node heavy-tailed graph, a push costs ~21 ns per (actor,
+# follower) pair and a pull ~9 ns per (run, edge). At 0.3 / 0.4 / 0.5
+# (medians of 3, seconds): three 50-run ensembles on that graph 7.80 /
+# 7.96 / 7.55, three 1k-node ER fits 4.30 / 4.47 / 4.74 (peak 47.0 / 47.8 /
+# 48.2 MB), and an 11-lambda group of 10 runs on a SNAP-sized graph (1-run
+# blocks) 6.10 / 6.13 / 6.03 at eta* 1 and 5.34 / 5.43 / 5.11 at eta* 5.
+# No value was faster on all.
 _PUSH_MAX_FRAC = 0.3
 # A day works on blocks of at most this many (run, edge) pairs (at least one
 # run). A pull holds ~9 bytes of temporaries per pair (the bool comparison

@@ -136,7 +136,7 @@ class FollowNetwork:
 
     @cached_property
     def pull_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The exposure pull's per-network arrays (weights, starts, has_leaders).
+        """The exposure pull's plan: (weights, starts, has_leaders).
 
         weights[e] is (F_j << b) | 1 for the leader j of edge e, with b =
         l_max.bit_length(), the packing of hashsim.engine's exposure state.
