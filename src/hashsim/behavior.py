@@ -104,18 +104,31 @@ def gate_threshold(eta_star: float, influence):
     return eta_star * influence
 
 
-def retweet_gate(y, eta_star: float, influence, threshold=None):
+def retweet_gate(y, eta_star: float, influence):
     """Necessary condition for retweeting: y >= eta_star * influence.
 
     The extra y > 0 guard keeps leaderless users (influence == 0, hence
     y == 0) from passing vacuously. `&` rather than `and`, so that arrays
-    work elementwise and scalars still give a bool. A caller that applies
-    the gate many times with the same eta_star and influence passes
-    threshold=gate_threshold(eta_star, influence), computed once.
+    work elementwise and scalars still give a bool.
     """
-    if threshold is None:
+    return (y > 0) & (y >= gate_threshold(eta_star, influence))
+
+
+def gate_min(eta_star: float, influence, y_max: int):
+    """The least integer y in [0, y_max] that passes retweet_gate, as int64.
+
+    That is max(ceil(eta_star * influence), 1), or y_max + 1 where no y up
+    to y_max passes (also where eta_star * influence overflows to inf).
+    The cap is applied before the cast, so a huge threshold cannot wrap.
+    For an integer y <= y_max below 2**53, retweet_gate(y, eta_star,
+    influence) holds exactly when y >= gate_min(eta_star, influence,
+    y_max): y converts to float64 exactly, and y >= x for a float x means
+    y >= ceil(x).
+    """
+    with np.errstate(over="ignore"):  # inf is capped just below
         threshold = gate_threshold(eta_star, influence)
-    return (y > 0) & (y >= threshold)
+    least = np.minimum(np.ceil(threshold), float(y_max + 1))
+    return np.maximum(least, 1.0).astype(np.int64)[()]
 
 
 def retweet_count(eta_i, y, eta_star: float, influence):

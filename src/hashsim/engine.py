@@ -8,7 +8,9 @@ retweet-count draw. Each slot is drawn only at the addresses whose draw can
 change the result: slot 0 where the exposure probability rho and the action
 probability t are both positive (a uniform in [0, 1) is never below 0),
 slot 1 where slot 0 fell below rho, and slot 2 at the (run, user) pairs
-that pass the retweet gate. A draw is a function of its address alone, so
+that pass the retweet gate and whose t is positive that day (t = 0 makes
+the per-retweet probability 0, so every retweet draw there is 0). A draw
+is a function of its address alone, so
 a subset of addresses gets the same bits as the full (runs, users) matrix
 would have there, and the output bytes do not depend on which addresses
 are drawn.
@@ -35,8 +37,12 @@ day, in one of two directions (Beamer, Asanovic & Patterson,
   pull).
 
 y and eta are integer sums below 2**53, so both directions give the same
-values as a from-scratch recomputation, and the gate and nu convert them
-to float64 exactly.
+values as a from-scratch recomputation, and nu converts them to float64
+exactly. The gate is one int64 comparison per (run, user): packed >=
+gate_min << b, where behavior.gate_min is the least integer y that passes
+behavior.retweet_gate. As 0 <= eta < 2**b, that holds exactly when y >=
+gate_min, and so exactly when the gate passes. A user whose t is 0 that
+day gets the cap E + 1, which no y reaches.
 
 A day is simulated in blocks of consecutive runs, each of at most
 _BLOCK_EDGES (run, edge) pairs, or one run when a single run has more
@@ -70,9 +76,9 @@ import numpy as np
 
 from . import rng
 from .behavior import (MAX_DELTA_T, ModelParams, action_probability,
-                       activeness, exposure_probability, gate_threshold,
+                       activeness, exposure_probability, gate_min,
                        hesitancy, interest, per_retweet_probability,
-                       retweet_count, retweet_gate)
+                       retweet_count)
 from .network import FollowNetwork
 
 DAY_OFFSETS = np.arange(-MAX_DELTA_T, MAX_DELTA_T + 1)
@@ -151,13 +157,19 @@ def binomial_count(u, n, p) -> np.ndarray:
     in n independent trials of probability p realized from a single uniform.
     Deterministic: the same bytes on the same numpy build and CPU features.
 
-    The engine passes one slot-2 uniform per (run, user) pair that passed
-    the retweet gate, drawn at that pair's address only. Step k advances
-    only the entries still live (u > CDF(k-1) and k <= n); the others are
-    final. All live entries share the same k, and each one goes through
-    the same float64 operations in the same order as in a loop over every
-    entry, so an entry's count does not depend on the entries drawn with
-    it.
+    This is sequential-search inversion (Devroye, Non-Uniform Random
+    Variate Generation, 1986, ch. X). The engine passes one slot-2 uniform
+    per (run, user) pair that passed the retweet gate with t > 0, drawn at
+    that pair's address only. Step k advances only the entries still live
+    (u > CDF(k-1) and k <= n); the others are final. All live entries
+    share the same k, and each one goes through the same float64
+    operations in the same order as in a loop over every entry (pmf * (n -
+    k) / (k + 1) * ratio, then cdf += pmf, then the test (u > cdf) & (k <
+    n)), so an entry's count does not depend on the entries drawn with it.
+    The live set is compacted, by one np.flatnonzero and integer gathers,
+    only on a step where some entry stops; that step first writes k to
+    every live entry, which is final for the ones that stop and is
+    overwritten later for the others.
     """
     u = np.asarray(u, dtype=float)
     n = np.asarray(n, dtype=np.int64)
@@ -171,21 +183,26 @@ def binomial_count(u, n, p) -> np.ndarray:
     uu, nn, pp = u[idx], n[idx], p[idx]
     pmf = (1.0 - pp) ** nn
     k_out = np.zeros(uu.shape, dtype=np.int64)
-    live = np.nonzero((uu > pmf) & (nn > 0))[0]
+    live = np.flatnonzero((uu > pmf) & (nn > 0))
     # from here on the arrays hold the live entries only
     uu, nn, pp, pmf = uu[live], nn[live], pp[live], pmf[live]
     ratio = pp / (1.0 - pp)
     cdf = pmf.copy()
     k = 0
     while live.size:
-        pmf = pmf * (nn - k) / (k + 1) * ratio
+        pmf *= nn - k
+        pmf /= k + 1
+        pmf *= ratio
         k += 1
         cdf += pmf
-        more = (uu > cdf) & (k < nn)
-        k_out[live[~more]] = k
-        live = live[more]
-        uu, nn, ratio, pmf, cdf = (uu[more], nn[more], ratio[more],
-                                   pmf[more], cdf[more])
+        more = uu > cdf
+        more &= nn > k
+        if np.count_nonzero(more) < live.size:
+            k_out[live] = k  # final for the entries that stop here
+            keep = np.flatnonzero(more)
+            live, uu, nn, ratio, pmf, cdf = (live[keep], uu[keep], nn[keep],
+                                             ratio[keep], pmf[keep],
+                                             cdf[keep])
     out[idx] = k_out
     return out
 
@@ -298,21 +315,22 @@ def _inject(streams, day_index: int, can_post, rho_post, t_vec,
     acted[run[tweeted], user[tweeted]] = True
 
 
-def _spread(streams, day_index: int, packed, shift: int, eta_star: float,
-            infl, threshold, t_vec, acted) -> np.ndarray:
+def _spread(streams, day_index: int, packed, shift: int, gate, eta_star: float,
+            infl, t_vec, acted) -> np.ndarray:
     """Endogenous stimulus: mark in `acted` who retweets today.
 
     packed is the exposure (y << shift) | eta of the same rows as streams
-    and acted; threshold is gate_threshold(eta_star, infl), computed once
-    per batch. Slot 2 is drawn only at the (run, user) pairs that pass the
-    gate, and the day's temporaries die on return, as in _inject. Pairs
-    are handled by flat index into the (rows, users) arrays, which numpy
-    gathers and scatters faster than (row, column) pairs. Returns each
-    row's retweet count.
+    and acted. gate holds, per user, gate_min(eta_star, infl, E) << shift,
+    or (E + 1) << shift where t is 0 today, so packed >= gate is the
+    retweet gate for the users who can retweet, in one int64 comparison
+    (the module docstring says why it is exact). Slot 2 is drawn only at
+    the (run, user) pairs that pass it, and the day's temporaries die on
+    return, as in _inject. Pairs are handled by flat index into the (rows,
+    users) arrays, which numpy gathers and scatters faster than (row,
+    column) pairs. Returns each row's retweet count.
     """
     counts = np.zeros(acted.shape[0], dtype=np.int64)
-    flat = np.flatnonzero(retweet_gate(packed >> shift, eta_star, infl,
-                                       threshold))
+    flat = np.flatnonzero(packed >= gate)
     if flat.size:
         run = flat // acted.shape[1]
         user = flat - run * acted.shape[1]
@@ -386,7 +404,9 @@ class BatchState:
         infl = self.net.influence
         packed, shift = self.exposure.packed, self.exposure.shift
         eta_star = float(params.eta_star)
-        threshold = gate_threshold(eta_star, infl)
+        y_max = self.net.edge_count
+        gate = gate_min(eta_star, infl, y_max) << shift
+        closed = (y_max + 1) << shift
         sigma = float(params.sigma)
         blocks = self._blocks()
         for day_index in days:
@@ -398,6 +418,8 @@ class BatchState:
             rho = exposure_probability(self.a_vec, float(d), params)
             can_post = np.nonzero((t_vec > 0.0) & (rho > 0.0))[0]
             rho_post = rho[can_post]
+            # t = 0 makes r = 0 and every binomial draw 0: keep those closed
+            day_gate = np.where(t_vec > 0.0, gate, closed)
 
             acted = np.zeros(self.last.shape, dtype=bool)
             for rows in blocks:
@@ -406,8 +428,8 @@ class BatchState:
                 tweets = block.sum(axis=1)
                 self._apply_pending(rows)
                 self.acts[rows, day_index] = tweets + _spread(
-                    streams, day_index, packed[rows], shift, eta_star, infl,
-                    threshold, t_vec, block)
+                    streams, day_index, packed[rows], shift, day_gate,
+                    eta_star, infl, t_vec, block)
                 self.dist[rows, day_index] = block.sum(axis=1)
             self.pending = None
             if acted.any():

@@ -30,6 +30,8 @@ _RANDOM_BLOCK_ROWS = 2048  # fixed so generation is deterministic per seed
 _MAX_NODE_ID = int(np.iinfo(np.int64).max)
 # ASCII line breaks of str.splitlines that np.loadtxt does not honour
 _EXTRA_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+# _parse_lines splits the text into lines this many characters at a time
+_LINE_CHUNK_CHARS = 1 << 20
 
 
 class EdgeListError(ValueError):
@@ -207,8 +209,9 @@ def _read_pairs(source) -> np.ndarray:
             raw = fh.read()
     pairs = _parse_canonical(raw)
     if pairs is None:
-        text = raw if isinstance(raw, str) else raw.decode("utf-8")
-        pairs = _parse_lines(text)
+        if not isinstance(raw, str):
+            raw = raw.decode("utf-8")  # the bytes die here
+        pairs = _parse_lines(raw)
     return pairs
 
 
@@ -258,11 +261,14 @@ def _parse_lines(text: str) -> np.ndarray:
     Accepts what int() accepts for an id (also '+5', '1_000' and non-ASCII
     digits) and raises EdgeListError, with the line number where there is
     one, on malformed input. The ids are collected as int64 as they are
-    read, so an id above the int64 range is reported at its own line.
+    read, so an id above the int64 range is reported at its own line, and
+    the lines are split a chunk at a time (_iter_lines), so the text's
+    whole list of lines is never held.
     """
     ids = array.array("q")
     append = ids.append
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = _iter_lines(text, _LINE_CHUNK_CHARS)
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -288,6 +294,22 @@ def _parse_lines(text: str) -> np.ndarray:
     if not ids:
         raise EdgeListError("edge list contains no edges")
     return np.frombuffer(ids, dtype=np.int64).reshape(-1, 2)
+
+
+def _iter_lines(text: str, chunk: int):
+    """The lines of text.splitlines(), split one chunk of text at a time.
+
+    Each chunk ends just after a '\n' (or at the end of the text), which
+    always ends a line, also as the last character of '\r\n'. So the
+    chunks' lines are the text's lines, and only one chunk's list of lines
+    (about `chunk` characters) is held at a time.
+    """
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + chunk - 1)
+        end = len(text) if cut < 0 else cut + 1
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def _compact_ids(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

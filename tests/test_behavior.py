@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hashsim import (ModelParams, action_probability, activeness,
                      exposure_probability, hesitancy, interest,
                      per_retweet_probability, retweet_count, retweet_gate)
+from hashsim.behavior import gate_min
 from hashsim.engine import user_arrays
 
 TOL = 1e-12
@@ -118,6 +119,86 @@ class TestRetweetGate:
 
     def test_zero_exposure_guard(self):
         assert retweet_gate(0.0, 1.0, 0.0) is False
+
+
+def _near_integer(m, side):
+    """The float m, or the float one ulp below or above it."""
+    m = float(m)
+    return m if side == 0 else float(np.nextafter(m, side * np.inf))
+
+
+# thresholds eta_star * influence: exact integers (eta_star 1 or 2 and an
+# integral influence), one ulp either side of one, arbitrary reals, zero
+# influence, eta_star 1e300, and products that overflow to inf
+_GATE_CASE = st.one_of(
+    st.tuples(st.sampled_from([1.0, 2.0]),
+              st.builds(_near_integer, st.integers(0, 2**40),
+                        st.sampled_from([-1, 0, 1]))),
+    st.tuples(st.floats(1, 1e6), st.floats(0, 1e6)),
+    st.tuples(st.floats(1, 60), st.just(0.0)),
+    st.tuples(st.just(1e300), st.sampled_from([0.0, 1e-300, 1.0, 1e10])),
+    st.tuples(st.floats(1e200, 1e300), st.floats(1e200, 1e300)))
+
+
+class TestGateMin:
+    """((y << shift) | eta) >= gate_min(...) << shift is the retweet gate."""
+
+    @staticmethod
+    def assert_packed_gate(eta_star, infl, edges, shift, ys, etas):
+        least = gate_min(eta_star, infl, edges)
+        assert isinstance(least, np.int64) and 1 <= least <= edges + 1
+        gate = least << np.int64(shift)
+        for y in ys:
+            want = bool(retweet_gate(np.int64(y), eta_star, infl))
+            for eta in etas:
+                packed = np.int64((y << shift) | eta)
+                assert bool(packed >= gate) == want, (y, eta)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_GATE_CASE, st.integers(0, 20), st.data())
+    def test_packed_comparison_is_the_gate(self, case, shift, data):
+        eta_star, infl = case
+        # y <= E < 2**53, and (E + 1) << shift stays below 2**63
+        edges = data.draw(st.integers(
+            0, min(2**53 - 1, (1 << (63 - shift)) - 2)))
+        least = int(gate_min(eta_star, infl, edges))
+        near = st.integers(max(0, least - 2), min(edges, least + 1))
+        ys = data.draw(st.lists(st.integers(0, edges) | near
+                                | st.sampled_from([0, edges]),
+                                min_size=1, max_size=8))
+        etas = data.draw(st.lists(st.integers(0, (1 << shift) - 1)
+                                  | st.just((1 << shift) - 1),
+                                  min_size=1, max_size=3))
+        self.assert_packed_gate(eta_star, infl, edges, shift, ys, etas)
+
+    @pytest.mark.parametrize("eta_star, infl, want", [
+        (3.0, 4.0, 12),                                  # exact integer
+        (1.0, float(np.nextafter(12.0, 0.0)), 12),       # one ulp below
+        (1.0, float(np.nextafter(12.0, 13.0)), 13),      # one ulp above
+        (1.0, float(2**40 + 1), 2**40 + 1),
+        (1.0, float(np.nextafter(2.0**40, 0.0)), 2**40),
+        (2.0, 0.0, 1),                                   # no leaders
+        (1e300, 1e-300, 1),
+        (1e300, 1.0, 2**41 + 1),                         # capped
+        (1e300, 1e10, 2**41 + 1),                        # overflows to inf
+    ])
+    def test_hand_cases(self, eta_star, infl, want):
+        edges = 2**41
+        assert gate_min(eta_star, infl, edges) == want
+        ys = [0, edges] + [y for y in range(want - 2, want + 2)
+                           if 0 <= y <= edges]
+        self.assert_packed_gate(eta_star, infl, edges, 11, ys,
+                                [0, 1, 2**11 - 1])
+
+    def test_array_input_is_elementwise(self):
+        infl = np.array([0.0, 0.5, 4.0, np.nextafter(4.0, 5.0), 1e300])
+        least = gate_min(3.0, infl, 100)
+        assert least.dtype == np.int64
+        assert least.tolist() == [1, 2, 12, 13, 101]
+        assert least.tolist() == [gate_min(3.0, x, 100) for x in infl]
+        # an overflow to inf is capped, without a warning
+        capped = gate_min(1e300, np.array([1e10, 0.0]), 100)
+        assert capped.tolist() == [101, 1]
 
 
 class TestRetweetCount:

@@ -12,7 +12,7 @@ from hashsim import (ActivityProfile, FollowNetwork, GridSpec,
                      HashtagCsvError, ModelParams, binomial_count, engine,
                      generate_synthetic, grid_scan, normalize,
                      read_hashtag_csv, rng, run_ensemble, run_simulation)
-from hashsim.behavior import action_probability, interest
+from hashsim.behavior import action_probability, interest, retweet_gate
 from reference import (binomial_cdf, binomial_reference, edge_followers,
                        simulate_reference)
 
@@ -70,6 +70,43 @@ class TestBinomialCount:
             cases.append((u, n, p))
         u, n, p = map(list, zip(*cases))
         want = [binomial_reference(*case) for case in cases]
+        assert binomial_count(u, n, p).tolist() == want
+
+
+    @pytest.mark.parametrize("n, p", [
+        (7, 0.3),                               # scalar n and p
+        (np.arange(50) % 13, 0.45),             # scalar p
+        (9, np.linspace(0.0, 1.0, 50)),         # scalar n, p = 0 and 1
+        (300, 0.5)])
+    def test_broadcast_inputs(self, n, p):
+        u = np.random.default_rng(0).random((4, 50))
+        u[0, :3] = [0.0, 1.0 - 2.0 ** -53, 0.5]
+        got = binomial_count(u, n, p)
+        assert got.shape == u.shape and got.dtype == np.int64
+        want = [binomial_reference(float(a), int(b), float(c))
+                for a, b, c in zip(*(x.ravel() for x in
+                                     np.broadcast_arrays(u, n, p)))]
+        assert got.ravel().tolist() == want
+
+    def test_entries_stop_at_many_steps(self):
+        # n up to 300 and p near 0.5: entries stop at over a hundred
+        # different k, so the live set is compacted on many steps
+        gen = np.random.default_rng(5)
+        n = gen.integers(0, 301, 3000)
+        p = gen.uniform(0.4, 0.6, 3000)
+        u = gen.random(3000)
+        want = [binomial_reference(*case)
+                for case in zip(u.tolist(), n.tolist(), p.tolist())]
+        assert len(set(want)) > 100
+        assert binomial_count(u, n, p).tolist() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                              st.integers(0, 300), st.floats(0.4, 0.6)),
+                    min_size=1, max_size=60))
+    def test_near_half_equals_per_entry_loop(self, entries):
+        u, n, p = map(list, zip(*entries))
+        want = [binomial_reference(*case) for case in entries]
         assert binomial_count(u, n, p).tolist() == want
 
 
@@ -427,6 +464,41 @@ class TestAgainstReference:
         acts, _ = self.assert_rows_match_reference(
             monkeypatch, net, params, self.SPARSE_SEEDS)
         assert np.all(acts[:, 7] > 0)
+
+    def test_gated_pairs_with_t_zero_match_reference(self, monkeypatch):
+        # at lam 2, t = 0 on day 1 for the users with l + f < 7, and some
+        # of them pass the gate: the engine skips their slot-2 draw, while
+        # the oracle draws it and gets 0 retweets (r = 0)
+        net = generate_synthetic(**self.SPARSE)
+        params = ModelParams(lam=2.0, eta_star=1, delta_t=3)
+        _, h = engine.user_arrays(net)
+        spread, uniforms = engine._spread, rng.uniforms
+        slot2, seen = [], {"t_zero": 0, "t_positive": 0}
+
+        def spy_uniforms(streams, day_index, slot):
+            if slot == 2:
+                slot2.append(np.size(streams))
+            return uniforms(streams, day_index, slot)
+
+        def spy_spread(*args):
+            day_index, packed, shift = args[1:4]
+            eta_star = args[5]
+            # the gate and t by their definitions
+            gated = retweet_gate(packed >> shift, eta_star, net.influence)
+            tau = interest(float(engine.DAY_OFFSETS[day_index]), params.lam)
+            t = action_probability(params.sigma, tau, h)
+            if day_index > engine.PEAK_INDEX:
+                seen["t_zero"] += np.count_nonzero(gated & (t == 0.0))
+            seen["t_positive"] += np.count_nonzero(gated & (t > 0.0))
+            slot2.clear()
+            out = spread(*args)
+            assert sum(slot2) == np.count_nonzero(gated & (t > 0.0))
+            return out
+        monkeypatch.setattr(engine, "_spread", spy_spread)
+        monkeypatch.setattr(rng, "uniforms", spy_uniforms)
+        self.assert_rows_match_reference(monkeypatch, net, params,
+                                         self.SPARSE_SEEDS)
+        assert seen["t_zero"] > 0 and seen["t_positive"] > 0
 
     def test_user_order_is_irrelevant(self):
         net = generate_synthetic("uniform-random", 80, edge_prob=0.1, seed=9)

@@ -415,3 +415,46 @@ def test_load_peak_memory_per_line(tmp_path):
         tracemalloc.stop()
     assert lines > 45_000
     assert peak <= 64 * lines, f"{peak / lines:.1f} bytes per line"
+
+
+def test_fallback_load_holds_one_chunk_of_lines(tmp_path, monkeypatch):
+    """The per-line parse holds one chunk's lines, not the whole list.
+
+    The first id written '0_…' sends the file to _parse_lines; with a
+    small chunk its traced peak is that of the canonical load (about 36
+    bytes per line here), where the whole list of lines would add ~60.
+    """
+    net = generate_synthetic("uniform-random", 5000, edge_prob=0.002, seed=0)
+    path = tmp_path / "edges.txt"
+    write_edge_list(net, path)
+    lines = net.edge_count
+    path.write_bytes(b"0_" + path.read_bytes())
+    want = load_edge_list(path)
+    monkeypatch.setattr(network, "_LINE_CHUNK_CHARS", 4096)
+    tracemalloc.start()
+    try:
+        got = load_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_network(got, want)
+    assert network._parse_canonical(path.read_bytes()) is None
+    assert peak <= 64 * lines, f"{peak / lines:.1f} bytes per line"
+
+
+# every line break of str.splitlines, '\r\n' among them, and a few others
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(list(_BREAKS) + ["\r\n", "1", " ", "#",
+                                                 "\xa0", "a"]),
+                max_size=40).map("".join),
+       st.integers(1, 8))
+@example("1 2\r\n3 4", 4)
+@example("\r\n\r\n", 1)
+@example("a\r", 2)
+def test_iter_lines_equals_splitlines(text, chunk):
+    assert list(network._iter_lines(text, chunk)) == text.splitlines()
+    assert (list(network._iter_lines(text, network._LINE_CHUNK_CHARS))
+            == text.splitlines())
