@@ -166,26 +166,24 @@ def binomial_count(u, n, p) -> np.ndarray:
     operations in the same order as in a loop over every entry (pmf * (n -
     k) / (k + 1) * ratio, then cdf += pmf, then the test (u > cdf) & (k <
     n)), so an entry's count does not depend on the entries drawn with it.
-    The live set is compacted, by one np.flatnonzero and integer gathers,
-    only on a step where some entry stops; that step first writes k to
-    every live entry, which is final for the ones that stop and is
-    overwritten later for the others.
+    The entries are handled flat, with no gather of those with 0 < p < 1:
+    p >= 1 gives n, and an entry with p <= 0 (or NaN) never goes live. The
+    live set is compacted, by one np.flatnonzero and integer gathers, only
+    on a step where some entry stops; that step first writes k to every
+    live entry, which is final for the ones that stop and is overwritten
+    later for the others.
     """
-    u = np.asarray(u, dtype=float)
-    n = np.asarray(n, dtype=np.int64)
-    p = np.asarray(p, dtype=float)
-    u, n, p = np.broadcast_arrays(u, n, p)
-    out = np.zeros(u.shape, dtype=np.int64)
-    out[p >= 1.0] = n[p >= 1.0]
-    idx = np.nonzero((p > 0.0) & (p < 1.0))
-    if idx[0].size == 0:
-        return out
-    uu, nn, pp = u[idx], n[idx], p[idx]
-    pmf = (1.0 - pp) ** nn
-    k_out = np.zeros(uu.shape, dtype=np.int64)
-    live = np.flatnonzero((uu > pmf) & (nn > 0))
+    u, n, p = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                  np.asarray(n, dtype=np.int64),
+                                  np.asarray(p, dtype=float))
+    shape = u.shape
+    u, n, p = u.ravel(), n.ravel(), p.ravel()
+    out = np.where(p >= 1.0, n, 0)
+    # CDF(0) = (1 - p)**n; clipped, p <= 0 gives 1 and no entry goes past it
+    pmf = np.clip(1.0 - p, 0.0, 1.0) ** n
+    live = np.flatnonzero((u > pmf) & (n > 0) & (p < 1.0))
     # from here on the arrays hold the live entries only
-    uu, nn, pp, pmf = uu[live], nn[live], pp[live], pmf[live]
+    uu, nn, pp, pmf = u[live], n[live], p[live], pmf[live]
     ratio = pp / (1.0 - pp)
     cdf = pmf.copy()
     k = 0
@@ -198,13 +196,12 @@ def binomial_count(u, n, p) -> np.ndarray:
         more = uu > cdf
         more &= nn > k
         if np.count_nonzero(more) < live.size:
-            k_out[live] = k  # final for the entries that stop here
+            out[live] = k  # final for the entries that stop here
             keep = np.flatnonzero(more)
             live, uu, nn, ratio, pmf, cdf = (live[keep], uu[keep], nn[keep],
                                              ratio[keep], pmf[keep],
                                              cdf[keep])
-    out[idx] = k_out
-    return out
+    return out.reshape(shape)
 
 
 def user_arrays(net: FollowNetwork) -> tuple[np.ndarray, np.ndarray]:
