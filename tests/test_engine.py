@@ -46,7 +46,8 @@ class TestBinomialCount:
         k = binomial_count(u, np.full(u.shape, 10), np.full(u.shape, 0.3))
         assert k.mean() == pytest.approx(3.0, abs=0.01)
 
-    # n reaches 300 (nu reaches 292 on a dense 20k-node graph); u runs up
+    # n reaches 300 (nu reaches 292 on a dense 20k-node graph), and p near
+    # 0.5 makes entries stop at many different k; u runs up
     # to the largest uniform below 1, where the CDF may never get past u,
     # and sits on or just above a CDF value, where one ulp moves k
     @settings(max_examples=300, deadline=None)
@@ -56,7 +57,7 @@ class TestBinomialCount:
                   st.tuples(st.integers(0, 300), st.booleans())),
         st.integers(0, 300),
         st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0),
-                  st.floats(1e-9, 1e-3))),
+                  st.floats(1e-9, 1e-3), st.floats(0.4, 0.6))),
         min_size=1, max_size=80))
     def test_equals_per_entry_loop(self, entries):
         cases = []
@@ -98,15 +99,6 @@ class TestBinomialCount:
         want = [binomial_reference(*case)
                 for case in zip(u.tolist(), n.tolist(), p.tolist())]
         assert len(set(want)) > 100
-        assert binomial_count(u, n, p).tolist() == want
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
-                              st.integers(0, 300), st.floats(0.4, 0.6)),
-                    min_size=1, max_size=60))
-    def test_near_half_equals_per_entry_loop(self, entries):
-        u, n, p = map(list, zip(*entries))
-        want = [binomial_reference(*case) for case in entries]
         assert binomial_count(u, n, p).tolist() == want
 
 
