@@ -10,10 +10,9 @@ probability t are both positive (a uniform in [0, 1) is never below 0),
 slot 1 where slot 0 fell below rho, and slot 2 at the (run, user) pairs
 that pass the retweet gate and whose t is positive that day (t = 0 makes
 the per-retweet probability 0, so every retweet draw there is 0). A draw
-is a function of its address alone, so
-a subset of addresses gets the same bits as the full (runs, users) matrix
-would have there, and the output bytes do not depend on which addresses
-are drawn.
+is a function of its address alone, so a subset of addresses gets the
+same bits as the full (runs, users) matrix would have there, and the
+output bytes do not depend on which addresses are drawn.
 
 Exposure is state, not a per-day recomputation. For every (run, user) the
 engine keeps y (summed follower counts of the leaders active more recently
