@@ -36,8 +36,8 @@ EXIT_IO = 3
 MAX_AXIS_POINTS = 10_000
 # Runs in one ensemble, 200x the paper's 50, checked before anything is
 # loaded, so a count such as 10**9 is refused before its seeds are built.
-# It does not bound memory: an ensemble holds ~22 bytes of state per (run,
-# user), so 10,000 runs of an 81k-user graph need ~18 GB. main reports a
+# It does not bound memory: an ensemble holds ~20 bytes of state per (run,
+# user), so 10,000 runs of an 81k-user graph need ~16 GB. main reports a
 # failed allocation as a usage error.
 MAX_RUNS = 10_000
 
@@ -161,9 +161,10 @@ def cmd_fit(args) -> int:
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
     check_theta(args.theta)
-    net = load_edge_list(args.network, direction=args.direction)
+    # the target first: a malformed one fails before a network is loaded
     record = read_hashtag_csv(args.hashtag, name=args.name)
     target_tweets, target_users = record.target_profiles()
+    net = load_edge_list(args.network, direction=args.direction)
     print(f"scan: {grid.size} triplets x {grid.runs} runs")
     result = grid_scan(net, target_tweets, target_users, grid,
                        base_seed=args.seed, theta=args.theta,

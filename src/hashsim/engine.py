@@ -22,9 +22,9 @@ l_max < 2**b and y <= E, so the fields never carry into each other, and a
 packed sum of per-leader weights (F_j << b) | 1 adds to both at once. A
 day's actors change the state only locally: an actor's own exposure drops
 to 0, and each follower that did not act gains the weight of every actor j
-it had not yet counted. The update is applied before the next simulated
-day, in one of two directions (Beamer, Asanovic & Patterson,
-"Direction-optimizing BFS", SC 2012):
+it had not yet counted. The update is applied within the day, after the
+day's retweets are drawn, in one of two directions (Beamer, Asanovic &
+Patterson, "Direction-optimizing BFS", SC 2012):
 
 - push walks the follower CSR (the transpose of the leader CSR, built once
   per network) from the actors, when their out-edge volume sum(F_j) is at
@@ -43,16 +43,28 @@ behavior.retweet_gate. As 0 <= eta < 2**b, that holds exactly when y >=
 gate_min, and so exactly when the gate passes. A user whose t is 0 that
 day gets the cap E + 1, which no y reaches.
 
+Only the updates that a later day reads are made. Someone can post on day
+d exactly when sigma * tau(d) > min(h), since t = clip(sigma * tau - h, 0,
+1) and a - b > 0 exactly when a > b for finite floats; a day on which
+nobody can post is skipped, as it changes nothing. A day at or before the
+peak is always applied, as every branch of the peak state reads it,
+whatever its lambda. After the peak, a day is applied only if someone can
+post on the next simulated day: tau never rises after the peak, so
+nobody tomorrow means nobody on any later day. A block without actors
+has nothing to apply.
+
 A day is simulated in blocks of consecutive runs, each of at most
 _BLOCK_EDGES (run, edge) pairs, or one run when a single run has more
 edges. The quantities that depend on the user alone (interest, action
 and exposure probabilities, who can post) are computed once per day; then
-each block draws its tweets, applies the previous day's actors to its
-exposure (choosing push or pull for itself) and draws its retweets. So
-the temporaries of a day are bounded by the budget, not by runs x users
-or runs x E, while the state itself holds about 22 bytes per (run, user).
-Runs are independent, draws are addressed and y and eta are exact, so the
-blocks give the same bytes as one block of every run.
+each block draws its tweets and its retweets, then writes its rows of
+the day's new `last` and applies its actors to its exposure (choosing
+push or pull for itself). So the temporaries of a day are bounded by the
+budget, not by runs x users or runs x E, while the state holds about 20
+bytes per (run, user): the stream root and the packed exposure (8 each),
+`last` (2) and, during a day, its replacement (2). Runs are independent,
+draws are addressed and y and eta are exact, so the blocks give the same
+bytes as one block of every run.
 
 Interest is 1 on every day up to the peak, so days -delta_t..0 do not
 depend on lambda. Every batch takes one path: peak_state simulates those
@@ -65,7 +77,6 @@ parameters.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import os
 from dataclasses import dataclass
@@ -217,91 +228,56 @@ def user_arrays(net: FollowNetwork) -> tuple[np.ndarray, np.ndarray]:
     return activeness(f, l, net.f_max, net.l_max), h
 
 
-class _Exposure:
-    """Exposure of every (run, user), kept current with the `last` matrix.
+def _push(net: FollowNetwork, packed, shift: int, last, actors) -> None:
+    """Add one day's actors to the exposure of their followers.
 
-    packed[r, i] is (y << shift) | eta: y sums F_j over the leaders j of i
-    with last[r, j] > last[r, i], and eta counts them. shift is
-    l_max.bit_length(), so eta <= l_max fits below y, and y <= E keeps the
-    packed value below 2**63 (checked here, once per state). Both fields
-    are exact integers below 2**53.
+    packed (updated in place) and last (as it was before today) are one
+    block's rows, and `actors` are flat indices into them. A follower i
+    gains (F_j << shift) | 1 from an actor j, unless j already counted for
+    it (last[j] > last[i]). Actors then drop to zero, since no leader can
+    be more recent than today.
     """
+    n = net.user_count
+    packed = packed.reshape(-1)
+    last = last.reshape(-1)
+    indptr, follower_ids = net.follower_csr
+    j = actors % n
+    count = net.follower_count[j]
+    # (actor, follower) pairs: follower i and the flat (run, i) index
+    pos = np.repeat(indptr[j] - (np.cumsum(count) - count), count)
+    pos += np.arange(pos.size)
+    flat = follower_ids[pos]
+    del pos
+    flat += np.repeat(actors - j, count)
+    weight = np.repeat((count << shift) | 1, count)
+    weight *= np.repeat(last[actors], count) <= last[flat]
+    np.add.at(packed, flat, weight)
+    packed[actors] = 0
 
-    def __init__(self, net: FollowNetwork, runs: int):
-        self.net = net
-        self.shift = net.l_max.bit_length()
-        if (net.edge_count + 1) << self.shift >= 1 << 63:
-            raise ValueError("network too large to pack y and eta in int64")
-        self.packed = np.zeros((runs, net.user_count), dtype=np.int64)
 
-    def copy(self) -> _Exposure:
-        twin = copy.copy(self)
-        twin.packed = self.packed.copy()
-        return twin
+def _pull(net: FollowNetwork, packed, last) -> None:
+    """Recompute one block's packed rows from its `last` over every edge.
 
-    def update(self, rows: slice, last_old, acted, last_new) -> None:
-        """Bring these rows from last_old to last_new, which adds `acted`.
-
-        last_old, acted and last_new hold these rows only: one block.
-        """
-        net = self.net
-        actors = np.flatnonzero(acted)
-        volume = int(net.follower_count[actors % net.user_count].sum())
-        if volume <= _PUSH_MAX_FRAC * acted.shape[0] * net.edge_count:
-            self._push(rows, last_old, actors)
-        else:
-            self._pull(rows, last_new)
-
-    def _push(self, rows: slice, last_old, actors) -> None:
-        """Add one day's actors to the exposure of their followers.
-
-        `actors` are flat indices into these rows. A follower i gains
-        (F_j << shift) | 1 from an actor j, unless j already counted for it
-        (last_old[j] > last_old[i]). Actors then drop to zero, since no
-        leader can be more recent than today.
-        """
-        net, n = self.net, self.net.user_count
-        packed = self.packed[rows].reshape(-1)
-        last_old = last_old.reshape(-1)
-        indptr, follower_ids = net.follower_csr
-        j = actors % n
-        count = net.follower_count[j]
-        # (actor, follower) pairs: follower i and the flat (run, i) index
-        pos = np.repeat(indptr[j] - (np.cumsum(count) - count), count)
-        pos += np.arange(pos.size)
-        flat = follower_ids[pos]
-        del pos
-        flat += np.repeat(actors - j, count)
-        weight = np.repeat((count << self.shift) | 1, count)
-        weight *= np.repeat(last_old[actors], count) <= last_old[flat]
-        np.add.at(packed, flat, weight)
-        packed[actors] = 0
-
-    def _pull(self, rows: slice, last) -> None:
-        """Recompute these rows from their `last` over every edge.
-
-        Edges are sorted by follower, so each user's leaders form one
-        segment, and one segmented sum of the weights of the recent edges
-        gives each packed value (FollowNetwork.pull_plan). The rows are one
-        block, so a pull holds at most _BLOCK_EDGES (run, edge) pairs, or
-        one run's edges.
-        """
-        net = self.net
-        weights, starts, has_leaders = net.pull_plan
-        recent = (np.take(last, net.leader_ids, axis=1)
-                  > np.repeat(last, net.leader_count, axis=1))
-        self.packed[rows, has_leaders] = np.add.reduceat(recent * weights,
-                                                         starts, axis=1)
+    Edges are sorted by follower, so each user's leaders form one segment,
+    and one segmented sum of the weights of the recent edges gives each
+    packed value (FollowNetwork.pull_plan). The rows are one block, so a
+    pull holds at most _BLOCK_EDGES (run, edge) pairs, or one run's edges.
+    """
+    weights, starts, has_leaders = net.pull_plan
+    recent = (np.take(last, net.leader_ids, axis=1)
+              > np.repeat(last, net.leader_count, axis=1))
+    packed[:, has_leaders] = np.add.reduceat(recent * weights, starts, axis=1)
 
 
 def _inject(streams, day_index: int, can_post, rho_post, t_vec,
             acted) -> None:
     """Exogenous stimulus: mark in `acted` who is exposed and tweets today.
 
-    u < rho and u < t hold only where rho and t are positive, so slot 0 is
-    drawn only at the users who can post (rho_post is rho there) and slot
-    1 only where slot 0 passed. The day's temporaries die on return,
-    before the next exposure update.
+    acted holds the rows of one block, as streams does. u < rho and u < t
+    hold only where rho and t are positive, so slot 0 is drawn only at the
+    users who can post (rho_post is rho there) and slot 1 only where slot
+    0 passed. The temporaries die on return, before the block's retweets
+    are drawn.
     """
     u_exp = rng.uniforms(streams[:, can_post], day_index, 0)
     hit = np.flatnonzero(u_exp < rho_post)
@@ -346,9 +322,14 @@ class BatchState:
     """A batch of runs between two simulated days.
 
     peak_state returns one taken at the end of the peak day, and
-    run_ensemble continues a copy of it. streams, a_vec, h_vec, last and
-    pending are never written in place (a day replaces last), so copies
-    share them; the exposure and the tallies are copied.
+    run_ensemble continues a copy of it. packed[r, i] is the exposure
+    (y << shift) | eta of user i in run r: y sums F_j over the leaders j
+    of i with last[r, j] > last[r, i], and eta counts them. shift is
+    l_max.bit_length(), so eta <= l_max fits below y. packed agrees with
+    last after every day whose actors a later day can read (the module
+    docstring gives the rule). streams, a_vec, h_vec and last are never
+    written in place (a day replaces last), so copies share them; packed
+    and the tallies are copied.
     """
 
     net: FollowNetwork
@@ -358,19 +339,17 @@ class BatchState:
     a_vec: np.ndarray
     h_vec: np.ndarray
     last: np.ndarray
+    packed: np.ndarray
+    shift: int
     acts: np.ndarray
     dist: np.ndarray
-    exposure: _Exposure
-    # (last before, actors) of the latest day with actors, applied to the
-    # exposure only when a later day needs it
-    pending: Optional[tuple] = None
 
     def branch(self, params: ModelParams) -> BatchState:
         """An independent copy that goes on with `params`."""
         return dataclasses.replace(self, params=params,
+                                   packed=self.packed.copy(),
                                    acts=self.acts.copy(),
-                                   dist=self.dist.copy(),
-                                   exposure=self.exposure.copy())
+                                   dist=self.dist.copy())
 
     def _blocks(self) -> list:
         """Row slices of at most _BLOCK_EDGES (run, edge) pairs each.
@@ -382,55 +361,55 @@ class BatchState:
         return [slice(lo, lo + size)
                 for lo in range(0, self.last.shape[0], size)]
 
-    def _apply_pending(self, rows: slice) -> None:
-        if self.pending is not None:
-            last_old, acted = self.pending
-            self.exposure.update(rows, last_old[rows], acted[rows],
-                                 self.last[rows])
-
-    def settle(self) -> None:
-        """Apply the pending actors to the exposure, block by block."""
-        for rows in self._blocks():
-            self._apply_pending(rows)
-        self.pending = None
-
     def simulate(self, days: range) -> None:
         """Simulate the days with these indices into DAY_OFFSETS, in order."""
-        params, h_vec = self.params, self.h_vec
-        infl = self.net.influence
-        packed, shift = self.exposure.packed, self.exposure.shift
+        net, params, shift = self.net, self.params, self.shift
+        h_vec, infl = self.h_vec, net.influence
+        n, edges = net.user_count, net.edge_count
         eta_star = float(params.eta_star)
-        y_max = self.net.edge_count
-        gate = gate_min(eta_star, infl, y_max) << shift
-        closed = (y_max + 1) << shift
+        gate = gate_min(eta_star, infl, edges) << shift
+        closed = (edges + 1) << shift
         sigma = float(params.sigma)
+        taus = [interest(float(DAY_OFFSETS[i]), params.lam) for i in days]
+        # t = clip(sigma * tau - h, 0, 1) > 0 exactly when sigma * tau > h
+        h_min = h_vec.min()
+        posts = [sigma * tau > h_min for tau in taus]
         blocks = self._blocks()
-        for day_index in days:
-            d = DAY_OFFSETS[day_index]
-            tau = interest(float(d), params.lam)
-            t_vec = action_probability(sigma, tau, h_vec)  # tweet == retweet
-            if not np.any(t_vec > 0.0):
+        for k, day_index in enumerate(days):
+            if not posts[k]:
                 continue  # nobody can post today; state cannot change
+            # every branch reads the peak day's actors; after it, a later
+            # day reads today's only if someone can post tomorrow
+            update = (day_index <= PEAK_INDEX
+                      or k + 1 < len(posts) and posts[k + 1])
+            d = DAY_OFFSETS[day_index]
+            # one probability for tweets and retweets
+            t_vec = action_probability(sigma, taus[k], h_vec)
             rho = exposure_probability(self.a_vec, float(d), params)
             can_post = np.nonzero((t_vec > 0.0) & (rho > 0.0))[0]
             rho_post = rho[can_post]
             # t = 0 makes r = 0 and every binomial draw 0: keep those closed
             day_gate = np.where(t_vec > 0.0, gate, closed)
 
-            acted = np.zeros(self.last.shape, dtype=bool)
+            last = self.last.copy()  # branches share self.last
             for rows in blocks:
-                streams, block = self.streams[rows], acted[rows]
-                _inject(streams, day_index, can_post, rho_post, t_vec, block)
-                tweets = block.sum(axis=1)
-                self._apply_pending(rows)
+                streams, packed = self.streams[rows], self.packed[rows]
+                acted = np.zeros(streams.shape, dtype=bool)
+                _inject(streams, day_index, can_post, rho_post, t_vec, acted)
+                tweets = acted.sum(axis=1)
                 self.acts[rows, day_index] = tweets + _spread(
-                    streams, day_index, packed[rows], shift, day_gate,
-                    eta_star, infl, t_vec, block)
-                self.dist[rows, day_index] = block.sum(axis=1)
-            self.pending = None
-            if acted.any():
-                self.pending = (self.last, acted)
-                self.last = np.where(acted, np.int16(d), self.last)
+                    streams, day_index, packed, shift, day_gate, eta_star,
+                    infl, t_vec, acted)
+                self.dist[rows, day_index] = acted.sum(axis=1)
+                np.putmask(last[rows], acted, np.int16(d))
+                if update and acted.any():
+                    actors = np.flatnonzero(acted)
+                    volume = int(net.follower_count[actors % n].sum())
+                    if volume <= _PUSH_MAX_FRAC * acted.shape[0] * edges:
+                        _push(net, packed, shift, self.last[rows], actors)
+                    else:
+                        _pull(net, packed, last[rows])
+            self.last = last
 
 
 def peak_state(net: FollowNetwork, params: ModelParams, base_seed: int,
@@ -443,6 +422,10 @@ def peak_state(net: FollowNetwork, params: ModelParams, base_seed: int,
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    # eta <= l_max < 2**shift and y <= E, and the gate's cap is E + 1
+    shift = net.l_max.bit_length()
+    if (net.edge_count + 1) << shift >= 1 << 63:
+        raise ValueError("network too large to pack y and eta in int64")
     seeds = tuple(base_seed + k for k in range(runs))
     a_vec, h_vec = user_arrays(net)
     state = BatchState(net=net, params=params, seeds=seeds,
@@ -450,11 +433,12 @@ def peak_state(net: FollowNetwork, params: ModelParams, base_seed: int,
                        a_vec=a_vec, h_vec=h_vec,
                        last=np.full((runs, net.user_count), _NEVER,
                                     dtype=np.int16),
+                       packed=np.zeros((runs, net.user_count),
+                                       dtype=np.int64),
+                       shift=shift,
                        acts=np.zeros((runs, N_DAYS)),
-                       dist=np.zeros((runs, N_DAYS)),
-                       exposure=_Exposure(net, runs))
+                       dist=np.zeros((runs, N_DAYS)))
     state.simulate(range(PEAK_INDEX - int(params.delta_t), PEAK_INDEX + 1))
-    state.settle()  # once here, rather than once per branch
     return state
 
 

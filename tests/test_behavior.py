@@ -96,6 +96,27 @@ class TestActionProbability:
     def test_stays_in_unit_interval(self, sigma, tau, h):
         assert 0.0 <= action_probability(sigma, tau, h) <= 1.0
 
+    # the engine skips a day, and the exposure update before it, on the
+    # predicate sigma * tau > min(h). tau runs down to subnormal values
+    # and 0 (exp(-745) is subnormal, exp(-746) is 0), and one h may sit on
+    # sigma * tau or one ulp to either side of it
+    @settings(max_examples=500)
+    @given(st.one_of(st.just(0.0), st.floats(0, 1)),
+           st.one_of(st.just(0.0), st.floats(0, 1),
+                     st.floats(700, 800).map(lambda z: math.exp(-z))),
+           st.lists(st.floats(0, 1), min_size=1, max_size=6),
+           st.sampled_from([None, -1, 0, 1]), st.data())
+    def test_someone_can_post_exactly_when_sigma_tau_exceeds_min_h(
+            self, sigma, tau, h, tie, data):
+        h = np.array(h)
+        if tie is not None:
+            i = data.draw(st.integers(0, h.size - 1))
+            h[i] = sigma * tau
+            if tie:  # one ulp below or above
+                h[i] = np.nextafter(h[i], tie * np.inf)
+        assert (sigma * tau > h.min()) == np.any(
+            action_probability(sigma, tau, h) > 0)
+
 
 class TestExposureProbability:
     def test_default_coverage_is_identity(self):

@@ -378,6 +378,17 @@ class TestFitAndClassify:
         assert main(["fit", "--network", star_file, "--hashtag", str(short),
                      "--grid", "lambda=1,eta=2,dt=0", "--runs", "1"]) == 2
 
+    def test_fit_reads_the_target_before_the_network(self, star_file,
+                                                      tmp_path, monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "load_edge_list",
+                            lambda *args, **kwargs: loads.append(args))
+        short = tmp_path / "short.csv"
+        short.write_text("day,tweets,users\n-7,1,1\n")
+        assert main(["fit", "--network", star_file, "--hashtag", str(short),
+                     "--grid", "lambda=1,eta=2,dt=0", "--runs", "1"]) == 2
+        assert loads == []
+
     def test_fit_rejects_nan_hashtag_count(self, star_file, tmp_path,
                                            capsys):
         rows = ["day,tweets,users"] + [f"{d},2,1" for d in range(-7, 8)]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib.util
 import io
@@ -220,8 +221,15 @@ def exposure_by_definition(net, last):
 
 
 def unpacked(state):
-    """The y and eta fields of an _Exposure's packed (y << shift) | eta."""
+    """The y and eta fields of a state's packed (y << shift) | eta."""
     return state.packed >> state.shift, state.packed & ((1 << state.shift) - 1)
+
+
+def no_exposure(net, runs):
+    """Zero packed exposure of `runs` runs, with BatchState's shift."""
+    return SimpleNamespace(
+        packed=np.zeros((runs, net.user_count), dtype=np.int64),
+        shift=net.l_max.bit_length())
 
 
 def assert_exposure_by_definition(state, net, last):
@@ -258,13 +266,13 @@ class TestExposure:
         net, last_old, acted, last_new = step
         if net.edge_count == 0:
             return
-        every = slice(None)
-        pushed = engine._Exposure(net, last_old.shape[0])
-        pushed._pull(every, last_old)
+        pushed = no_exposure(net, last_old.shape[0])
+        engine._pull(net, pushed.packed, last_old)
         assert_exposure_by_definition(pushed, net, last_old)
-        pushed._push(every, last_old, np.flatnonzero(acted))
-        pulled = engine._Exposure(net, last_old.shape[0])
-        pulled._pull(every, last_new)
+        engine._push(net, pushed.packed, pushed.shift, last_old,
+                     np.flatnonzero(acted))
+        pulled = no_exposure(net, last_old.shape[0])
+        engine._pull(net, pulled.packed, last_new)
         for state in (pushed, pulled):
             assert_exposure_by_definition(state, net, last_new)
 
@@ -274,8 +282,8 @@ class TestExposure:
                                        np.arange(1, 301), 301)
         last = np.zeros((1, 301), dtype=np.int16)
         last[0, 0] = engine._NEVER
-        state = engine._Exposure(net, 1)
-        state._pull(slice(None), last)
+        state = no_exposure(net, 1)
+        engine._pull(net, state.packed, last)
         y, eta = unpacked(state)
         assert eta[0, 0] == 300
         assert y[0, 0] == 300
@@ -295,9 +303,9 @@ class TestExposure:
         last = np.zeros((2, net.user_count), dtype=np.int16)
         last[:, :followers] = engine._NEVER
         last[1, followers::3] = engine._NEVER
-        pulled = engine._Exposure(net, 2)
+        pulled = no_exposure(net, 2)
         assert pulled.shift == leaders.bit_length()
-        pulled._pull(slice(None), last)
+        engine._pull(net, pulled.packed, last)
         y, eta = unpacked(pulled)
         assert eta[0, 0] == leaders
         assert y[0, 0] == net.edge_count
@@ -305,19 +313,25 @@ class TestExposure:
         # the same state pushed from nothing: the leaders act on day 0
         never = np.full(last.shape, engine._NEVER, dtype=np.int16)
         acted = last == 0
-        pushed = engine._Exposure(net, 2)
-        pushed._push(slice(None), never, np.flatnonzero(acted))
+        pushed = no_exposure(net, 2)
+        engine._push(net, pushed.packed, pushed.shift, never,
+                     np.flatnonzero(acted))
         assert np.array_equal(pushed.packed, pulled.packed)
 
     def test_state_rejects_networks_too_large_to_pack(self):
-        # shift 3: (E + 1) << 3 must stay below 2**63
-        fits = SimpleNamespace(user_count=1, edge_count=(1 << 60) - 2,
-                               l_max=7)
-        assert engine._Exposure(fits, 1).shift == 3
-        net = SimpleNamespace(user_count=1, edge_count=(1 << 60) - 1,
-                              l_max=7)
+        # shift 3: (E + 1) << 3 must stay below 2**63. A one-user network
+        # stands in for the edges: nobody can post, so no day reads them
+        one = FollowNetwork.from_edges(np.zeros(0, dtype=np.int64),
+                                       np.zeros(0, dtype=np.int64), 1)
+        fields = {f.name: getattr(one, f.name)
+                  for f in dataclasses.fields(one)}
+        fits = SimpleNamespace(**dict(fields, l_max=7,
+                                      edge_count=(1 << 60) - 2))
+        assert engine.peak_state(fits, PARAMS, 0, 1).shift == 3
+        net = SimpleNamespace(**dict(fields, l_max=7,
+                                     edge_count=(1 << 60) - 1))
         with pytest.raises(ValueError, match="too large"):
-            engine._Exposure(net, 1)
+            engine.peak_state(net, PARAMS, 0, 1)
 
     def test_pull_plan_is_built_once_per_network(self, monkeypatch):
         builds = count_plan_builds(monkeypatch)
@@ -369,12 +383,12 @@ def count_directions(monkeypatch):
     calls = {"push": 0, "pull": 0}
 
     def spy(name):
-        original = getattr(engine._Exposure, "_" + name)
+        original = getattr(engine, "_" + name)
 
-        def wrapper(self, *args):
+        def wrapper(*args):
             calls[name] += 1
-            return original(self, *args)
-        monkeypatch.setattr(engine._Exposure, "_" + name, wrapper)
+            return original(*args)
+        monkeypatch.setattr(engine, "_" + name, wrapper)
 
     spy("push")
     spy("pull")
@@ -562,25 +576,71 @@ class TestBranchAtPeak:
 
     @pytest.mark.parametrize("delta_t", [0, 7])
     @pytest.mark.parametrize("coverage", [None, _coverage])
-    def test_branches_equal_plain_ensembles(self, er200, delta_t, coverage):
+    def test_branches_equal_plain_ensembles(self, monkeypatch, er200,
+                                            delta_t, coverage):
         # lam = 40 leaves no user able to post after the peak, so every
-        # post-peak day of that branch is skipped
+        # post-peak day of that branch is skipped; a snapshot taken at lam
+        # 40 still holds the peak day's actors for the other branches
         _, h = engine.user_arrays(er200)
         assert not np.any(action_probability(1.0, interest(1.0, 40.0), h))
         seed = 1234
-        snapshot = engine.peak_state(
-            er200, ModelParams(lam=0.3, eta_star=2, delta_t=delta_t,
-                               coverage=coverage), seed, self.RUNS)
-        for lam in (0.0, 0.5, 1.5, 40.0):
-            params = ModelParams(lam=lam, eta_star=2, delta_t=delta_t,
-                                 coverage=coverage)
-            branched = run_ensemble(er200, params, seed, self.RUNS,
-                                    start=snapshot)
-            plain = run_ensemble(er200, params, seed, self.RUNS)
-            assert np.array_equal(branched.activities, plain.activities)
-            assert np.array_equal(branched.distinct_users,
-                                  plain.distinct_users)
+        for budget in (engine._BLOCK_EDGES, 1):  # one block, 1-run blocks
+            monkeypatch.setattr(engine, "_BLOCK_EDGES", budget)
+            for snapshot_lam in (0.3, 40.0):
+                snapshot = engine.peak_state(
+                    er200, ModelParams(lam=snapshot_lam, eta_star=2,
+                                       delta_t=delta_t, coverage=coverage),
+                    seed, self.RUNS)
+                assert_exposure_by_definition(snapshot, er200, snapshot.last)
+                for lam in (0.0, 0.5, 1.5, 40.0):
+                    params = ModelParams(lam=lam, eta_star=2,
+                                         delta_t=delta_t, coverage=coverage)
+                    branched = run_ensemble(er200, params, seed, self.RUNS,
+                                            start=snapshot)
+                    plain = run_ensemble(er200, params, seed, self.RUNS)
+                    assert np.array_equal(branched.activities,
+                                          plain.activities)
+                    assert np.array_equal(branched.distinct_users,
+                                          plain.distinct_users)
         assert plain.activities[7] > 0
+
+    def test_no_update_that_no_later_day_reads(self, monkeypatch):
+        # at lam 0.4 someone can post up to day +6 and nobody after it. A
+        # run acts on day +6, but no later day reads its actors, so no block
+        # applies them; on day +5 some runs act and some do not, and only
+        # the blocks with actors update
+        net = generate_synthetic(**TestAgainstReference.SPARSE)
+        params = ModelParams(lam=0.4, eta_star=1, delta_t=3)
+        _, h = engine.user_arrays(net)
+        tau = [interest(float(d), params.lam) for d in engine.DAY_OFFSETS]
+        last_day = max(i for i in range(engine.N_DAYS)
+                       if params.sigma * tau[i] > h.min())
+        assert last_day == engine.PEAK_INDEX + 6
+        spread, today, updates = engine._spread, [], []
+
+        def spy_spread(*args):
+            today.append(args[1])
+            return spread(*args)
+
+        def spy(name, has_actors):
+            original = getattr(engine, name)
+
+            def wrapper(*args):
+                updates.append((today[-1], has_actors(args)))
+                return original(*args)
+            monkeypatch.setattr(engine, name, wrapper)
+
+        monkeypatch.setattr(engine, "_spread", spy_spread)
+        spy("_push", lambda args: args[4].size > 0)
+        spy("_pull", lambda args: np.any(
+            args[2] == engine.DAY_OFFSETS[today[-1]]))
+        monkeypatch.setattr(engine, "_BLOCK_EDGES", 1)  # a block per run
+        state = engine.peak_state(net, params, 11, 8)
+        state.simulate(range(engine.PEAK_INDEX + 1, engine.N_DAYS))
+        assert np.any(state.dist[:, last_day])
+        assert not np.all(state.dist[:, last_day - 1])
+        assert max(day for day, _ in updates) == last_day - 1
+        assert all(has_actors for _, has_actors in updates)
 
     def test_edgeless_network_branches(self):
         net = generate_synthetic("uniform-random", 30, edge_prob=0.0, seed=2)
@@ -672,8 +732,8 @@ class TestBlocks:
                 return original(*args)
             monkeypatch.setattr(owner, name, wrapper)
 
-        spy(engine._Exposure, "_push", lambda args: args[2].shape[0])
-        spy(engine._Exposure, "_pull", lambda args: args[2].shape[0])
+        spy(engine, "_push", lambda args: args[1].shape[0])
+        spy(engine, "_pull", lambda args: args[1].shape[0])
         spy(engine, "_spread", lambda args: args[0].shape[0])
         star = generate_synthetic("star", 60)
         for net in (er200, star):
