@@ -8,6 +8,7 @@ flows from --seed; repeated invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 from .behavior import ModelParams
 from .classify import ClassBoundaries, classify_params, classify_profile
 from .engine import run_ensemble
-from .fitter import GridSpec, grid_scan
+from .fitter import COMBINE_MAX, COMBINE_MEAN, GridSpec, grid_scan
 from .hashtags import HashtagCsvError, read_hashtag_csv
 from .metric import DEFAULT_THETA, check_theta, normalize
 from .network import (DIRECTION_FOLLOWED_BY, DIRECTION_FOLLOWS,
@@ -168,8 +169,7 @@ def cmd_fit(args) -> int:
     print(f"scan: {grid.size} triplets x {grid.runs} runs")
     result = grid_scan(net, target_tweets, target_users, grid,
                        base_seed=args.seed, theta=args.theta,
-                       combine=args.combine, threads=args.threads,
-                       keep_scores=args.scan_out is not None)
+                       combine=args.combine, threads=args.threads)
     label = classify_params(result.params.lam, result.params.eta_star,
                             result.params.delta_t)
     report = {
@@ -196,10 +196,9 @@ def cmd_classify(args) -> int:
     if (args.fit_json is None) == (args.profile_csv is None):
         raise UsageError("provide exactly one of --fit-json / --profile-csv")
     try:
-        boundaries = ClassBoundaries(
-            lambda_split=args.lambda_split, eta_split=args.eta_split,
-            dt_anticipated=args.dt_anticipated, peak_frac=args.peak_frac,
-            side_frac=args.side_frac)
+        boundaries = ClassBoundaries(**{
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(ClassBoundaries)})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.fit_json is not None:
@@ -255,7 +254,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--eta-star", type=float, required=True)
     p.add_argument("--delta-t", type=int, required=True)
-    p.add_argument("--runs", type=int, default=50)
+    p.add_argument("--runs", type=int, default=GridSpec.runs)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-", help="profile CSV path "
                                               "('-' for stdout)")
@@ -270,10 +269,11 @@ def build_parser() -> _Parser:
     p.add_argument("--name", default=None, help="hashtag name for the report")
     p.add_argument("--grid", default=None,
                    help="axes, e.g. lambda=0:4:0.1,eta=1:60:1,dt=0:7")
-    p.add_argument("--runs", type=int, default=50)
+    p.add_argument("--runs", type=int, default=GridSpec.runs)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta", type=float, default=DEFAULT_THETA)
-    p.add_argument("--combine", choices=["max", "mean"], default="max")
+    p.add_argument("--combine", choices=(COMBINE_MAX, COMBINE_MEAN),
+                   default=COMBINE_MAX)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default="-", help="fit report JSON path")
     p.add_argument("--scan-out", default=None,
@@ -283,11 +283,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="label a fit result or a profile")
     p.add_argument("--fit-json", default=None)
     p.add_argument("--profile-csv", default=None)
-    p.add_argument("--lambda-split", type=float, default=2.0)
-    p.add_argument("--eta-split", type=float, default=30.0)
-    p.add_argument("--dt-anticipated", type=int, default=2)
-    p.add_argument("--peak-frac", type=float, default=0.60)
-    p.add_argument("--side-frac", type=float, default=0.25)
+    for f in dataclasses.fields(ClassBoundaries):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       default=f.default)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("synth", help="write a synthetic edge list")

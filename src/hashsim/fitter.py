@@ -14,11 +14,9 @@ results, and a triplet can be recomputed alone with one run_ensemble.
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -80,15 +78,6 @@ class GridSpec:
         return (self.lambda_axis.size * self.eta_axis.size
                 * self.dt_axis.size)
 
-    def triplets(self):
-        """Yield (index, delta_t, eta_star, lam) in a fixed documented order."""
-        idx = 0
-        for dt in self.dt_axis:
-            for eta in self.eta_axis:
-                for lam in self.lambda_axis:
-                    yield idx, int(dt), float(eta), float(lam)
-                    idx += 1
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -96,8 +85,9 @@ class FitResult:
     delta_tweets: float
     delta_users: float
     objective: float
-    # optional per-point rows (lam, eta_star, delta_t, d_tweets, d_users)
-    scan: Optional[tuple] = None
+    # one row (lam, eta_star, delta_t, d_tweets, d_users) per triplet, in
+    # scan order: delta_t, then eta_star, then lambda ascending
+    scan: tuple = field(default=(), repr=False)
 
     @property
     def good(self) -> bool:
@@ -125,13 +115,12 @@ def triplet_seed(base_seed: int, delta_t: int, eta_star: float,
 def grid_scan(net: FollowNetwork, target_tweets: FractionProfile,
               target_users: FractionProfile, grid: GridSpec | None = None,
               base_seed: int = 0, theta: float = DEFAULT_THETA,
-              combine: str = COMBINE_MAX, threads: int = 1,
-              keep_scores: bool = False) -> FitResult:
+              combine: str = COMBINE_MAX, threads: int = 1) -> FitResult:
     """Exhaustively score every triplet and return the best fit.
 
     The objective combines the tweet- and user-profile distances (max by
     default); ties break toward smaller eta_star, then lambda, then delta_t,
-    independent of evaluation order.
+    independent of evaluation order. The result's scan holds every score.
     """
     grid = grid or GridSpec()
     if target_tweets.degenerate or target_users.degenerate:
@@ -139,10 +128,11 @@ def grid_scan(net: FollowNetwork, target_tweets: FractionProfile,
     if combine not in (COMBINE_MAX, COMBINE_MEAN):
         raise ValueError(f"unknown combine mode {combine!r}")
 
-    def evaluate_group(tasks):
+    def evaluate_group(group):
         """Score one (delta_t, eta_star) group, lambda by lambda."""
+        dt, eta = group
         rows, snapshot = [], None
-        for _, dt, eta, lam in tasks:
+        for lam in grid.lambda_axis.tolist():
             params = ModelParams(lam=lam, eta_star=eta, delta_t=dt)
             seed = triplet_seed(base_seed, dt, eta, lam)
             if snapshot is None:
@@ -153,8 +143,8 @@ def grid_scan(net: FollowNetwork, target_tweets: FractionProfile,
             rows.append((lam, eta, dt, d_t, d_u))
         return rows
 
-    groups = [list(g) for _, g in itertools.groupby(grid.triplets(),
-                                                    key=lambda t: t[1:3])]
+    groups = [(dt, eta) for dt in grid.dt_axis.tolist()
+              for eta in grid.eta_axis.tolist()]
     # map() submits every group at once and each submit may start a thread,
     # so more workers than CPUs would only add OS threads
     workers = min(threads, os.cpu_count() or 1)
@@ -176,5 +166,5 @@ def grid_scan(net: FollowNetwork, target_tweets: FractionProfile,
         delta_tweets=d_t,
         delta_users=d_u,
         objective=objective(best),
-        scan=tuple(rows) if keep_scores else None,
+        scan=tuple(rows),
     )

@@ -26,7 +26,8 @@ import numpy as np
 DIRECTION_FOLLOWS = "follows"          # a follows b (b is a leader of a)
 DIRECTION_FOLLOWED_BY = "followed-by"  # b follows a
 
-_RANDOM_BLOCK_ROWS = 2048  # fixed so generation is deterministic per seed
+# generate_synthetic draws at most this many float64 uniforms (16 MiB) at once
+_RANDOM_BLOCK_DRAWS = 1 << 21
 _MAX_NODE_ID = int(np.iinfo(np.int64).max)
 # ASCII line breaks of str.splitlines that np.loadtxt does not honour
 _EXTRA_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
@@ -155,10 +156,6 @@ class FollowNetwork:
         for a in (weights, starts, has_leaders):
             a.flags.writeable = False
         return weights, starts, has_leaders
-
-    def leaders_of(self, user: int) -> np.ndarray:
-        lo, hi = self.leader_indptr[user], self.leader_indptr[user + 1]
-        return self.leader_ids[lo:hi]
 
 
 def load_edge_list(source, direction: str = DIRECTION_FOLLOWS) -> FollowNetwork:
@@ -403,7 +400,8 @@ def generate_synthetic(kind: str, n: int, edge_prob: float | None = None,
     kind="star": users 1..n-1 each follow user 0.
     kind="uniform-random": every ordered pair (i, j), i != j, is an edge
     with probability edge_prob, drawn from numpy's seeded PCG64 stream in
-    fixed-size row blocks (so results depend only on seed).
+    row blocks of at most _RANDOM_BLOCK_DRAWS draws (results depend only on
+    seed).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -414,15 +412,19 @@ def generate_synthetic(kind: str, n: int, edge_prob: float | None = None,
         if edge_prob is None or not 0.0 <= edge_prob <= 1.0:
             raise ValueError("edge_prob must be in [0, 1]")
         rng = np.random.default_rng(seed)
+        # PCG64's random() fills a block in C order, one 64-bit output per
+        # float64 draw, so the block shape cannot change the draws or the
+        # graph; it only bounds the memory of a block
+        block_rows = max(1, _RANDOM_BLOCK_DRAWS // n)
         rows, cols = [], []
-        for start in range(0, n, _RANDOM_BLOCK_ROWS):
-            stop = min(start + _RANDOM_BLOCK_ROWS, n)
+        for start in range(0, n, block_rows):
+            stop = min(start + block_rows, n)
             block = rng.random((stop - start, n)) < edge_prob
             r, c = np.nonzero(block)
             rows.append(r + start)
             cols.append(c)
-        followers = np.concatenate(rows) if rows else np.empty(0, np.int64)
-        leaders = np.concatenate(cols) if cols else np.empty(0, np.int64)
+        followers = np.concatenate(rows)
+        leaders = np.concatenate(cols)
     else:
         raise ValueError(f"unknown synthetic kind {kind!r}")
     return FollowNetwork.from_edges(followers, leaders, n)

@@ -83,7 +83,8 @@ def simulate_reference(net, params, seed, user_order=None):
 
             y = 0.0
             eta = 0
-            for j in net.leaders_of(i):
+            lo, hi = net.leader_indptr[i], net.leader_indptr[i + 1]
+            for j in net.leader_ids[lo:hi]:
                 if last[j] > last[i]:
                     eta += 1
                     y += float(f_arr[j])

@@ -5,6 +5,7 @@ plain pytest -s run. The heavier checks (parameter recovery, classifier
 self-consistency) run real Monte Carlo scans and take a few minutes total.
 """
 
+import itertools
 import math
 import os
 import pathlib
@@ -164,8 +165,11 @@ def test_acceptance_8_classification(er1000):
     ]
     checks = [str(classify_params(*args)) == want for args, want in fixtures]
 
+    grid = GridSpec()
     labels = {str(classify_params(lam, eta, dt))
-              for _, dt, eta, lam in GridSpec().triplets()}
+              for dt, eta, lam in itertools.product(grid.dt_axis.tolist(),
+                                                    grid.eta_axis.tolist(),
+                                                    grid.lambda_axis.tolist())}
     checks.append(labels == {"S", "A+", "A-", "B+", "B-", "P+", "P-"})
 
     # self-consistency: simulate deep inside each parameter quadrant and
@@ -207,7 +211,9 @@ def test_acceptance_9_scan_bookkeeping(er200):
                     dt_axis=np.array([0, 1]), runs=20)
     result = grid_scan(er200, tt, tu, grid, base_seed=12)
     objectives = []
-    for _, dt, eta, lam in grid.triplets():
+    for dt, eta, lam in itertools.product(grid.dt_axis.tolist(),
+                                          grid.eta_axis.tolist(),
+                                          grid.lambda_axis.tolist()):
         prof = run_ensemble(er200, ModelParams(lam=lam, eta_star=eta,
                                                delta_t=dt),
                             triplet_seed(12, dt, eta, lam), 20)

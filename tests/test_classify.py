@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -62,7 +63,10 @@ class TestClassifyParams:
         # every triplet of the standard scan grid gets exactly one of the
         # seven labels, and all seven actually occur
         seen = set()
-        for _, dt, eta, lam in GridSpec().triplets():
+        grid = GridSpec()
+        for dt, eta, lam in itertools.product(grid.dt_axis.tolist(),
+                                              grid.eta_axis.tolist(),
+                                              grid.lambda_axis.tolist()):
             seen.add(str(classify_params(lam, eta, dt)))
         assert seen == {"S", "A+", "A-", "B+", "B-", "P+", "P-"}
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import warnings
 
@@ -7,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 import hashsim
 from hashsim import cli
-from hashsim.cli import (MAX_AXIS_POINTS, MAX_RUNS, main, parse_grid,
-                         UsageError)
+from hashsim.classify import ClassBoundaries
+from hashsim.cli import (MAX_AXIS_POINTS, MAX_RUNS, build_parser, main,
+                         parse_grid, UsageError)
+from hashsim.fitter import COMBINE_MAX, COMBINE_MEAN, GridSpec
 
 # grid-axis fields: plain numbers, extremes and junk
 _FIELD = st.one_of(st.integers(-3, 70).map(str), st.floats().map(repr),
@@ -424,6 +428,25 @@ class TestFitAndClassify:
         captured = capsys.readouterr()
         assert "non-finite count" in captured.err
         assert captured.out == ""
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["classify", "--fit-json", "f"])
+    for f in dataclasses.fields(ClassBoundaries):
+        value = getattr(args, f.name)
+        assert value == getattr(ClassBoundaries(), f.name)
+        assert type(value) is type(f.default)
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    combine = next(a for a in commands["fit"]._actions
+                   if a.dest == "combine")
+    assert tuple(combine.choices) == (COMBINE_MAX, COMBINE_MEAN)
+    assert combine.default == COMBINE_MAX
+    for argv in (["simulate", "--network", "n", "--lambda", "1",
+                  "--eta-star", "1", "--delta-t", "0"],
+                 ["fit", "--network", "n", "--hashtag", "h"]):
+        assert parser.parse_args(argv).runs == GridSpec().runs
 
 
 def test_all_names_exist_once():

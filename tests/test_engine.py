@@ -706,8 +706,7 @@ class TestBlocks:
         grid = GridSpec(lambda_axis=np.array([0.0, 1.0]),
                         eta_axis=np.array([1.0, 3.0]),
                         dt_axis=np.array([0, 7]), runs=5)
-        scan = grid_scan(er200, target, target, grid, base_seed=2,
-                         keep_scores=True).scan
+        scan = grid_scan(er200, target, target, grid, base_seed=2).scan
         return data, scan
 
     def test_one_run_blocks_give_the_same_bytes(self, monkeypatch, er200):

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,17 +24,6 @@ class TestGridSpec:
         assert grid.size == 19680
         assert grid.lambda_axis[0] == 0.0 and grid.lambda_axis[-1] == 4.0
         assert grid.eta_axis[0] == 1 and grid.eta_axis[-1] == 60
-
-    def test_triplet_order_is_stable(self):
-        grid = GridSpec(lambda_axis=np.array([0.0, 1.0]),
-                        eta_axis=np.array([1.0, 2.0]),
-                        dt_axis=np.array([0, 1]), runs=2)
-        triplets = list(grid.triplets())
-        assert len(triplets) == 8
-        assert [t[0] for t in triplets] == list(range(8))
-        assert triplets[0][1:] == (0, 1.0, 0.0)
-        assert triplets[1][1:] == (0, 1.0, 1.0)
-        assert triplets[-1][1:] == (1, 2.0, 1.0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(lambda_axis=np.array([])),
@@ -119,10 +111,11 @@ class TestGridScan:
         grid = GridSpec(lambda_axis=np.array([0.0, 1.0, 2.0]),
                         eta_axis=np.array([2.0, 4.0, 8.0]),
                         dt_axis=np.array([0, 2]), runs=10)
-        result = grid_scan(er200, tt, tu, grid, base_seed=5,
-                           keep_scores=True)
+        result = grid_scan(er200, tt, tu, grid, base_seed=5)
         objectives = []
-        for _, dt, eta, lam in grid.triplets():
+        for dt, eta, lam in itertools.product(grid.dt_axis.tolist(),
+                                              grid.eta_axis.tolist(),
+                                              grid.lambda_axis.tolist()):
             prof = run_ensemble(er200, ModelParams(lam=lam, eta_star=eta,
                                                    delta_t=dt),
                                 triplet_seed(5, dt, eta, lam), 10)
@@ -131,6 +124,32 @@ class TestGridScan:
             objectives.append(max(d_t, d_u))
         assert result.objective == min(objectives)
         assert len(result.scan) == grid.size
+
+    def test_scan_rows_come_in_documented_order(self, er200, monkeypatch):
+        calls = {"triplet_seed": 0, "run_ensemble": 0}
+
+        def counting(name):
+            original = getattr(fitter, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(fitter, name, counting(name))
+        true = ModelParams(lam=0.5, eta_star=3, delta_t=1)
+        tt, tu = _targets(er200, true, seed=21, runs=2)
+        grid = GridSpec(lambda_axis=np.array([0.0, 1.0]),
+                        eta_axis=np.array([1.0, 2.0]),
+                        dt_axis=np.array([0, 1]), runs=2)
+        result = grid_scan(er200, tt, tu, grid, base_seed=1)
+        assert [row[:3] for row in result.scan] == [
+            (0.0, 1.0, 0), (1.0, 1.0, 0), (0.0, 2.0, 0), (1.0, 2.0, 0),
+            (0.0, 1.0, 1), (1.0, 1.0, 1), (0.0, 2.0, 1), (1.0, 2.0, 1)]
+        assert all(type(row[2]) is int for row in result.scan)
+        assert calls == {"triplet_seed": 8, "run_ensemble": 8}
+        assert repr(result) == repr(dataclasses.replace(result, scan=()))
 
     def test_threads_do_not_change_result(self, er200):
         true = ModelParams(lam=0.5, eta_star=3, delta_t=1)
@@ -223,8 +242,7 @@ class TestCommonRandomNumbers:
         grid = GridSpec(lambda_axis=np.array([0.0, 0.5, 2.0]),
                         eta_axis=np.array([2.0, 3.0]),
                         dt_axis=np.array([0, 2]), runs=5)
-        result = grid_scan(er200, tt, tu, grid, base_seed=4,
-                           keep_scores=True)
+        result = grid_scan(er200, tt, tu, grid, base_seed=4)
         assert [(p.lam, p.eta_star, p.delta_t) for p, _ in seen] == [
             row[:3] for row in result.scan]
         for k in range(0, len(seen), 3):
@@ -247,8 +265,6 @@ class TestCommonRandomNumbers:
         grid = GridSpec(lambda_axis=np.array([0.0, 0.5, 1.0, 2.0]),
                         eta_axis=np.array([3.0]),
                         dt_axis=np.array([0, 1]), runs=5)
-        serial = grid_scan(er200, tt, tu, grid, base_seed=2, threads=1,
-                           keep_scores=True)
-        threaded = grid_scan(er200, tt, tu, grid, base_seed=2, threads=8,
-                             keep_scores=True)
+        serial = grid_scan(er200, tt, tu, grid, base_seed=2, threads=1)
+        threaded = grid_scan(er200, tt, tu, grid, base_seed=2, threads=8)
         assert serial == threaded

@@ -156,6 +156,43 @@ def test_random_is_deterministic_per_seed():
     assert np.array_equal(edge_followers(a), edge_followers(b))
 
 
+def _random_in_2048_row_blocks(n, edge_prob, seed):
+    """Reference uniform-random draw, one 2048 x n block at a time."""
+    rng = np.random.default_rng(seed)
+    followers, leaders = [], []
+    for start in range(0, n, 2048):
+        block = rng.random((min(2048, n - start), n)) < edge_prob
+        r, c = np.nonzero(block)
+        followers.append(r + start)
+        leaders.append(c)
+    return FollowNetwork.from_edges(np.concatenate(followers),
+                                    np.concatenate(leaders), n)
+
+
+@pytest.mark.parametrize("n,edge_prob", [
+    *((n, p) for n in (1, 2, 2047, 2049, 5000) for p in (0.0, 0.01)),
+    (1, 1.0), (2, 1.0), (40, 1.0)])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_random_edges_do_not_depend_on_the_block_shape(n, edge_prob, seed):
+    _assert_same_network(
+        generate_synthetic("uniform-random", n, edge_prob=edge_prob,
+                           seed=seed),
+        _random_in_2048_row_blocks(n, edge_prob, seed))
+
+
+def test_random_generation_memory_is_bounded():
+    """One block holds at most 2^21 draws (16 MiB), whatever edge_prob is."""
+    tracemalloc.start()
+    try:
+        net = generate_synthetic("uniform-random", 6000, edge_prob=0.002,
+                                 seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.edge_count > 60_000
+    assert peak < 40 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
 def test_synthetic_argument_errors():
     with pytest.raises(ValueError):
         generate_synthetic("ring", 10)
@@ -172,7 +209,8 @@ def test_degree_sums_equal_edge_count(er200):
 
 def test_influence_matches_brute_force(er200):
     for user in range(er200.user_count):
-        leaders = er200.leaders_of(user)
+        lo, hi = er200.leader_indptr[user], er200.leader_indptr[user + 1]
+        leaders = er200.leader_ids[lo:hi]
         expected = (er200.follower_count[leaders].sum() / len(leaders)
                     if len(leaders) else 0.0)
         assert er200.influence[user] == expected
@@ -206,7 +244,8 @@ def test_follower_csr_is_the_transpose(er200):
         assert followers.size == er200.follower_count[leader]
         assert np.all(np.diff(followers) > 0)
         for f in followers:
-            assert leader in er200.leaders_of(f)
+            lo, hi = er200.leader_indptr[f], er200.leader_indptr[f + 1]
+            assert leader in er200.leader_ids[lo:hi]
 
 
 def _loop_load(text, direction):
