@@ -8,7 +8,10 @@ Its follower CSR, once built, adds another 8 per edge and 8 per user, and
 the exposure pull's plan 8 per edge and at most 9 per user. A load
 peaks while it parses, holding the raw input and 16 bytes per line of
 parsed ids: 38 bytes per line, 67 MB, on a SNAP-sized file
-(load_edge_list lists what each stage holds).
+(load_edge_list lists what each stage holds). Canonical input is parsed
+by np.loadtxt in C from an in-memory file that holds a copy of the
+checked bytes, in shared memory outside the process's RSS, or from
+io.BytesIO where os.memfd_create is missing or fails.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import array
 import io
 import os
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,6 +37,18 @@ _MAX_NODE_ID = int(np.iinfo(np.int64).max)
 _EXTRA_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 # _parse_lines splits the text into lines this many characters at a time
 _LINE_CHUNK_CHARS = 1 << 20
+_LOADTXT_ARGS = dict(dtype=np.int64, comments="#", ndmin=2)
+# _odd_comment's scans. re skips fast to a pattern's leading '#', and from
+# there each reads on to the next '#' at most, so a scan takes linear time:
+# a lone '\r' (one that does not end its line) after a '#' on its line
+_LONE_CR_IN_COMMENT = re.compile(rb"#[^#\n\r]*+\r[^\n]")
+# a '#' that neither starts its line nor follows another '#'
+_MID_LINE_HASH = re.compile(rb"#(?<=[^\n\r#]#)")
+# an id before the first '#' of a line, matched at the start of the line
+_LINE_ID_HASH = rb"(?:[^#\n\r]*+\r)*+[ \t]*+[^#\n\r \t][^#\n\r]*+#"
+_ID_BEFORE_HASH = re.compile(_LINE_ID_HASH)
+# ... or in the next line with a '#', from the last '#' of a line
+_ID_BEFORE_NEXT_HASH = re.compile(rb"#[^#\n]*+(?>[^#]*\n)" + _LINE_ID_HASH)
 
 
 class EdgeListError(ValueError):
@@ -166,12 +182,19 @@ def load_edge_list(source, direction: str = DIRECTION_FOLLOWS) -> FollowNetwork:
     are skipped. Node ids are arbitrary integers in [0, 2^63) and get
     compacted to 0..N-1 in ascending id order (original ids retained).
 
+    Speed: canonical input (_parse_canonical), which is what
+    write_edge_list and SNAP files hold, is parsed by np.loadtxt in C. It
+    reads the checked bytes from an anonymous in-memory file, or, where
+    the system has none (not Linux), from io.BytesIO line by line in
+    Python. Any other input goes through a per-line loop (_parse_lines).
+
     Memory: the raw input dies before the ids are compacted, and the
     parsed pairs before the compact ids are made. Per line of the file,
     the three stages hold:
     - parse: the raw input (21 B/line for SNAP-sized ids; for a text
       stream its str too) and the (m, 2) int64 pairs (16) that np.loadtxt
-      grows;
+      grows; the in-memory file's copy of the raw bytes is shared memory,
+      outside RSS and the traced peak;
     - compaction, in place in the pairs: the pairs as sort keys (16),
       int32 positions (8) and the first-of-run mask (2), then the int32
       ranks and compact ids (8 each);
@@ -215,41 +238,80 @@ def _read_pairs(source) -> np.ndarray:
 def _parse_canonical(raw):
     """Parse canonical edge-list input in numpy; None sends it to _parse_lines.
 
-    Canonical input is ASCII, holds none of _EXTRA_LINE_BREAKS, and has '#'
-    only as the first non-blank byte of a line, with no lone '\\r' later in
-    that line. On it np.loadtxt splits lines, fields and comments as the
-    line loop does, so its (m, 2) result is kept when no warning was raised
-    and it has at least one row, two columns and no negative id. Any other
-    input, malformed input included, goes to _parse_lines, which alone
-    reports errors with line numbers.
+    Canonical input is ASCII, holds none of _EXTRA_LINE_BREAKS, and the
+    first '#' of a line, if any, is its first non-blank byte, with no lone
+    '\\r' later in that line (_odd_comment). On it np.loadtxt splits lines,
+    fields and comments as the line loop does, so its (m, 2) result is
+    kept when no warning was raised and it has at least one row, two
+    columns and no negative id. loadtxt parses exactly the checked bytes:
+    in C from an in-memory file on Linux, else from io.BytesIO line by
+    line (_loadtxt). Any other input, malformed input included, goes to
+    _parse_lines, which alone reports errors with line numbers.
     """
     if not raw.isascii():
         return None
     data = raw.encode("ascii") if isinstance(raw, str) else raw
-    if any(brk in data for brk in _EXTRA_LINE_BREAKS):
+    if any(brk in data for brk in _EXTRA_LINE_BREAKS) or _odd_comment(data):
         return None
-    pos = data.find(b"#")
-    while pos >= 0:
-        start = pos
-        while start and data[start - 1] in b" \t":
-            start -= 1
-        if start and data[start - 1] not in b"\n\r":
-            return None  # a '#' after an id
-        end = data.find(b"\n", pos)
-        end = len(data) if end < 0 else end
-        if data.find(b"\r", pos, end - 1) >= 0:
-            return None  # str.splitlines ends this comment early
-        pos = data.find(b"#", end)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # e.g. the no-data warning
         try:
-            pairs = np.loadtxt(io.BytesIO(data), dtype=np.int64,
-                               comments="#", ndmin=2)
+            pairs = _loadtxt(data)
         except (ValueError, Warning):
             return None
     if pairs.shape[0] < 1 or pairs.shape[1] != 2 or pairs.min() < 0:
         return None
     return pairs
+
+
+def _odd_comment(data: bytes) -> bool:
+    """Whether a '#' of data breaks _parse_canonical's comment rule.
+
+    It does when the first '#' of a line follows an id, or a lone '\\r'
+    follows it on its line. Each check is a regular-expression scan in C
+    from the first '#' to the end of the last line with a '#'; data
+    without '#' costs one find.
+    """
+    first = data.find(b"#")
+    if first < 0:
+        return False
+    end = data.find(b"\n", data.rfind(b"#")) + 1 or len(data)
+    if (data.find(b"\r", first, end) >= 0
+            and _LONE_CR_IN_COMMENT.search(data, first, end)):
+        return True
+    if not _MID_LINE_HASH.search(data, first, end):
+        return False  # every '#' starts its line or follows another '#'
+    line = data.rfind(b"\n", 0, first) + 1
+    return bool(_ID_BEFORE_HASH.match(data, line, end)
+                or _ID_BEFORE_NEXT_HASH.search(data, first, end))
+
+
+def _loadtxt(data: bytes) -> np.ndarray:
+    """np.loadtxt of the checked bytes, read in C where the system allows.
+
+    loadtxt reads in C only a file that it opens itself from a str path,
+    and iterates a file object such as io.BytesIO line by line in Python.
+    So the bytes are written to an anonymous in-memory file (memfd, in
+    shared memory outside the process's RSS), and loadtxt opens its
+    /proc/self/fd path as ASCII text, whatever the locale: it parses
+    exactly the bytes that were checked.
+    Where os.memfd_create is missing (not Linux), or it, the write or the
+    open raises OSError, loadtxt reads them from io.BytesIO.
+    """
+    if hasattr(os, "memfd_create"):
+        try:
+            fd = os.memfd_create("edges", os.MFD_CLOEXEC)
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+                return np.loadtxt(f"/proc/self/fd/{fd}", encoding="ascii",
+                                  **_LOADTXT_ARGS)
+            finally:
+                os.close(fd)
+        except OSError:  # no memfd to be had, the write or the open
+            pass
+    return np.loadtxt(io.BytesIO(data), **_LOADTXT_ARGS)
 
 
 def _parse_lines(text: str) -> np.ndarray:

@@ -1,6 +1,10 @@
 import dataclasses
+import errno
 import io
 import json
+import os
+import pathlib
+import sys
 import tracemalloc
 import warnings
 
@@ -14,6 +18,8 @@ from hashsim import (EdgeListError, FollowNetwork, generate_synthetic,
 from hashsim import network
 from hashsim.network import DIRECTION_FOLLOWED_BY, DIRECTION_FOLLOWS
 from reference import edge_followers
+
+SAMPLE_EDGES = pathlib.Path(__file__).parent / "data" / "sample_edges.txt"
 
 
 def test_load_tiny_edge_list(tiny_net):
@@ -314,6 +320,48 @@ _EDGE_TEXT = st.one_of(
     st.text("0123456789 \t\r\n#+-_\x1c\x0c\x85\xa0\u0661", max_size=30))
 
 
+# (text, direction, as_bytes) inputs that each loader test runs
+_LOADER_EXAMPLES = [
+    ("1 2\n", DIRECTION_FOLLOWS, False),
+    ("", DIRECTION_FOLLOWS, False),
+    ("# c\n\n", DIRECTION_FOLLOWS, True),
+    ("1 2 # c\n", DIRECTION_FOLLOWS, False),
+    ("1 2#x\n", DIRECTION_FOLLOWS, False),
+    ("# see #5\n  # c #d\n1 2\n", DIRECTION_FOLLOWS, False),
+    ("1 2\n\t# c\r\n3 4\n", DIRECTION_FOLLOWS, True),
+    ("-1 2\n", DIRECTION_FOLLOWS, False),
+    ("1 2 3\n", DIRECTION_FOLLOWS, False),
+    ("1\n", DIRECTION_FOLLOWS, False),
+    ("1 2\x1c3 4\n", DIRECTION_FOLLOWS, False),
+    ("1\x1c2\n", DIRECTION_FOLLOWS, False),
+    ("1\x0c2\n", DIRECTION_FOLLOWS, True),
+    ("1 2\r3 4\n", DIRECTION_FOLLOWS, True),
+    ("# a\r5 6\n3 4\n", DIRECTION_FOLLOWS, False),
+    ("1_000 2\n", DIRECTION_FOLLOWS, False),
+    ("\u0661 2\n", DIRECTION_FOLLOWS, False),
+    ("1 2\xa0\n", DIRECTION_FOLLOWS, True),
+    ("# c\x851 2\n3 4\n", DIRECTION_FOLLOWS, True),
+    ("+5 -0\n", DIRECTION_FOLLOWS, False),
+    ("9223372036854775808 1\n", DIRECTION_FOLLOWS, False),
+    # id ranges around the widest that packed sort keys hold (2 ids: 62
+    # bits, 4 ids: 61 bits), and a narrow range near 2^62
+    ("0 4611686018427387903\n", DIRECTION_FOLLOWS, False),
+    ("0 4611686018427387904\n", DIRECTION_FOLLOWS, False),
+    ("0 4611686018427387904\n4611686018427387905 0\n",
+     DIRECTION_FOLLOWED_BY, True),
+    ("4611686018427387907 4611686018427387904\n"
+     "4611686018427387904 4611686018427387905\n",
+     DIRECTION_FOLLOWS, True),
+]
+
+
+def _with_loader_examples(test):
+    """test with each of _LOADER_EXAMPLES as a Hypothesis example."""
+    for args in reversed(_LOADER_EXAMPLES):
+        test = example(*args)(test)
+    return test
+
+
 class TestLoaderMatchesLineLoop:
     """load_edge_list accepts, rejects and builds exactly as the line loop."""
 
@@ -321,34 +369,7 @@ class TestLoaderMatchesLineLoop:
     @given(_EDGE_TEXT, st.sampled_from([DIRECTION_FOLLOWS,
                                         DIRECTION_FOLLOWED_BY]),
            st.booleans())
-    @example("1 2\n", DIRECTION_FOLLOWS, False)
-    @example("", DIRECTION_FOLLOWS, False)
-    @example("# c\n\n", DIRECTION_FOLLOWS, True)
-    @example("1 2 # c\n", DIRECTION_FOLLOWS, False)
-    @example("1 2#x\n", DIRECTION_FOLLOWS, False)
-    @example("-1 2\n", DIRECTION_FOLLOWS, False)
-    @example("1 2 3\n", DIRECTION_FOLLOWS, False)
-    @example("1\n", DIRECTION_FOLLOWS, False)
-    @example("1 2\x1c3 4\n", DIRECTION_FOLLOWS, False)
-    @example("1\x1c2\n", DIRECTION_FOLLOWS, False)
-    @example("1\x0c2\n", DIRECTION_FOLLOWS, True)
-    @example("1 2\r3 4\n", DIRECTION_FOLLOWS, True)
-    @example("# a\r5 6\n3 4\n", DIRECTION_FOLLOWS, False)
-    @example("1_000 2\n", DIRECTION_FOLLOWS, False)
-    @example("\u0661 2\n", DIRECTION_FOLLOWS, False)
-    @example("1 2\xa0\n", DIRECTION_FOLLOWS, True)
-    @example("# c\x851 2\n3 4\n", DIRECTION_FOLLOWS, True)
-    @example("+5 -0\n", DIRECTION_FOLLOWS, False)
-    @example("9223372036854775808 1\n", DIRECTION_FOLLOWS, False)
-    # id ranges around the widest that packed sort keys hold (2 ids: 62
-    # bits, 4 ids: 61 bits), and a narrow range near 2^62
-    @example("0 4611686018427387903\n", DIRECTION_FOLLOWS, False)
-    @example("0 4611686018427387904\n", DIRECTION_FOLLOWS, False)
-    @example("0 4611686018427387904\n4611686018427387905 0\n",
-             DIRECTION_FOLLOWED_BY, True)
-    @example("4611686018427387907 4611686018427387904\n"
-             "4611686018427387904 4611686018427387905\n",
-             DIRECTION_FOLLOWS, True)
+    @_with_loader_examples
     def test_differential(self, text, direction, as_bytes):
         want = _outcome(lambda: _loop_load(text, direction))
         source = (io.BytesIO(text.encode("utf-8")) if as_bytes
@@ -363,12 +384,158 @@ class TestLoaderMatchesLineLoop:
     @pytest.mark.parametrize("text", ["1 2\n3 4\n",
                                       "# header\n  # indented\n1 2\n",
                                       "1\t2\r\n# c\r\n3 4\r\n",
+                                      "# see #5\n  # c #d\n1 2\n",
                                       " +5  0 \n\n"])
     def test_canonical_input_takes_the_fast_path(self, text):
         for raw in (text, text.encode("ascii")):
             a, b = network._parse_canonical(raw).T
             want_a, want_b = network._parse_lines(text).T
             assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+
+
+def _comment_loop_rejects(data):
+    """The per-'#' loop that network._odd_comment replaced, as reference."""
+    pos = data.find(b"#")
+    while pos >= 0:
+        start = pos
+        while start and data[start - 1] in b" \t":
+            start -= 1
+        if start and data[start - 1] not in b"\n\r":
+            return True  # a '#' after an id
+        end = data.find(b"\n", pos)
+        end = len(data) if end < 0 else end
+        if data.find(b"\r", pos, end - 1) >= 0:
+            return True  # str.splitlines ends this comment early
+        pos = data.find(b"#", end)
+    return False
+
+
+_COMMENTY_TEXT = st.lists(st.sampled_from(
+    ["#", "##", " ", "\t", "\n", "\r", "\r\n", "1", "a", " #", "\n#"]),
+    max_size=30).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_COMMENTY_TEXT, _EDGE_TEXT).map(str.encode))
+@example(b"# see #5\n  # c #d\n1 2\n")
+@example(b"1 2 # c\n")
+@example(b"# a\r5 6\n")
+@example(b"# a\r\n\t#b\r")
+@example(b"1 2\r  # c\n# d\n\r 3#")
+def test_comment_check_matches_the_loop(data):
+    assert network._odd_comment(data) == _comment_loop_rejects(data)
+
+
+def _load_outcome(load):
+    """A load's network, or its EdgeListError's message and line number."""
+    try:
+        return load()
+    except EdgeListError as exc:
+        return str(exc), exc.line_number
+
+
+def _spy_loadtxt(mp):
+    """The list of first arguments that np.loadtxt is called with."""
+    calls, real = [], np.loadtxt
+
+    def loadtxt(fname, *args, **kwargs):
+        calls.append(fname)
+        return real(fname, *args, **kwargs)
+
+    mp.setattr(network.np, "loadtxt", loadtxt)
+    return calls
+
+
+def _no_memfd(mp):
+    mp.delattr(os, "memfd_create", raising=False)
+
+
+def _memfd_fails(mp):
+    def memfd_create(*args):
+        raise OSError(errno.EMFILE, "too many open files")
+    mp.setattr(os, "memfd_create", memfd_create)
+
+
+def _write_fails(mp):
+    def write(*args):
+        raise OSError(errno.ENOSPC, "no space left on device")
+    mp.setattr(os, "write", write)
+
+
+def _assert_same_without_memfd(load):
+    """load gives the same outcome when the in-memory file is missing or
+    fails. Without one np.loadtxt is never given a path (a failing write
+    fails only when there are bytes to write)."""
+    want = _load_outcome(load)
+    for setup in (_no_memfd, _memfd_fails, _write_fails):
+        with pytest.MonkeyPatch.context() as mp:
+            setup(mp)
+            calls = _spy_loadtxt(mp)
+            got = _load_outcome(load)
+        if setup is not _write_fails:
+            assert not any(isinstance(c, str) for c in calls), setup.__name__
+        if isinstance(want, FollowNetwork):
+            assert isinstance(got, FollowNetwork), (setup.__name__, got)
+            _assert_same_network(got, want)
+        else:
+            assert got == want, setup.__name__
+
+
+@settings(max_examples=100, deadline=None)
+@given(_EDGE_TEXT, st.sampled_from([DIRECTION_FOLLOWS,
+                                    DIRECTION_FOLLOWED_BY]),
+       st.booleans())
+@_with_loader_examples
+def test_load_is_the_same_without_the_in_memory_file(text, direction,
+                                                     as_bytes):
+    def load():
+        source = (io.BytesIO(text.encode("utf-8")) if as_bytes
+                  else io.StringIO(text))
+        return load_edge_list(source, direction=direction)
+
+    _assert_same_without_memfd(load)
+
+
+def test_sample_file_is_the_same_without_the_in_memory_file():
+    _assert_same_without_memfd(lambda: load_edge_list(SAMPLE_EDGES))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="os.memfd_create is Linux-only")
+def test_canonical_file_reaches_loadtxt_as_a_path(monkeypatch):
+    """A silent fall back to io.BytesIO would only show in the benchmark."""
+    calls = _spy_loadtxt(monkeypatch)
+
+    def parse_lines(text):
+        raise AssertionError("canonical input went to _parse_lines")
+
+    monkeypatch.setattr(network, "_parse_lines", parse_lines)
+    net = load_edge_list(SAMPLE_EDGES)
+    assert net.edge_count == 7
+    assert len(calls) == 1 and isinstance(calls[0], str), calls
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc/self/fd to list")
+def test_in_memory_file_is_written_in_full_and_closed(monkeypatch):
+    text = SAMPLE_EDGES.read_text(encoding="ascii")
+    want = _loop_load(text, DIRECTION_FOLLOWS)
+    sizes, real_write = [], os.write
+
+    def write(fd, data):
+        sizes.append(real_write(fd, data[:5]))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", write)
+    _assert_same_network(load_edge_list(io.StringIO(text)), want)
+    assert sum(sizes) == len(text) and len(sizes) > 1
+    # canonical; refused by np.loadtxt but not by _parse_lines; an error
+    for text, loads in ((text, True), ("1_000 2\n", True),
+                        ("1 2 3\n", False)):
+        before = sorted(os.listdir("/proc/self/fd"))
+        got = _load_outcome(lambda: load_edge_list(io.StringIO(text)))
+        assert sorted(os.listdir("/proc/self/fd")) == before, text
+        assert isinstance(got, FollowNetwork) == loads, got
 
 
 @settings(max_examples=200, deadline=None)
