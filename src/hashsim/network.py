@@ -268,9 +268,10 @@ def _odd_comment(data: bytes) -> bool:
     """Whether a '#' of data breaks _parse_canonical's comment rule.
 
     It does when the first '#' of a line follows an id, or a lone '\\r'
-    follows it on its line. Each check is a regular-expression scan in C
-    from the first '#' to the end of the last line with a '#'; data
-    without '#' costs one find.
+    follows it on its line. The checks are scans in C over the lines from
+    the first '#' to the last: data without '#' costs one find, the
+    lone-'\\r' scan runs only where there is a '\\r', and the id scans only
+    when some '#' neither starts its line nor follows another '#'.
     """
     first = data.find(b"#")
     if first < 0:
@@ -294,9 +295,9 @@ def _loadtxt(data: bytes) -> np.ndarray:
     So the bytes are written to an anonymous in-memory file (memfd, in
     shared memory outside the process's RSS), and loadtxt opens its
     /proc/self/fd path as ASCII text, whatever the locale: it parses
-    exactly the bytes that were checked.
-    Where os.memfd_create is missing (not Linux), or it, the write or the
-    open raises OSError, loadtxt reads them from io.BytesIO.
+    exactly the bytes that were checked. Where os.memfd_create is missing
+    (not Linux), or it, the write or the open raises OSError, loadtxt
+    reads them from io.BytesIO.
     """
     if hasattr(os, "memfd_create"):
         try:

@@ -426,14 +426,6 @@ def test_comment_check_matches_the_loop(data):
     assert network._odd_comment(data) == _comment_loop_rejects(data)
 
 
-def _load_outcome(load):
-    """A load's network, or its EdgeListError's message and line number."""
-    try:
-        return load()
-    except EdgeListError as exc:
-        return str(exc), exc.line_number
-
-
 def _spy_loadtxt(mp):
     """The list of first arguments that np.loadtxt is called with."""
     calls, real = [], np.loadtxt
@@ -466,12 +458,12 @@ def _assert_same_without_memfd(load):
     """load gives the same outcome when the in-memory file is missing or
     fails. Without one np.loadtxt is never given a path (a failing write
     fails only when there are bytes to write)."""
-    want = _load_outcome(load)
+    want = _outcome(load)
     for setup in (_no_memfd, _memfd_fails, _write_fails):
         with pytest.MonkeyPatch.context() as mp:
             setup(mp)
             calls = _spy_loadtxt(mp)
-            got = _load_outcome(load)
+            got = _outcome(load)
         if setup is not _write_fails:
             assert not any(isinstance(c, str) for c in calls), setup.__name__
         if isinstance(want, FollowNetwork):
@@ -533,7 +525,7 @@ def test_in_memory_file_is_written_in_full_and_closed(monkeypatch):
     for text, loads in ((text, True), ("1_000 2\n", True),
                         ("1 2 3\n", False)):
         before = sorted(os.listdir("/proc/self/fd"))
-        got = _load_outcome(lambda: load_edge_list(io.StringIO(text)))
+        got = _outcome(lambda: load_edge_list(io.StringIO(text)))
         assert sorted(os.listdir("/proc/self/fd")) == before, text
         assert isinstance(got, FollowNetwork) == loads, got
 
