@@ -6,12 +6,13 @@ use plain array indexing; the original ids are kept for reporting.
 Memory: a network keeps 8 bytes per edge (leader_ids) and 40 per user.
 Its follower CSR, once built, adds another 8 per edge and 8 per user, and
 the exposure pull's plan 8 per edge and at most 9 per user. A load
-peaks while it parses, holding the raw input and 16 bytes per line of
-parsed ids: 38 bytes per line, 67 MB, on a SNAP-sized file
-(load_edge_list lists what each stage holds). Canonical input is parsed
-by np.loadtxt in C from an in-memory file that holds a copy of the
-checked bytes, in shared memory outside the process's RSS, or from
-io.BytesIO where os.memfd_create is missing or fails.
+peaks while it parses. Canonical input is copied into an in-memory file
+that np.loadtxt reads in C, and then holds only that copy, in shared
+memory outside the process's RSS: the two copies at the end of the
+write are 42 bytes per line, 75 MB, on a SNAP-sized file. Where there
+is no such file (not Linux), loadtxt reads the raw input from io.BytesIO,
+and it and 16 bytes per line of parsed ids peak at 38 bytes per line,
+67 MB (load_edge_list lists what each stage holds).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import array
 import io
 import os
-import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,18 +37,6 @@ _MAX_NODE_ID = int(np.iinfo(np.int64).max)
 _EXTRA_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 # _parse_lines splits the text into lines this many characters at a time
 _LINE_CHUNK_CHARS = 1 << 20
-_LOADTXT_ARGS = dict(dtype=np.int64, comments="#", ndmin=2)
-# _odd_comment's scans. re skips fast to a pattern's leading '#', and from
-# there each reads on to the next '#' at most, so a scan takes linear time:
-# a lone '\r' (one that does not end its line) after a '#' on its line
-_LONE_CR_IN_COMMENT = re.compile(rb"#[^#\n\r]*+\r[^\n]")
-# a '#' that neither starts its line nor follows another '#'
-_MID_LINE_HASH = re.compile(rb"#(?<=[^\n\r#]#)")
-# an id before the first '#' of a line, matched at the start of the line
-_LINE_ID_HASH = rb"(?:[^#\n\r]*+\r)*+[ \t]*+[^#\n\r \t][^#\n\r]*+#"
-_ID_BEFORE_HASH = re.compile(_LINE_ID_HASH)
-# ... or in the next line with a '#', from the last '#' of a line
-_ID_BEFORE_NEXT_HASH = re.compile(rb"#[^#\n]*+(?>[^#]*\n)" + _LINE_ID_HASH)
 
 
 class EdgeListError(ValueError):
@@ -182,27 +170,30 @@ def load_edge_list(source, direction: str = DIRECTION_FOLLOWS) -> FollowNetwork:
     are skipped. Node ids are arbitrary integers in [0, 2^63) and get
     compacted to 0..N-1 in ascending id order (original ids retained).
 
-    Speed: canonical input (_parse_canonical), which is what
-    write_edge_list and SNAP files hold, is parsed by np.loadtxt in C. It
-    reads the checked bytes from an anonymous in-memory file, or, where
-    the system has none (not Linux), from io.BytesIO line by line in
-    Python. Any other input goes through a per-line loop (_parse_lines).
+    Speed: canonical input (_canonical_bytes), which is what
+    write_edge_list and SNAP files hold, is parsed by np.loadtxt in C from
+    an anonymous in-memory file, or, where the system has none (not
+    Linux), from io.BytesIO line by line in Python. Any other input goes
+    through a per-line loop (_parse_lines).
 
     Memory: the raw input dies before the ids are compacted, and the
     parsed pairs before the compact ids are made. Per line of the file,
     the three stages hold:
     - parse: the raw input (21 B/line for SNAP-sized ids; for a text
-      stream its str too) and the (m, 2) int64 pairs (16) that np.loadtxt
-      grows; the in-memory file's copy of the raw bytes is shared memory,
-      outside RSS and the traced peak;
+      stream its str too, until the checks pass) until it is copied into
+      the in-memory file (shared memory, outside RSS and the traced peak),
+      then that file and the (m, 2) int64 pairs (16) that np.loadtxt
+      grows; without the file the raw input stays beside the pairs;
     - compaction, in place in the pairs: the pairs as sort keys (16),
       int32 positions (8) and the first-of-run mask (2), then the int32
       ranks and compact ids (8 each);
     - FollowNetwork.from_edges: the compact ids (8), the int64 edge keys
       (8, briefly 16 while self-loops and duplicates are dropped), the
       leaders (8) and their float64 follower counts (8).
-    On a 1.77M-line, 37 MB file the traced peaks are 67, 47 and 59 MB
-    (38, 26 and 33 B/line), and the process peak RSS rises by ~64 MB.
+    On a 1.77M-line, 37 MB file the traced peaks are 37, 47 and 59 MB
+    (21, 26 and 33 B/line); with the in-memory file the parse peaks at
+    75 MB (42 B/line) as the write ends, and the process peak RSS rises
+    by ~59 MB.
     """
     if direction not in (DIRECTION_FOLLOWS, DIRECTION_FOLLOWED_BY):
         raise ValueError(f"unknown direction {direction!r}")
@@ -219,100 +210,106 @@ def load_edge_list(source, direction: str = DIRECTION_FOLLOWS) -> FollowNetwork:
 def _read_pairs(source) -> np.ndarray:
     """The (m, 2) int64 id pairs of an edge-list source, one row per edge.
 
-    The raw input (and a text stream's str) dies on return, before the ids
-    are compacted.
+    Canonical input (_canonical_bytes) is parsed by np.loadtxt
+    (_loadtxt_pairs) from a file that then holds the only copy of its
+    bytes (_in_memory_file). Other input, and canonical input that
+    loadtxt refuses, goes to _parse_lines, which alone reports errors
+    with line numbers. The raw input (and a text stream's str) dies on
+    return, before the ids are compacted.
     """
     if hasattr(source, "read"):
         raw = source.read()
     else:
         with open(os.fspath(source), "rb") as fh:
             raw = fh.read()
-    pairs = _parse_canonical(raw)
-    if pairs is None:
-        if not isinstance(raw, str):
-            raw = raw.decode("utf-8")  # the bytes die here
-        pairs = _parse_lines(raw)
-    return pairs
+    data = _canonical_bytes(raw)
+    if data is not None:
+        raw = None  # a text stream's str dies here
+        with _in_memory_file(data) as fh:
+            data = None  # fh holds the only copy
+            pairs = _loadtxt_pairs(fh)
+            if pairs is not None:
+                return pairs
+            fh.seek(0)
+            raw = fh.read()  # for _parse_lines
+    if not isinstance(raw, str):
+        raw = raw.decode("utf-8")  # the bytes die here
+    return _parse_lines(raw)
 
 
-def _parse_canonical(raw):
-    """Parse canonical edge-list input in numpy; None sends it to _parse_lines.
+def _canonical_bytes(raw):
+    """raw's ASCII bytes if it is canonical edge-list input, else None.
 
-    Canonical input is ASCII, holds none of _EXTRA_LINE_BREAKS, and the
-    first '#' of a line, if any, is its first non-blank byte, with no lone
-    '\\r' later in that line (_odd_comment). On it np.loadtxt splits lines,
-    fields and comments as the line loop does, so its (m, 2) result is
-    kept when no warning was raised and it has at least one row, two
-    columns and no negative id. loadtxt parses exactly the checked bytes:
-    in C from an in-memory file on Linux, else from io.BytesIO line by
-    line (_loadtxt). Any other input, malformed input included, goes to
-    _parse_lines, which alone reports errors with line numbers.
+    Canonical input is ASCII, holds none of _EXTRA_LINE_BREAKS, and has '#'
+    only as the first non-blank byte of a line, with no lone '\\r' later in
+    that line. On it np.loadtxt splits lines, fields and comments as the
+    line loop does.
     """
     if not raw.isascii():
         return None
     data = raw.encode("ascii") if isinstance(raw, str) else raw
-    if any(brk in data for brk in _EXTRA_LINE_BREAKS) or _odd_comment(data):
+    if any(brk in data for brk in _EXTRA_LINE_BREAKS):
         return None
+    pos = data.find(b"#")
+    while pos >= 0:
+        start = pos
+        while start and data[start - 1] in b" \t":
+            start -= 1
+        if start and data[start - 1] not in b"\n\r":
+            return None  # a '#' after an id
+        end = data.find(b"\n", pos)
+        end = len(data) if end < 0 else end
+        if data.find(b"\r", pos, end - 1) >= 0:
+            return None  # str.splitlines ends this comment early
+        pos = data.find(b"#", end)
+    return data
+
+
+def _in_memory_file(data: bytes):
+    """A binary file that holds data, for np.loadtxt to read in C.
+
+    loadtxt reads in C only a file that it opens itself from a str path,
+    and iterates a file object such as io.BytesIO line by line in Python.
+    So data goes into an anonymous in-memory file (memfd, in shared
+    memory outside the process's RSS), whose /proc/self/fd path gives
+    loadtxt exactly these bytes. Where os.memfd_create is missing (not
+    Linux), or it, the write or an open of that path raises OSError, the
+    file is io.BytesIO(data).
+    """
+    try:
+        fd = os.memfd_create("edges", os.MFD_CLOEXEC)
+    except (AttributeError, OSError):  # not Linux, or no memfd to be had
+        return io.BytesIO(data)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        return open(f"/proc/self/fd/{fd}", "rb")  # a second fd on the file
+    except OSError:
+        return io.BytesIO(data)
+    finally:
+        os.close(fd)
+
+
+def _loadtxt_pairs(fh):
+    """np.loadtxt's (m, 2) pairs of an _in_memory_file, or None.
+
+    The pairs are kept when no warning was raised and they have at least
+    one row, two columns and no negative id; None sends the input to
+    _parse_lines.
+    """
+    fname = (fh if isinstance(fh, io.BytesIO)
+             else f"/proc/self/fd/{fh.fileno()}")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # e.g. the no-data warning
         try:
-            pairs = _loadtxt(data)
+            pairs = np.loadtxt(fname, dtype=np.int64, comments="#", ndmin=2,
+                               encoding="ascii")
         except (ValueError, Warning):
             return None
     if pairs.shape[0] < 1 or pairs.shape[1] != 2 or pairs.min() < 0:
         return None
     return pairs
-
-
-def _odd_comment(data: bytes) -> bool:
-    """Whether a '#' of data breaks _parse_canonical's comment rule.
-
-    It does when the first '#' of a line follows an id, or a lone '\\r'
-    follows it on its line. The checks are scans in C over the lines from
-    the first '#' to the last: data without '#' costs one find, the
-    lone-'\\r' scan runs only where there is a '\\r', and the id scans only
-    when some '#' neither starts its line nor follows another '#'.
-    """
-    first = data.find(b"#")
-    if first < 0:
-        return False
-    end = data.find(b"\n", data.rfind(b"#")) + 1 or len(data)
-    if (data.find(b"\r", first, end) >= 0
-            and _LONE_CR_IN_COMMENT.search(data, first, end)):
-        return True
-    if not _MID_LINE_HASH.search(data, first, end):
-        return False  # every '#' starts its line or follows another '#'
-    line = data.rfind(b"\n", 0, first) + 1
-    return bool(_ID_BEFORE_HASH.match(data, line, end)
-                or _ID_BEFORE_NEXT_HASH.search(data, first, end))
-
-
-def _loadtxt(data: bytes) -> np.ndarray:
-    """np.loadtxt of the checked bytes, read in C where the system allows.
-
-    loadtxt reads in C only a file that it opens itself from a str path,
-    and iterates a file object such as io.BytesIO line by line in Python.
-    So the bytes are written to an anonymous in-memory file (memfd, in
-    shared memory outside the process's RSS), and loadtxt opens its
-    /proc/self/fd path as ASCII text, whatever the locale: it parses
-    exactly the bytes that were checked. Where os.memfd_create is missing
-    (not Linux), or it, the write or the open raises OSError, loadtxt
-    reads them from io.BytesIO.
-    """
-    if hasattr(os, "memfd_create"):
-        try:
-            fd = os.memfd_create("edges", os.MFD_CLOEXEC)
-            try:
-                view = memoryview(data)
-                while view:
-                    view = view[os.write(fd, view):]
-                return np.loadtxt(f"/proc/self/fd/{fd}", encoding="ascii",
-                                  **_LOADTXT_ARGS)
-            finally:
-                os.close(fd)
-        except OSError:  # no memfd to be had, the write or the open
-            pass
-    return np.loadtxt(io.BytesIO(data), **_LOADTXT_ARGS)
 
 
 def _parse_lines(text: str) -> np.ndarray:

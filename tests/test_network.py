@@ -386,44 +386,16 @@ class TestLoaderMatchesLineLoop:
                                       "1\t2\r\n# c\r\n3 4\r\n",
                                       "# see #5\n  # c #d\n1 2\n",
                                       " +5  0 \n\n"])
-    def test_canonical_input_takes_the_fast_path(self, text):
-        for raw in (text, text.encode("ascii")):
-            a, b = network._parse_canonical(raw).T
-            want_a, want_b = network._parse_lines(text).T
+    def test_canonical_input_takes_the_fast_path(self, text, monkeypatch):
+        want_a, want_b = network._parse_lines(text).T
+
+        def parse_lines(text):
+            raise AssertionError("canonical input went to _parse_lines")
+
+        monkeypatch.setattr(network, "_parse_lines", parse_lines)
+        for source in (io.StringIO(text), io.BytesIO(text.encode("ascii"))):
+            a, b = network._read_pairs(source).T
             assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
-
-
-def _comment_loop_rejects(data):
-    """The per-'#' loop that network._odd_comment replaced, as reference."""
-    pos = data.find(b"#")
-    while pos >= 0:
-        start = pos
-        while start and data[start - 1] in b" \t":
-            start -= 1
-        if start and data[start - 1] not in b"\n\r":
-            return True  # a '#' after an id
-        end = data.find(b"\n", pos)
-        end = len(data) if end < 0 else end
-        if data.find(b"\r", pos, end - 1) >= 0:
-            return True  # str.splitlines ends this comment early
-        pos = data.find(b"#", end)
-    return False
-
-
-_COMMENTY_TEXT = st.lists(st.sampled_from(
-    ["#", "##", " ", "\t", "\n", "\r", "\r\n", "1", "a", " #", "\n#"]),
-    max_size=30).map("".join)
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.one_of(_COMMENTY_TEXT, _EDGE_TEXT).map(str.encode))
-@example(b"# see #5\n  # c #d\n1 2\n")
-@example(b"1 2 # c\n")
-@example(b"# a\r5 6\n")
-@example(b"# a\r\n\t#b\r")
-@example(b"1 2\r  # c\n# d\n\r 3#")
-def test_comment_check_matches_the_loop(data):
-    assert network._odd_comment(data) == _comment_loop_rejects(data)
 
 
 def _spy_loadtxt(mp):
@@ -454,12 +426,20 @@ def _write_fails(mp):
     mp.setattr(os, "write", write)
 
 
+def _open_fails(mp):
+    def open_(file, *args, **kwargs):
+        if str(file).startswith("/proc/self/fd/"):
+            raise OSError(errno.ENOENT, "no such file or directory")
+        return open(file, *args, **kwargs)
+    mp.setattr(network, "open", open_, raising=False)
+
+
 def _assert_same_without_memfd(load):
     """load gives the same outcome when the in-memory file is missing or
     fails. Without one np.loadtxt is never given a path (a failing write
     fails only when there are bytes to write)."""
     want = _outcome(load)
-    for setup in (_no_memfd, _memfd_fails, _write_fails):
+    for setup in (_no_memfd, _memfd_fails, _write_fails, _open_fails):
         with pytest.MonkeyPatch.context() as mp:
             setup(mp)
             calls = _spy_loadtxt(mp)
@@ -521,12 +501,20 @@ def test_in_memory_file_is_written_in_full_and_closed(monkeypatch):
     monkeypatch.setattr(os, "write", write)
     _assert_same_network(load_edge_list(io.StringIO(text)), want)
     assert sum(sizes) == len(text) and len(sizes) > 1
-    # canonical; refused by np.loadtxt but not by _parse_lines; an error
-    for text, loads in ((text, True), ("1_000 2\n", True),
-                        ("1 2 3\n", False)):
-        before = sorted(os.listdir("/proc/self/fd"))
-        got = _outcome(lambda: load_edge_list(io.StringIO(text)))
-        assert sorted(os.listdir("/proc/self/fd")) == before, text
+    monkeypatch.setattr(os, "write", real_write)
+    # canonical; refused by np.loadtxt but not by _parse_lines; an error;
+    # canonical with a failing write or open of the in-memory file
+    for text, loads, setup in ((text, True, None), ("1_000 2\n", True, None),
+                               ("1 2 3\n", False, None),
+                               (text, True, _write_fails),
+                               (text, True, _open_fails)):
+        with pytest.MonkeyPatch.context() as mp:
+            if setup is not None:
+                setup(mp)
+            before = sorted(os.listdir("/proc/self/fd"))
+            got = _outcome(lambda: load_edge_list(io.StringIO(text)))
+            after = sorted(os.listdir("/proc/self/fd"))
+        assert after == before, (text, setup)
         assert isinstance(got, FollowNetwork) == loads, got
 
 
@@ -629,6 +617,13 @@ def test_fallback_load_holds_one_chunk_of_lines(tmp_path, monkeypatch):
     path.write_bytes(b"0_" + path.read_bytes())
     want = load_edge_list(path)
     monkeypatch.setattr(network, "_LINE_CHUNK_CHARS", 4096)
+    texts, parse_lines = [], network._parse_lines
+
+    def spy(text):
+        texts.append(len(text))
+        return parse_lines(text)
+
+    monkeypatch.setattr(network, "_parse_lines", spy)
     tracemalloc.start()
     try:
         got = load_edge_list(path)
@@ -636,7 +631,8 @@ def test_fallback_load_holds_one_chunk_of_lines(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     _assert_same_network(got, want)
-    assert network._parse_canonical(path.read_bytes()) is None
+    assert network._canonical_bytes(path.read_bytes()) is not None
+    assert texts == [path.stat().st_size]  # loadtxt refused the file
     assert peak <= 64 * lines, f"{peak / lines:.1f} bytes per line"
 
 
