@@ -7,12 +7,12 @@ Memory: a network keeps 8 bytes per edge (leader_ids) and 40 per user.
 Its follower CSR, once built, adds another 8 per edge and 8 per user, and
 the exposure pull's plan 8 per edge and at most 9 per user. A load
 peaks while it parses. Canonical input is copied into an in-memory file
-that np.loadtxt reads in C, and then holds only that copy, in shared
-memory outside the process's RSS: the two copies at the end of the
-write are 42 bytes per line, 75 MB, on a SNAP-sized file. Where there
-is no such file (not Linux), loadtxt reads the raw input from io.BytesIO,
-and it and 16 bytes per line of parsed ids peak at 38 bytes per line,
-67 MB (load_edge_list lists what each stage holds).
+(shared memory, outside the process's RSS) that np.loadtxt reads in C,
+and the load then keeps only that copy: the two copies, as the write
+ends, are 42 bytes per line, 75 MB, on a SNAP-sized file. Where there is
+no such file (not Linux), loadtxt reads the raw input from io.BytesIO,
+and the input and 16 bytes per line of parsed ids peak at 38 bytes per
+line, 67 MB (load_edge_list lists what each stage holds).
 """
 
 from __future__ import annotations
@@ -180,10 +180,11 @@ def load_edge_list(source, direction: str = DIRECTION_FOLLOWS) -> FollowNetwork:
     parsed pairs before the compact ids are made. Per line of the file,
     the three stages hold:
     - parse: the raw input (21 B/line for SNAP-sized ids; for a text
-      stream its str too, until the checks pass) until it is copied into
-      the in-memory file (shared memory, outside RSS and the traced peak),
-      then that file and the (m, 2) int64 pairs (16) that np.loadtxt
-      grows; without the file the raw input stays beside the pairs;
+      stream also its str, which dies once the checks pass) until it is
+      copied into the in-memory file (shared memory, outside RSS and the
+      traced peak), then that file and the (m, 2) int64 pairs (16) that
+      np.loadtxt grows; without the file the raw input stays beside the
+      pairs;
     - compaction, in place in the pairs: the pairs as sort keys (16),
       int32 positions (8) and the first-of-run mask (2), then the int32
       ranks and compact ids (8 each);
