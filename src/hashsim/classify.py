@@ -2,22 +2,18 @@
 
 Majors: A (activity after the peak), B (before), P (on the peak day),
 S (spread before, on and after). A, B and P split into high/low spreading
-threshold subclusters; serialized as "A+", "A-", ..., with bare "S".
+threshold subclusters, written "A+" and "A-" and so on, with bare "S".
+Labels are plain strings; the major class is the first character.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .behavior import ModelParams
 from .engine import N_DAYS, PEAK_INDEX
-from .metric import FractionProfile
-
-SUB_HIGH = "high-eta"
-SUB_LOW = "low-eta"
-SUB_NONE = "none"
-
-MAJORS = ("A", "B", "P", "S")
 
 
 @dataclass(frozen=True)
@@ -44,59 +40,37 @@ class ClassBoundaries:
             raise ValueError("mass thresholds must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class ClassLabel:
-    major: str
-    sub: str = SUB_NONE
-
-    def __post_init__(self):
-        if self.major not in MAJORS:
-            raise ValueError(f"unknown major class {self.major!r}")
-        if self.major == "S":
-            if self.sub != SUB_NONE:
-                raise ValueError("class S has no subcluster")
-        elif self.sub not in (SUB_HIGH, SUB_LOW):
-            raise ValueError(f"class {self.major} needs a high/low subcluster")
-
-    def __str__(self) -> str:
-        if self.major == "S":
-            return "S"
-        return self.major + ("+" if self.sub == SUB_HIGH else "-")
-
-
 def classify_params(lam: float, eta_star: float, delta_t: int,
-                    boundaries: ClassBoundaries | None = None) -> ClassLabel:
-    """Seven-way label from fitted (lam, eta_star, delta_t).
+                    boundaries: ClassBoundaries | None = None) -> str:
+    """Seven-way label string from fitted (lam, eta_star, delta_t).
 
-    Raises ValueError for a triplet that ModelParams rejects.
+    Returns "S", or a major A, B or P followed by "+" (eta_star at or above
+    eta_split) or "-". Raises ValueError for a triplet that ModelParams
+    rejects.
     """
     b = boundaries or ClassBoundaries()
     ModelParams(lam=lam, eta_star=eta_star, delta_t=delta_t)
-    sub = SUB_HIGH if eta_star >= b.eta_split else SUB_LOW
     anticipated = delta_t >= b.dt_anticipated
     if lam < b.lambda_split and eta_star < b.eta_split and anticipated:
-        return ClassLabel("S")
-    if lam >= b.lambda_split and not anticipated:
-        return ClassLabel("P", sub)
-    if anticipated:
-        return ClassLabel("B", sub)
-    return ClassLabel("A", sub)
+        return "S"
+    major = "B" if anticipated else ("P" if lam >= b.lambda_split else "A")
+    return major + ("+" if eta_star >= b.eta_split else "-")
 
 
-def classify_profile(p: FractionProfile,
+def classify_profile(fr: np.ndarray,
                      boundaries: ClassBoundaries | None = None) -> str:
-    """Major class from profile shape alone (independent of any fit).
+    """Major class label "A", "B", "P" or "S" from profile shape alone.
 
+    fr is a 15-day fraction array (see metric.normalize); no fit is read.
     Uses the mass before / on / after the peak day: P if the peak day holds
     at least peak_frac of the mass; A or B if one side holds at least
     side_frac while the other stays below it; S otherwise.
     """
     b = boundaries or ClassBoundaries()
-    if p.degenerate:
+    if not np.any(fr):
         raise ValueError("cannot classify a degenerate (all-zero) profile")
-    if len(p) != N_DAYS:
+    if len(fr) != N_DAYS:
         raise ValueError(f"profile must cover the {N_DAYS}-day window")
-    fr = p.fractions
     before, peak = fr[:PEAK_INDEX].sum(), fr[PEAK_INDEX]
     after = fr[PEAK_INDEX + 1:].sum()
     if peak >= b.peak_frac:

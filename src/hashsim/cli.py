@@ -18,7 +18,8 @@ import numpy as np
 from .behavior import ModelParams
 from .classify import ClassBoundaries, classify_params, classify_profile
 from .engine import run_ensemble
-from .fitter import COMBINE_MAX, COMBINE_MEAN, GridSpec, grid_scan
+from .fitter import (COMBINE_MAX, COMBINE_MEAN, GridSpec, check_targets,
+                     grid_scan)
 from .hashtags import HashtagCsvError, read_hashtag_csv
 from .metric import DEFAULT_THETA, check_theta, normalize
 from .network import (DIRECTION_FOLLOWED_BY, DIRECTION_FOLLOWS,
@@ -147,10 +148,7 @@ def cmd_simulate(args) -> int:
     _check_runs(args.runs)
     net = load_edge_list(args.network, direction=args.direction)
     profile = run_ensemble(net, params, args.seed, args.runs)
-    if args.out == "-":
-        profile.to_csv(sys.stdout)
-    else:
-        profile.to_csv(args.out)
+    profile.to_csv(sys.stdout if args.out == "-" else args.out)
     print(f"total_activities={profile.total_activities:.10g} "
           f"peak_day={profile.peak_day}")
     return EXIT_OK
@@ -162,16 +160,16 @@ def cmd_fit(args) -> int:
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
     check_theta(args.theta)
-    # the target first: a malformed one fails before a network is loaded
+    # the target first: a malformed or all-zero one fails before a network
+    # is loaded
     record = read_hashtag_csv(args.hashtag, name=args.name)
-    target_tweets, target_users = record.target_profiles()
+    targets = normalize(record.tweets), normalize(record.users)
+    check_targets(*targets)
     net = load_edge_list(args.network, direction=args.direction)
     print(f"scan: {grid.size} triplets x {grid.runs} runs")
-    result = grid_scan(net, target_tweets, target_users, grid,
-                       base_seed=args.seed, theta=args.theta,
-                       combine=args.combine, threads=args.threads)
-    label = classify_params(result.params.lam, result.params.eta_star,
-                            result.params.delta_t)
+    result = grid_scan(net, *targets, grid, base_seed=args.seed,
+                       theta=args.theta, combine=args.combine,
+                       threads=args.threads)
     report = {
         "hashtag": record.name,
         "lambda": result.params.lam,
@@ -181,7 +179,8 @@ def cmd_fit(args) -> int:
         "delta_users": result.delta_users,
         "objective": result.objective,
         "good": result.good,
-        "class": str(label),
+        "class": classify_params(result.params.lam, result.params.eta_star,
+                                 result.params.delta_t),
     }
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
     if args.scan_out is not None:
@@ -209,7 +208,7 @@ def cmd_classify(args) -> int:
                                         report["delta_t"], boundaries)
             except (KeyError, TypeError, json.JSONDecodeError) as exc:
                 raise ValueError(f"bad fit JSON: {exc}") from None
-        print(str(label))
+        print(label)
     else:
         record = read_hashtag_csv(args.profile_csv)
         print(classify_profile(normalize(record.tweets), boundaries))
@@ -222,10 +221,7 @@ def cmd_synth(args) -> int:
                                  seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if args.out == "-":
-        write_edge_list(net, sys.stdout)
-    else:
-        write_edge_list(net, args.out)
+    write_edge_list(net, sys.stdout if args.out == "-" else args.out)
     return EXIT_OK
 
 

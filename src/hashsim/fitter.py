@@ -23,7 +23,7 @@ import numpy as np
 from . import rng
 from .behavior import MAX_DELTA_T, ModelParams
 from .engine import peak_state, run_ensemble
-from .metric import DEFAULT_THETA, FractionProfile, distance, normalize
+from .metric import DEFAULT_THETA, distance, normalize
 from .network import FollowNetwork
 
 GOOD_FIT_LIMIT = 0.08
@@ -112,19 +112,31 @@ def triplet_seed(base_seed: int, delta_t: int, eta_star: float,
         return int(rng.mix64(key ^ rng.as_u64(base_seed)) >> np.uint64(1))
 
 
-def grid_scan(net: FollowNetwork, target_tweets: FractionProfile,
-              target_users: FractionProfile, grid: GridSpec | None = None,
+def check_targets(target_tweets: np.ndarray,
+                  target_users: np.ndarray) -> None:
+    """Raise ValueError if either target fraction array is all zero.
+
+    An all-zero count series has no profile shape to fit (metric.normalize
+    returns zeros for it).
+    """
+    if not (np.any(target_tweets) and np.any(target_users)):
+        raise ValueError("target profiles must not be all-zero")
+
+
+def grid_scan(net: FollowNetwork, target_tweets: np.ndarray,
+              target_users: np.ndarray, grid: GridSpec | None = None,
               base_seed: int = 0, theta: float = DEFAULT_THETA,
               combine: str = COMBINE_MAX, threads: int = 1) -> FitResult:
     """Exhaustively score every triplet and return the best fit.
 
-    The objective combines the tweet- and user-profile distances (max by
-    default); ties break toward smaller eta_star, then lambda, then delta_t,
-    independent of evaluation order. The result's scan holds every score.
+    The targets are 15-day fraction arrays (metric.normalize of the tweet
+    and user counts); an all-zero target raises ValueError. The objective
+    combines the tweet- and user-profile distances (max by default); ties
+    break toward smaller eta_star, then lambda, then delta_t, independent
+    of evaluation order. The result's scan holds every score.
     """
     grid = grid or GridSpec()
-    if target_tweets.degenerate or target_users.degenerate:
-        raise ValueError("target profiles must not be all-zero")
+    check_targets(target_tweets, target_users)
     if combine not in (COMBINE_MAX, COMBINE_MEAN):
         raise ValueError(f"unknown combine mode {combine!r}")
 

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import DAY_OFFSETS, N_DAYS, PROFILE_CSV_HEADER
-from .metric import FractionProfile, normalize
 
 HASHTAG_CSV_HEADER = "day,tweets,users"
 
@@ -27,9 +26,6 @@ class HashtagRecord:
     name: str
     tweets: np.ndarray
     users: np.ndarray
-
-    def target_profiles(self) -> tuple[FractionProfile, FractionProfile]:
-        return normalize(self.tweets), normalize(self.users)
 
 
 def read_hashtag_csv(src, name: str | None = None) -> HashtagRecord:

@@ -3,32 +3,18 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_THETA = 0.04
 
 
-@dataclass(frozen=True)
-class FractionProfile:
-    """Per-day fractions of a count series; all zeros marks a degenerate profile."""
-
-    fractions: np.ndarray
-
-    @property
-    def degenerate(self) -> bool:
-        return not np.any(self.fractions)
-
-    def __len__(self) -> int:
-        return int(self.fractions.shape[0])
-
-
-def normalize(counts) -> FractionProfile:
+def normalize(counts) -> np.ndarray:
     """Divide a nonnegative count series by its total.
 
-    An all-zero input yields the degenerate all-zero profile rather than an
-    error, so callers can flag it explicitly.
+    Returns a read-only float64 array of per-day fractions. An all-zero
+    input yields the degenerate all-zero array rather than an error, so
+    callers can flag it with `not np.any(...)`.
     """
     arr = np.asarray(counts, dtype=float)
     if np.any(arr < 0):
@@ -36,7 +22,7 @@ def normalize(counts) -> FractionProfile:
     total = arr.sum()
     fractions = np.zeros_like(arr) if total == 0 else arr / total
     fractions.flags.writeable = False
-    return FractionProfile(fractions)
+    return fractions
 
 
 def check_theta(theta: float) -> None:
@@ -51,16 +37,15 @@ def check_theta(theta: float) -> None:
         raise ValueError("theta must be >= 0")
 
 
-def distance(p: FractionProfile, q: FractionProfile,
+def distance(a: np.ndarray, b: np.ndarray,
              theta: float = DEFAULT_THETA) -> float:
-    """Masked relative distance between two fraction profiles.
+    """Masked relative distance between two fraction arrays (see normalize).
 
     (1/N) * sqrt(sum over contributing days of ((P_i-Q_i)/max(P_i,Q_i))^2),
     where a day contributes only if P_i + Q_i > theta. The mask also covers
-    the P_i = Q_i = 0 case for any theta >= 0. Symmetric in (p, q); bounded
+    the P_i = Q_i = 0 case for any theta >= 0. Symmetric in (a, b); bounded
     by 1/sqrt(N).
     """
-    a, b = p.fractions, q.fractions
     if a.shape != b.shape:
         raise ValueError("profiles must have equal length")
     check_theta(theta)

@@ -87,7 +87,7 @@ def test_acceptance_3_metric_properties():
         value = distance(x, y)
         checks.append(value == distance(y, x))
         checks.append(value <= bound + 1e-15)
-        oracle = distance_reference(x.fractions, y.fractions, 0.04)
+        oracle = distance_reference(x, y, 0.04)
         checks.append(abs(value - oracle) <= 1e-15)
     report(3, "metric properties", all(checks))
 
@@ -140,7 +140,7 @@ def test_acceptance_6_decay_behavior(star101):
 
     flat = run_ensemble(star101, ModelParams(lam=0.0, eta_star=2, delta_t=2),
                         1234, 200)
-    post = normalize(flat.activities).fractions[7:]
+    post = normalize(flat.activities)[7:]
     deviation = np.abs(post - post.mean()) / post.mean()
     checks.append(deviation.max() < 0.10)
     report(6, "interest decay behavior", all(checks))
@@ -192,7 +192,7 @@ def test_acceptance_8_classification(er1000):
     for k, (lam, eta, dt) in enumerate(configs):
         params = ModelParams(lam=lam, eta_star=eta, delta_t=dt)
         prof = run_ensemble(er1000, params, 50_000 + 1000 * k, 20)
-        from_params = classify_params(lam, eta, dt).major
+        from_params = classify_params(lam, eta, dt)[0]
         from_shape = classify_profile(normalize(prof.activities))
         agree += from_params == from_shape
     rate = agree / len(configs)

@@ -4,19 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from hashsim import (ClassBoundaries, ClassLabel, GridSpec, classify_params,
+from hashsim import (ClassBoundaries, GridSpec, classify_params,
                      classify_profile, normalize)
-from hashsim.classify import SUB_HIGH, SUB_LOW, SUB_NONE
-
-
-class TestClassLabel:
-    def test_s_has_no_subcluster(self):
-        with pytest.raises(ValueError):
-            ClassLabel("S", SUB_HIGH)
-
-    def test_others_need_subcluster(self):
-        with pytest.raises(ValueError):
-            ClassLabel("A", SUB_NONE)
 
 
 class TestClassifyParams:
@@ -41,11 +30,11 @@ class TestClassifyParams:
 
     def test_boundary_values_are_inclusive(self):
         b = ClassBoundaries()
-        assert classify_params(b.lambda_split, 5, 0).major == "P"
-        assert classify_params(b.lambda_split - 1e-9, 5, 0).major == "A"
-        assert classify_params(0.5, b.eta_split, b.dt_anticipated).major == "B"
+        assert classify_params(b.lambda_split, 5, 0)[0] == "P"
+        assert classify_params(b.lambda_split - 1e-9, 5, 0)[0] == "A"
+        assert classify_params(0.5, b.eta_split, b.dt_anticipated)[0] == "B"
         assert classify_params(0.5, b.eta_split - 1e-9,
-                               b.dt_anticipated).major == "S"
+                               b.dt_anticipated)[0] == "S"
 
     def test_out_of_domain_rejected(self):
         for lam, eta, dt in [(-1, 5, 0), (1, 0.5, 0), (1, 5, 8),

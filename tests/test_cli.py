@@ -1,6 +1,9 @@
 import argparse
+import ast
 import dataclasses
 import json
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -145,6 +148,13 @@ class TestExitCodes:
                      "--runs", "0"] + grid) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_fit_zero_threads_is_usage_before_loading(self, tmp_path,
+                                                      capsys):
+        assert main(["fit", "--network", str(tmp_path / "no.txt"),
+                     "--hashtag", str(tmp_path / "no.csv"),
+                     "--threads", "0"]) == 1
+        assert "--threads" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "fit"])
     @pytest.mark.parametrize("runs,code", [("0", 1), (str(MAX_RUNS + 1), 1),
                                            ("1000000000", 1),
@@ -228,6 +238,41 @@ class TestSynth:
 
     def test_bad_kind_is_usage(self):
         assert main(["synth", "--kind", "ring", "--n", "5"]) == 1
+
+    def test_no_nodes_is_usage(self, capsys):
+        assert main(["synth", "--kind", "star", "--n", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n must be >= 1" in captured.err
+
+
+class TestStdout:
+    """'--out -' (the default for fit) writes what '--out FILE' writes."""
+
+    def test_synth(self, star_file, capsys):
+        capsys.readouterr()
+        assert main(["synth", "--kind", "star", "--n", "11",
+                     "--out", "-"]) == 0
+        assert capsys.readouterr().out == pathlib.Path(star_file).read_text()
+
+    def test_simulate(self, star_file, tmp_path, capsys):
+        out = run_simulate(star_file, tmp_path, "p.csv")
+        summary = capsys.readouterr().out
+        assert summary.startswith("total_activities=")
+        run_simulate(star_file, tmp_path, "unused", **{"--out": "-"})
+        assert capsys.readouterr().out == out.read_text() + summary
+
+    def test_fit(self, star_file, tmp_path, capsys):
+        target = run_simulate(star_file, tmp_path, "target.csv")
+        argv = ["fit", "--network", star_file, "--hashtag", str(target),
+                "--grid", "lambda=0:1:0.5,eta=1:3:2,dt=0:1", "--runs", "3",
+                "--seed", "5"]
+        report = tmp_path / "fit.json"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(report)]) == 0
+        banner = capsys.readouterr().out
+        assert banner == "scan: 12 triplets x 3 runs\n"
+        assert main(argv) == 0
+        assert capsys.readouterr().out == banner + report.read_text()
 
 
 class TestStats:
@@ -383,14 +428,25 @@ class TestFitAndClassify:
                      "--grid", "lambda=1,eta=2,dt=0", "--runs", "1"]) == 2
 
     def test_fit_reads_the_target_before_the_network(self, star_file,
-                                                      tmp_path, monkeypatch):
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
         loads = []
         monkeypatch.setattr(cli, "load_edge_list",
                             lambda *args, **kwargs: loads.append(args))
-        short = tmp_path / "short.csv"
-        short.write_text("day,tweets,users\n-7,1,1\n")
-        assert main(["fit", "--network", star_file, "--hashtag", str(short),
-                     "--grid", "lambda=1,eta=2,dt=0", "--runs", "1"]) == 2
+        targets = {
+            "short": (["-7,1,1"], "expected 15 data rows"),
+            "zeros": ([f"{d},0,0" for d in range(-7, 8)], "all-zero"),
+            "no_users": ([f"{d},2,0" for d in range(-7, 8)], "all-zero"),
+        }
+        for name, (rows, message) in targets.items():
+            target = tmp_path / f"{name}.csv"
+            target.write_text("\n".join(["day,tweets,users"] + rows) + "\n")
+            for network in (star_file, str(tmp_path / "missing.txt")):
+                assert main(["fit", "--network", network,
+                             "--hashtag", str(target),
+                             "--grid", "lambda=1,eta=2,dt=0",
+                             "--runs", "1"]) == 2
+                assert message in capsys.readouterr().err
         assert loads == []
 
     def test_fit_rejects_nan_hashtag_count(self, star_file, tmp_path,
@@ -447,6 +503,19 @@ def test_cli_defaults_are_the_library_defaults():
                   "--eta-star", "1", "--delta-t", "0"],
                  ["fit", "--network", "n", "--hashtag", "h"]):
         assert parser.parse_args(argv).runs == GridSpec().runs
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # syntax newer than requires-python would fail only on an old
+    # interpreter; ast checks it on any supported one
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    floor = re.search(r'requires-python = ">=3\.(\d+)"',
+                      (repo / "pyproject.toml").read_text()).group(1)
+    sources = sorted((repo / "src" / "hashsim").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, int(floor)))
 
 
 def test_all_names_exist_once():

@@ -133,6 +133,13 @@ class TestActivityProfile:
         with pytest.raises(ValueError):
             ActivityProfile(np.zeros(14), np.zeros(14))
 
+    def test_negative_entry_rejected(self):
+        acts = np.ones(15)
+        dist = np.zeros(15)
+        dist[4] = -1.0
+        with pytest.raises(ValueError, match="nonnegative"):
+            ActivityProfile(acts, dist)
+
     def test_distinct_cannot_exceed_activities(self):
         acts = np.zeros(15)
         dist = np.zeros(15)

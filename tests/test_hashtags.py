@@ -32,6 +32,21 @@ def test_non_finite_count_rejected_with_row(bad):
     assert "non-finite" in str(exc.value)
 
 
+@pytest.mark.parametrize("line,message", [
+    ("-3,-1,0", "negative count"),
+    ("-3,2,-1", "negative count"),
+    ("-2,2,1", "expected day -3, got -2"),
+    ("-3,two,1", "non-numeric value"),
+    ("x,2,1", "non-numeric value"),
+])
+def test_bad_row_rejected_with_row(line, message):
+    lines = csv_text([(2, 1)] * 15).splitlines()
+    lines[5] = line
+    with pytest.raises(HashtagCsvError, match=message) as exc:
+        read_hashtag_csv(io.StringIO("\n".join(lines) + "\n"))
+    assert exc.value.row == 5
+
+
 # mostly well-formed CSVs with odd values, rows, headers and line breaks
 _COUNT = st.one_of(st.integers(0, 50).map(str),
                    st.floats(allow_nan=True).map(repr),

@@ -100,6 +100,11 @@ def test_direction_flag_swaps_degree_multisets():
     assert sorted(fwd.leader_count) == sorted(rev.follower_count)
 
 
+def test_unknown_direction_rejected():
+    with pytest.raises(ValueError, match="unknown direction"):
+        load_edge_list(io.StringIO("0 1\n"), direction="sideways")
+
+
 def test_reload_is_identical(tiny_net):
     again = load_edge_list(io.StringIO("0 1\n2 1\n"))
     s1 = json.dumps(network_stats(tiny_net))
@@ -240,6 +245,15 @@ def test_write_read_round_trip(er200):
 def test_from_edges_rejects_empty_node_set():
     with pytest.raises(EdgeListError):
         FollowNetwork.from_edges([], [], 0)
+
+
+def test_from_edges_reads_float_ids_as_int64():
+    followers = np.array([1, 2, 2, 3, 0, 1])
+    leaders = np.array([0, 0, 1, 3, 2, 0])
+    want = FollowNetwork.from_edges(followers, leaders, 4)
+    got = FollowNetwork.from_edges(followers.astype(np.float64),
+                                   leaders.astype(np.float64), 4)
+    _assert_same_network(got, want)
 
 
 def test_follower_csr_is_the_transpose(er200):
