@@ -38,9 +38,11 @@ EXIT_IO = 3
 MAX_AXIS_POINTS = 10_000
 # Runs in one ensemble, 200x the paper's 50, checked before anything is
 # loaded, so a count such as 10**9 is refused before its seeds are built.
-# It does not bound memory: an ensemble holds ~20 bytes of state per (run,
-# user), so 10,000 runs of an 81k-user graph need ~16 GB. main reports a
-# failed allocation as a usage error.
+# simulate holds one block of runs at a time (~20 bytes per (run, user) of
+# the block) and 240 bytes of tallies per run, so its memory hardly grows
+# with runs. fit's scan holds the peak state of every run of a group (~18
+# bytes per (run, user)), so 10,000 runs of an 81k-user graph need ~15 GB
+# there. main reports a failed allocation as a usage error.
 MAX_RUNS = 10_000
 
 
@@ -304,9 +306,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except MemoryError:
         hint = ""
-        if hasattr(args, "runs"):
-            hint = (": the simulation state grows with runs x users; "
+        if args is not None and args.command == "fit":
+            hint = (": the scan holds ~18 bytes per (run, user); "
                     f"try a lower --runs than {args.runs}")
+        elif args is not None and args.command == "simulate":
+            hint = (": an ensemble holds one block of runs, ~20 bytes per "
+                    "(run, user) of the block, so a lower --runs frees little")
         print(f"out of memory{hint}", file=sys.stderr)
         return EXIT_USAGE
     except UsageError as exc:

@@ -28,8 +28,8 @@ Patterson, "Direction-optimizing BFS", SC 2012):
 
 - push walks the follower CSR (the transpose of the leader CSR, built once
   per network) from the actors, when their out-edge volume sum(F_j) is at
-  most _PUSH_MAX_FRAC of runs x E, and scatters their weights in one
-  np.add.at;
+  most _PUSH_MAX_FRAC of the block's runs x E, and scatters their weights
+  in one np.add.at;
 - pull recomputes the packed rows from `last` over every edge, as one
   segmented sum over the follower-sorted leader CSR of the per-edge
   weights (FollowNetwork.pull_plan, built once per network on the first
@@ -53,26 +53,31 @@ post on the next simulated day: tau never rises after the peak, so
 nobody tomorrow means nobody on any later day. A block without actors
 has nothing to apply.
 
-A day is simulated in blocks of consecutive runs, each of at most
+Runs never interact, so an ensemble is simulated one block of
+consecutive runs at a time, and each block goes through all its days
+before the next block starts. A block (BatchState) holds at most
 _BLOCK_EDGES (run, edge) pairs, or one run when a single run has more
-edges. The quantities that depend on the user alone (interest, action
-and exposure probabilities, who can post) are computed once per day; then
-each block draws its tweets and its retweets, then writes its rows of
-the day's new `last` and applies its actors to its exposure (choosing
-push or pull for itself). So the temporaries of a day are bounded by the
-budget, not by runs x users or runs x E, while the state holds about 20
-bytes per (run, user): the stream root and the packed exposure (8 each),
-`last` (2) and, during a day, its replacement (2). Runs are independent,
-draws are addressed and y and eta are exact, so the blocks give the same
-bytes as one block of every run.
+edges. Its state is about 20 bytes per (run, user): the stream root and
+the packed exposure (8 each), `last` (2) and, during a day, its
+replacement (2); a day's temporaries are bounded by the same budget, not
+by runs x users or runs x E. What a day reads that does not depend on
+the run (tau, who can post and their rho, the gate, whether the day is
+skipped or applied) is computed once per call, by _days, and every
+block reads it; t is recomputed only at the users a block gathers. Runs
+are independent, draws are addressed and y and eta are exact, so the
+blocks give the same bytes as one block of every run.
 
 Interest is 1 on every day up to the peak, so days -delta_t..0 do not
-depend on lambda. Every batch takes one path: peak_state simulates those
-days and returns the batch's state (BatchState), and run_ensemble
-continues it through days 1..7. Given start=snapshot, run_ensemble
-continues a copy of that snapshot instead of building one, so a scan
-simulates the pre-peak days once for every lambda that shares the other
-parameters.
+depend on lambda. Every block takes one path: it is built and simulated
+through day 0 (its peak state), then continued through days 1..7, and
+run_ensemble keeps only its (rows, N_DAYS) tallies. Without a snapshot,
+run_ensemble builds each block's peak state just before continuing it,
+so one block is alive at a time and memory grows with runs only by the
+tallies (240 bytes per run). peak_state returns the peak state of every
+block, as a tuple; given start=snapshot, run_ensemble continues a copy
+of one block at a time instead, so a scan simulates the pre-peak days
+once for every lambda that shares the other parameters, and holds the
+snapshot (about 18 bytes per (run, user)) while it does.
 """
 
 from __future__ import annotations
@@ -80,15 +85,15 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import rng
 from .behavior import (MAX_DELTA_T, ModelParams, action_probability,
                        activeness, exposure_probability, gate_min,
-                       hesitancy, interest, per_retweet_probability,
-                       retweet_count)
+                       gate_threshold, hesitancy, interest,
+                       per_retweet_probability, retweet_count)
 from .network import FollowNetwork
 
 DAY_OFFSETS = np.arange(-MAX_DELTA_T, MAX_DELTA_T + 1)
@@ -97,18 +102,18 @@ PEAK_INDEX = MAX_DELTA_T  # DAY_OFFSETS[PEAK_INDEX] is the peak day, 0
 _NEVER = np.int16(-100)  # "no activity yet"; below every real day offset
 
 # Push a day's actors to their followers when their out-edge volume is at
-# most this fraction of runs x E; otherwise pull. On a 2-vCPU x86-64 VM and
-# a dense 20k-node heavy-tailed graph, a push costs ~21 ns per (actor,
-# follower) pair and a pull ~9 ns per (run, edge). At 0.3 / 0.4 / 0.5
-# (medians of 3, seconds): three 50-run ensembles on that graph 7.80 /
-# 7.96 / 7.55, three 1k-node ER fits 4.30 / 4.47 / 4.74 (peak 47.0 / 47.8 /
-# 48.2 MB), and an 11-lambda group of 10 runs on a SNAP-sized graph (1-run
-# blocks) 6.10 / 6.13 / 6.03 at eta* 1 and 5.34 / 5.43 / 5.11 at eta* 5.
-# No value was faster on all.
+# most this fraction of the block's runs x E; otherwise pull. On a 2-vCPU
+# x86-64 VM and a dense 20k-node heavy-tailed graph, a push costs ~21 ns
+# per (actor, follower) pair and a pull ~9 ns per (run, edge). At 0.3 /
+# 0.4 / 0.5 (medians of 3, seconds): three 50-run ensembles on that graph
+# 7.80 / 7.96 / 7.55, three 1k-node ER fits 4.30 / 4.47 / 4.74 (peak 47.0
+# / 47.8 / 48.2 MB), and an 11-lambda group of 10 runs on a SNAP-sized
+# graph (1-run blocks) 6.10 / 6.13 / 6.03 at eta* 1 and 5.34 / 5.43 / 5.11
+# at eta* 5. No value was faster on all.
 _PUSH_MAX_FRAC = 0.3
-# A day works on blocks of at most this many (run, edge) pairs (at least one
-# run). A pull holds ~9 bytes of temporaries per pair (the bool comparison
-# and its int64 weights), and a push at most _PUSH_MAX_FRAC of the pairs.
+# A block holds at most this many (run, edge) pairs (at least one run). A
+# pull holds ~9 bytes of temporaries per pair (the bool comparison and its
+# int64 weights), and a push at most _PUSH_MAX_FRAC of the pairs.
 _BLOCK_EDGES = 1 << 21
 
 PROFILE_CSV_HEADER = "day,activities,distinct_users"
@@ -269,31 +274,93 @@ def _pull(net: FollowNetwork, packed, last) -> None:
     packed[:, has_leaders] = np.add.reduceat(recent * weights, starts, axis=1)
 
 
-def _inject(streams, day_index: int, can_post, rho_post, t_vec,
-            acted) -> None:
+class _Day(NamedTuple):
+    """What one simulated day reads besides a block's state.
+
+    None of it depends on the run, so _days computes it once per call and
+    every block of the call reads the same arrays. It holds no array of t:
+    t(users) recomputes t at the users a block gathers, with the same
+    bytes, as t is elementwise.
+    """
+
+    index: int  # into DAY_OFFSETS
+    update: bool  # whether a later day reads today's actors
+    tau: float
+    sigma: float
+    h_vec: np.ndarray
+    can_post: np.ndarray  # the users with t > 0 and rho > 0
+    rho_post: np.ndarray  # rho at can_post
+    gate: np.ndarray  # gate_min << shift, or the cap where t is 0
+    threshold: np.ndarray  # eta_star * influence, the same on every day
+
+    def t(self, users) -> np.ndarray:
+        """The action probability of these users today."""
+        return action_probability(self.sigma, self.tau, self.h_vec[users])
+
+
+def _days(net: FollowNetwork, params: ModelParams, a_vec, h_vec,
+          days: range) -> list:
+    """The _Day of each of these days (indices into DAY_OFFSETS) that runs.
+
+    A day on which nobody can post is left out, as it changes nothing.
+    Days with the same tau and chi (the days up to the peak, without
+    coverage) share their arrays.
+    """
+    shift = net.l_max.bit_length()
+    eta_star, sigma = float(params.eta_star), float(params.sigma)
+    with np.errstate(over="ignore"):  # an inf threshold is never gated
+        threshold = gate_threshold(eta_star, net.influence)
+    gate = gate_min(eta_star, net.influence, net.edge_count) << shift
+    closed = (net.edge_count + 1) << shift
+    taus = [interest(float(DAY_OFFSETS[i]), params.lam) for i in days]
+    # t = clip(sigma * tau - h, 0, 1) > 0 exactly when sigma * tau > h
+    h_min = h_vec.min()
+    posts = [sigma * tau > h_min for tau in taus]
+    plan, shared = [], {}
+    for k, day_index in enumerate(days):
+        if not posts[k]:
+            continue
+        # every branch reads the peak day's actors; after it, a later day
+        # reads today's only if someone can post tomorrow
+        update = (day_index <= PEAK_INDEX
+                  or k + 1 < len(posts) and posts[k + 1])
+        d = float(DAY_OFFSETS[day_index])
+        key = (taus[k], params.chi(d))
+        if key not in shared:
+            t_vec = action_probability(sigma, taus[k], h_vec)
+            rho = exposure_probability(a_vec, d, params)
+            can_post = np.flatnonzero((t_vec > 0.0) & (rho > 0.0))
+            # t = 0 makes r = 0 and every binomial draw 0: keep those closed
+            shared[key] = (can_post, rho[can_post],
+                           np.where(t_vec > 0.0, gate, closed))
+        plan.append(_Day(day_index, update, taus[k], sigma, h_vec,
+                         *shared[key], threshold))
+    return plan
+
+
+def _inject(streams, day: _Day, acted) -> None:
     """Exogenous stimulus: mark in `acted` who is exposed and tweets today.
 
     acted holds the rows of one block, as streams does. u < rho and u < t
     hold only where rho and t are positive, so slot 0 is drawn only at the
-    users who can post (rho_post is rho there) and slot 1 only where slot
-    0 passed. The temporaries die on return, before the block's retweets
-    are drawn.
+    users who can post and slot 1 only where slot 0 passed. The
+    temporaries die on return, before the block's retweets are drawn.
     """
-    u_exp = rng.uniforms(streams[:, can_post], day_index, 0)
-    hit = np.flatnonzero(u_exp < rho_post)
-    run = hit // can_post.size
-    user = can_post[hit - run * can_post.size]
-    tweeted = rng.uniforms(streams[run, user], day_index, 1) < t_vec[user]
+    u_exp = rng.uniforms(streams[:, day.can_post], day.index, 0)
+    hit = np.flatnonzero(u_exp < day.rho_post)
+    run = hit // day.can_post.size
+    user = day.can_post[hit - run * day.can_post.size]
+    tweeted = rng.uniforms(streams[run, user], day.index, 1) < day.t(user)
     acted[run[tweeted], user[tweeted]] = True
 
 
-def _spread(streams, day_index: int, packed, shift: int, gate, eta_star: float,
-            infl, t_vec, acted) -> np.ndarray:
+def _spread(streams, day: _Day, packed, shift: int, eta_star: float, infl,
+            acted) -> np.ndarray:
     """Endogenous stimulus: mark in `acted` who retweets today.
 
     packed is the exposure (y << shift) | eta of the same rows as streams
-    and acted. gate holds, per user, gate_min(eta_star, infl, E) << shift,
-    or (E + 1) << shift where t is 0 today, so packed >= gate is the
+    and acted. day.gate holds, per user, gate_min(eta_star, infl, E) <<
+    shift, or (E + 1) << shift where t is 0 today, so packed >= gate is the
     retweet gate for the users who can retweet, in one int64 comparison
     (the module docstring says why it is exact). Slot 2 is drawn only at
     the (run, user) pairs that pass it, and the day's temporaries die on
@@ -302,15 +369,15 @@ def _spread(streams, day_index: int, packed, shift: int, gate, eta_star: float,
     column) pairs. Returns each row's retweet count.
     """
     counts = np.zeros(acted.shape[0], dtype=np.int64)
-    flat = np.flatnonzero(packed >= gate)
+    flat = np.flatnonzero(packed >= day.gate)
     if flat.size:
         run = flat // acted.shape[1]
         user = flat - run * acted.shape[1]
         gated = packed.reshape(-1)[flat]
         nu = retweet_count(gated & ((1 << shift) - 1), gated >> shift,
-                           eta_star, infl[user])
-        r_each = per_retweet_probability(t_vec[user], nu)
-        u_rt = rng.uniforms(streams.reshape(-1)[flat], day_index, 2)
+                           eta_star, infl[user], day.threshold[user])
+        r_each = per_retweet_probability(day.t(user), nu)
+        u_rt = rng.uniforms(streams.reshape(-1)[flat], day.index, 2)
         retweets = binomial_count(u_rt, nu, r_each)
         np.add.at(counts, run, retweets)
         acted.reshape(-1)[flat[retweets > 0]] = True
@@ -319,17 +386,18 @@ def _spread(streams, day_index: int, packed, shift: int, gate, eta_star: float,
 
 @dataclass(eq=False)
 class BatchState:
-    """A batch of runs between two simulated days.
+    """One block of consecutive runs between two simulated days.
 
-    peak_state returns one taken at the end of the peak day, and
-    run_ensemble continues a copy of it. packed[r, i] is the exposure
-    (y << shift) | eta of user i in run r: y sums F_j over the leaders j
-    of i with last[r, j] > last[r, i], and eta counts them. shift is
-    l_max.bit_length(), so eta <= l_max fits below y. packed agrees with
-    last after every day whose actors a later day can read (the module
-    docstring gives the rule). streams, a_vec, h_vec and last are never
-    written in place (a day replaces last), so copies share them; packed
-    and the tallies are copied.
+    A block holds at most _BLOCK_EDGES (run, edge) pairs, or one run when a
+    run has more edges. peak_state returns the blocks taken at the end of
+    the peak day, and run_ensemble continues each block or a copy of it.
+    packed[r, i] is the exposure (y << shift) | eta of user i in run r: y
+    sums F_j over the leaders j of i with last[r, j] > last[r, i], and eta
+    counts them. shift is l_max.bit_length(), so eta <= l_max fits below
+    y. packed agrees with last after every day whose actors a later day
+    can read (the module docstring gives the rule). streams, a_vec, h_vec
+    and last are never written in place (a day replaces last), so copies
+    share them; packed and the tallies are copied.
     """
 
     net: FollowNetwork
@@ -351,74 +419,42 @@ class BatchState:
                                    acts=self.acts.copy(),
                                    dist=self.dist.copy())
 
-    def _blocks(self) -> list:
-        """Row slices of at most _BLOCK_EDGES (run, edge) pairs each.
+    def simulate(self, days: list) -> tuple:
+        """Simulate these days (a _days list), in order; return the tallies.
 
-        A block holds at least one run, so a run with more edges than the
-        budget is a block of its own.
+        The tallies are acts and dist, each of shape (rows, N_DAYS).
         """
-        size = max(1, _BLOCK_EDGES // max(1, self.net.edge_count))
-        return [slice(lo, lo + size)
-                for lo in range(0, self.last.shape[0], size)]
-
-    def simulate(self, days: range) -> None:
-        """Simulate the days with these indices into DAY_OFFSETS, in order."""
-        net, params, shift = self.net, self.params, self.shift
-        h_vec, infl = self.h_vec, net.influence
-        n, edges = net.user_count, net.edge_count
-        eta_star = float(params.eta_star)
-        gate = gate_min(eta_star, infl, edges) << shift
-        closed = (edges + 1) << shift
-        sigma = float(params.sigma)
-        taus = [interest(float(DAY_OFFSETS[i]), params.lam) for i in days]
-        # t = clip(sigma * tau - h, 0, 1) > 0 exactly when sigma * tau > h
-        h_min = h_vec.min()
-        posts = [sigma * tau > h_min for tau in taus]
-        blocks = self._blocks()
-        for k, day_index in enumerate(days):
-            if not posts[k]:
-                continue  # nobody can post today; state cannot change
-            # every branch reads the peak day's actors; after it, a later
-            # day reads today's only if someone can post tomorrow
-            update = (day_index <= PEAK_INDEX
-                      or k + 1 < len(posts) and posts[k + 1])
-            d = DAY_OFFSETS[day_index]
-            # one probability for tweets and retweets
-            t_vec = action_probability(sigma, taus[k], h_vec)
-            rho = exposure_probability(self.a_vec, float(d), params)
-            can_post = np.nonzero((t_vec > 0.0) & (rho > 0.0))[0]
-            rho_post = rho[can_post]
-            # t = 0 makes r = 0 and every binomial draw 0: keep those closed
-            day_gate = np.where(t_vec > 0.0, gate, closed)
-
-            last = self.last.copy()  # branches share self.last
-            for rows in blocks:
-                streams, packed = self.streams[rows], self.packed[rows]
-                acted = np.zeros(streams.shape, dtype=bool)
-                _inject(streams, day_index, can_post, rho_post, t_vec, acted)
-                tweets = acted.sum(axis=1)
-                self.acts[rows, day_index] = tweets + _spread(
-                    streams, day_index, packed, shift, day_gate, eta_star,
-                    infl, t_vec, acted)
-                self.dist[rows, day_index] = acted.sum(axis=1)
-                np.putmask(last[rows], acted, np.int16(d))
-                if update and acted.any():
-                    actors = np.flatnonzero(acted)
-                    volume = int(net.follower_count[actors % n].sum())
-                    if volume <= _PUSH_MAX_FRAC * acted.shape[0] * edges:
-                        _push(net, packed, shift, self.last[rows], actors)
-                    else:
-                        _pull(net, packed, last[rows])
+        net, shift, packed = self.net, self.shift, self.packed
+        eta_star = float(self.params.eta_star)
+        for day in days:
+            acted = np.zeros(self.streams.shape, dtype=bool)
+            _inject(self.streams, day, acted)
+            tweets = acted.sum(axis=1)
+            self.acts[:, day.index] = tweets + _spread(
+                self.streams, day, packed, shift, eta_star, net.influence,
+                acted)
+            self.dist[:, day.index] = acted.sum(axis=1)
+            # branches share self.last, so a day replaces it
+            last = np.where(acted, np.int16(DAY_OFFSETS[day.index]),
+                            self.last)
+            if day.update and acted.any():
+                actors = np.flatnonzero(acted)
+                volume = int(net.follower_count[actors % net.user_count]
+                             .sum())
+                if volume <= _PUSH_MAX_FRAC * acted.shape[0] * net.edge_count:
+                    _push(net, packed, shift, self.last, actors)
+                else:
+                    _pull(net, packed, last)
             self.last = last
+        return self.acts, self.dist
 
 
-def peak_state(net: FollowNetwork, params: ModelParams, base_seed: int,
-               runs: int) -> BatchState:
-    """The runs of run_ensemble(net, params, base_seed, runs) after day 0.
+def _peak_blocks(net: FollowNetwork, params: ModelParams, base_seed: int,
+                 runs: int, a_vec, h_vec):
+    """peak_state's blocks, each built and simulated when it is asked for.
 
-    Interest is 1 on every day up to the peak, so nothing here depends on
-    params.lam: run_ensemble(..., start=snapshot) continues the snapshot
-    for any lam that shares the other parameters.
+    A caller that drops a block before it asks for the next one holds one
+    block at a time. The pre-peak days' _days list is shared by all.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -426,20 +462,36 @@ def peak_state(net: FollowNetwork, params: ModelParams, base_seed: int,
     shift = net.l_max.bit_length()
     if (net.edge_count + 1) << shift >= 1 << 63:
         raise ValueError("network too large to pack y and eta in int64")
-    seeds = tuple(base_seed + k for k in range(runs))
-    a_vec, h_vec = user_arrays(net)
-    state = BatchState(net=net, params=params, seeds=seeds,
-                       streams=rng.stream_matrix(seeds, net.user_count),
-                       a_vec=a_vec, h_vec=h_vec,
-                       last=np.full((runs, net.user_count), _NEVER,
-                                    dtype=np.int16),
-                       packed=np.zeros((runs, net.user_count),
-                                       dtype=np.int64),
-                       shift=shift,
-                       acts=np.zeros((runs, N_DAYS)),
-                       dist=np.zeros((runs, N_DAYS)))
-    state.simulate(range(PEAK_INDEX - int(params.delta_t), PEAK_INDEX + 1))
-    return state
+    days = _days(net, params, a_vec, h_vec,
+                 range(PEAK_INDEX - int(params.delta_t), PEAK_INDEX + 1))
+    size = max(1, _BLOCK_EDGES // max(1, net.edge_count))
+
+    def block(lo: int) -> BatchState:
+        seeds = tuple(range(lo, min(lo + size, base_seed + runs)))
+        shape = (len(seeds), net.user_count)
+        state = BatchState(net=net, params=params, seeds=seeds,
+                           streams=rng.stream_matrix(seeds, net.user_count),
+                           a_vec=a_vec, h_vec=h_vec, shift=shift,
+                           last=np.full(shape, _NEVER, dtype=np.int16),
+                           packed=np.zeros(shape, dtype=np.int64),
+                           acts=np.zeros((len(seeds), N_DAYS)),
+                           dist=np.zeros((len(seeds), N_DAYS)))
+        state.simulate(days)
+        return state
+    return map(block, range(base_seed, base_seed + runs, size))
+
+
+def peak_state(net: FollowNetwork, params: ModelParams, base_seed: int,
+               runs: int) -> tuple:
+    """The runs of run_ensemble(net, params, base_seed, runs) after day 0.
+
+    Returns one BatchState per block of runs, in seed order. Interest is 1
+    on every day up to the peak, so nothing here depends on params.lam:
+    run_ensemble(..., start=snapshot) continues the snapshot for any lam
+    that shares the other parameters.
+    """
+    return tuple(_peak_blocks(net, params, base_seed, runs,
+                              *user_arrays(net)))
 
 
 def run_simulation(net: FollowNetwork, params: ModelParams,
@@ -450,24 +502,32 @@ def run_simulation(net: FollowNetwork, params: ModelParams,
 
 def run_ensemble(net: FollowNetwork, params: ModelParams, base_seed: int,
                  runs: int, *,
-                 start: Optional[BatchState] = None) -> ActivityProfile:
+                 start: Optional[tuple] = None) -> ActivityProfile:
     """Mean profile over runs with seeds base_seed .. base_seed + runs - 1.
 
-    Each run is its peak state continued through days 1..7. Without
-    `start` the peak state is built here; with `start` from peak_state, a
-    copy of it is continued, with the same bytes. The snapshot must come
-    from the same network, seeds and runs, and from params that differ at
-    most in lam; otherwise ValueError.
+    Each run is its peak state continued through days 1..7, one block of
+    runs at a time, and only each block's (rows, N_DAYS) tallies are kept.
+    Without `start` each block's peak state is built here, just before it
+    is continued; with `start` from peak_state, a copy of each of its
+    blocks is continued, with the same bytes. The snapshot must come from
+    the same network, seeds and runs, and from params that differ at most
+    in lam; otherwise ValueError.
     """
     if start is None:
-        state = peak_state(net, params, base_seed, runs)
+        a_vec, h_vec = user_arrays(net)
+        blocks = _peak_blocks(net, params, base_seed, runs, a_vec, h_vec)
     else:
-        if start.net is not net:
+        if start[0].net is not net:
             raise ValueError("snapshot is of another network")
-        if start.seeds != tuple(base_seed + k for k in range(runs)):
+        if (sum((block.seeds for block in start), ())
+                != tuple(range(base_seed, base_seed + runs))):
             raise ValueError("snapshot has other seeds or runs")
-        if dataclasses.replace(start.params, lam=params.lam) != params:
+        if dataclasses.replace(start[0].params, lam=params.lam) != params:
             raise ValueError("snapshot has other parameters than lam")
-        state = start.branch(params)
-    state.simulate(range(PEAK_INDEX + 1, N_DAYS))
-    return ActivityProfile(state.acts.mean(axis=0), state.dist.mean(axis=0))
+        a_vec, h_vec = start[0].a_vec, start[0].h_vec
+        blocks = (block.branch(params) for block in start)
+    days = _days(net, params, a_vec, h_vec, range(PEAK_INDEX + 1, N_DAYS))
+    # map drops each block as soon as its tallies are taken
+    acts, dist = (np.concatenate(rows) for rows in
+                  zip(*map(lambda state: state.simulate(days), blocks)))
+    return ActivityProfile(acts.mean(axis=0), dist.mean(axis=0))

@@ -174,7 +174,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["simulate", "fit"])
     def test_out_of_memory_is_usage(self, star_file, tmp_path, capsys,
                                     monkeypatch, command):
-        # runs up to MAX_RUNS can still exceed memory on a large network
+        # runs up to MAX_RUNS can still exceed memory on a large network:
+        # in fit's scan, which holds every run's peak state, and in
+        # simulate when one block of runs does not fit
         def exhausted(*args, **kwargs):
             raise MemoryError
 
@@ -191,7 +193,9 @@ class TestExitCodes:
                     + rest) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert "runs x users" in err and "--runs than 9000" in err
+        assert "per (run, user)" in err
+        assert ("--runs than 9000" in err) == (command == "fit")
+        assert ("one block of runs" in err) == (command == "simulate")
 
     @settings(max_examples=300, deadline=None)
     @given(grid=_GRID, runs=st.sampled_from(["1", "0", "-2", "x"]),

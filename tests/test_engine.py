@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import importlib.util
 import io
+import tracemalloc
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -201,7 +203,7 @@ class TestSingleRun:
     def test_causality_truncation(self, er200):
         # the peak state is the full run cut after day 0
         full = run_simulation(er200, PARAMS, 13)
-        state = engine.peak_state(er200, PARAMS, 13, 1)
+        (state,) = engine.peak_state(er200, PARAMS, 13, 1)
         cut = engine.PEAK_INDEX + 1
         assert np.array_equal(state.acts[0, :cut], full.activities[:cut])
         assert np.array_equal(state.dist[0, :cut], full.distinct_users[:cut])
@@ -334,7 +336,7 @@ class TestExposure:
                   for f in dataclasses.fields(one)}
         fits = SimpleNamespace(**dict(fields, l_max=7,
                                       edge_count=(1 << 60) - 2))
-        assert engine.peak_state(fits, PARAMS, 0, 1).shift == 3
+        assert engine.peak_state(fits, PARAMS, 0, 1)[0].shift == 3
         net = SimpleNamespace(**dict(fields, l_max=7,
                                      edge_count=(1 << 60) - 1))
         with pytest.raises(ValueError, match="too large"):
@@ -402,6 +404,17 @@ def count_directions(monkeypatch):
     return calls
 
 
+def continued(net, params, blocks):
+    """Continue the blocks of a peak_state through day +7, in place.
+
+    Returns the tallies of every run, in seed order: (acts, dist).
+    """
+    days = engine._days(net, params, blocks[0].a_vec, blocks[0].h_vec,
+                        range(engine.PEAK_INDEX + 1, engine.N_DAYS))
+    acts, dist = zip(*(block.simulate(days) for block in blocks))
+    return np.concatenate(acts), np.concatenate(dist)
+
+
 class TestAgainstReference:
     def test_star_hub_frontier_pulls(self, monkeypatch):
         # the hub's out-edges are all edges, so a day it acts is pulled
@@ -446,11 +459,10 @@ class TestAgainstReference:
         # once in one block of every run, once in blocks of one run
         for budget in (engine._BLOCK_EDGES, 1):
             monkeypatch.setattr(engine, "_BLOCK_EDGES", budget)
-            state = engine.peak_state(net, params, seeds[0], len(seeds))
-            assert state.seeds == tuple(seeds)
-            assert len(state._blocks()) == (1 if budget > 1 else len(seeds))
-            state.simulate(range(engine.PEAK_INDEX + 1, engine.N_DAYS))
-            acts, dist = state.acts, state.dist
+            blocks = engine.peak_state(net, params, seeds[0], len(seeds))
+            assert sum((block.seeds for block in blocks), ()) == tuple(seeds)
+            assert len(blocks) == (1 if budget > 1 else len(seeds))
+            acts, dist = continued(net, params, blocks)
             for row, seed in enumerate(seeds):
                 ref = simulate_reference(net, params, seed)
                 assert np.array_equal(acts[row], ref.activities)
@@ -494,8 +506,8 @@ class TestAgainstReference:
             return uniforms(streams, day_index, slot)
 
         def spy_spread(*args):
-            day_index, packed, shift = args[1:4]
-            eta_star = args[5]
+            day, packed, shift, eta_star = args[1:5]
+            day_index = day.index
             # the gate and t by their definitions
             gated = retweet_gate(packed >> shift, eta_star, net.influence)
             tau = interest(float(engine.DAY_OFFSETS[day_index]), params.lam)
@@ -598,7 +610,8 @@ class TestBranchAtPeak:
                     er200, ModelParams(lam=snapshot_lam, eta_star=2,
                                        delta_t=delta_t, coverage=coverage),
                     seed, self.RUNS)
-                assert_exposure_by_definition(snapshot, er200, snapshot.last)
+                for block in snapshot:
+                    assert_exposure_by_definition(block, er200, block.last)
                 for lam in (0.0, 0.5, 1.5, 40.0):
                     params = ModelParams(lam=lam, eta_star=2,
                                          delta_t=delta_t, coverage=coverage)
@@ -626,7 +639,7 @@ class TestBranchAtPeak:
         spread, today, updates = engine._spread, [], []
 
         def spy_spread(*args):
-            today.append(args[1])
+            today.append(args[1].index)
             return spread(*args)
 
         def spy(name, has_actors):
@@ -642,10 +655,9 @@ class TestBranchAtPeak:
         spy("_pull", lambda args: np.any(
             args[2] == engine.DAY_OFFSETS[today[-1]]))
         monkeypatch.setattr(engine, "_BLOCK_EDGES", 1)  # a block per run
-        state = engine.peak_state(net, params, 11, 8)
-        state.simulate(range(engine.PEAK_INDEX + 1, engine.N_DAYS))
-        assert np.any(state.dist[:, last_day])
-        assert not np.all(state.dist[:, last_day - 1])
+        _, dist = continued(net, params, engine.peak_state(net, params, 11, 8))
+        assert np.any(dist[:, last_day])
+        assert not np.all(dist[:, last_day - 1])
         assert max(day for day, _ in updates) == last_day - 1
         assert all(has_actors for _, has_actors in updates)
 
@@ -693,7 +705,7 @@ class TestBranchAtPeak:
 
 
 class TestBlocks:
-    """A day is simulated in blocks of runs, of at most _BLOCK_EDGES edges."""
+    """Runs are simulated in blocks of at most _BLOCK_EDGES (run, edge)."""
 
     PARAMS = ModelParams(lam=0.5, eta_star=1, delta_t=7)
 
@@ -717,10 +729,10 @@ class TestBlocks:
         return data, scan
 
     def test_one_run_blocks_give_the_same_bytes(self, monkeypatch, er200):
-        assert len(engine.peak_state(er200, self.PARAMS, 5, 6)._blocks()) == 1
+        assert len(engine.peak_state(er200, self.PARAMS, 5, 6)) == 1
         data, scan = self.outputs(er200)
         monkeypatch.setattr(engine, "_BLOCK_EDGES", 1)
-        assert len(engine.peak_state(er200, self.PARAMS, 5, 6)._blocks()) == 6
+        assert len(engine.peak_state(er200, self.PARAMS, 5, 6)) == 6
         one_run_data, one_run_scan = self.outputs(er200)
         assert all(np.array_equal(a, b) for a, b in zip(data, one_run_data))
         assert scan == one_run_scan
@@ -747,6 +759,56 @@ class TestBlocks:
             run_ensemble(net, self.PARAMS, 5, 8)  # blocks of 3, 3 and 2
         assert all(seen.values())
         assert max(max(rows) for rows in seen.values()) == 3
+
+    def test_one_block_is_alive_at_a_time(self, monkeypatch):
+        # the memory contract of an ensemble without a snapshot: a block is
+        # built, continued and dropped before the next one is built
+        net = generate_synthetic(**TestAgainstReference.SPARSE)
+        params = ModelParams(lam=1.0, eta_star=1, delta_t=3)
+        simulate, alive = engine.BatchState.simulate, weakref.WeakSet()
+        most, rows = [0], {}
+
+        def spy(state, days):
+            alive.add(state)
+            most[0] = max(most[0], len(alive))
+            acts, dist = simulate(state, days)
+            rows[state.seeds] = acts.copy(), dist.copy()
+            return acts, dist
+        monkeypatch.setattr(engine.BatchState, "simulate", spy)
+        monkeypatch.setattr(engine, "_BLOCK_EDGES", 3 * net.edge_count + 2)
+        split = run_ensemble(net, params, 20, 7)
+        assert most == [1]
+        assert list(rows) == [(20, 21, 22), (23, 24, 25), (26,)]
+        monkeypatch.setattr(engine, "_BLOCK_EDGES", 7 * net.edge_count)
+        whole = run_ensemble(net, params, 20, 7)
+        assert list(rows)[-1] == tuple(range(20, 27))
+        assert split.activities.tobytes() == whole.activities.tobytes()
+        assert split.distinct_users.tobytes() == whole.distinct_users.tobytes()
+        for seeds in list(rows)[:3]:
+            for row, seed in enumerate(seeds):
+                ref = simulate_reference(net, params, seed)
+                assert np.array_equal(rows[seeds][0][row], ref.activities)
+                assert np.array_equal(rows[seeds][1][row],
+                                      ref.distinct_users)
+
+    def test_memory_is_flat_in_runs(self, monkeypatch, er1000):
+        # 1-run blocks: of what a run holds, only its tallies outlive it
+        monkeypatch.setattr(engine, "_BLOCK_EDGES", 1)
+
+        def peak(runs):
+            tracemalloc.start()
+            try:
+                run_ensemble(er1000, self.PARAMS, 5, runs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        run_ensemble(er1000, self.PARAMS, 5, 1)  # build the network's CSRs
+        few, many = peak(8), peak(64)
+        # a run's tallies are 240 B (acts and dist, float64), under 1 KB
+        # with their array and tuple headers and the concatenated copy;
+        # its state is ~20 B per user, 20 KB here, so blocks that all
+        # stayed alive would add ~1.1 MB
+        assert many - few <= (64 - 8) * 2048
 
 
 def test_benchmark_tracing_wraps_the_engine(star11):
