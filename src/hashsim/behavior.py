@@ -131,22 +131,18 @@ def gate_min(eta_star: float, influence, y_max: int):
     return np.maximum(least, 1.0).astype(np.int64)[()]
 
 
-def retweet_count(eta_i, y, eta_star: float, influence, threshold=None):
+def retweet_count(eta_i, y, eta_star: float, influence):
     """Possible retweets this day, assuming the gate passed.
 
     floor(sqrt((eta_i/eta_star) * (y/(eta_star*influence)))), with 0 bumped
     to 1 since a retweeting user posts at least one retweet. influence == 0
     (gate passed via the y > 0 guard) also yields 1. The result is int64:
     an array for array input, a scalar (`[()]`) for scalar input.
-    `threshold`, if given, must be gate_threshold(eta_star, influence): a
-    caller that holds it for every user passes it gathered, rather than
-    have it recomputed for each gated pair.
     """
     influence = np.asarray(influence, dtype=float)
-    if threshold is None:
-        threshold = gate_threshold(eta_star, influence)
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.floor(np.sqrt((eta_i / eta_star) * (y / threshold)))
+        value = np.floor(np.sqrt((eta_i / eta_star)
+                                 * (y / gate_threshold(eta_star, influence))))
     return np.where(influence == 0, 1,
                     np.maximum(value, 1.0)).astype(np.int64)[()]
 

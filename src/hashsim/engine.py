@@ -92,8 +92,8 @@ import numpy as np
 from . import rng
 from .behavior import (MAX_DELTA_T, ModelParams, action_probability,
                        activeness, exposure_probability, gate_min,
-                       gate_threshold, hesitancy, interest,
-                       per_retweet_probability, retweet_count)
+                       hesitancy, interest, per_retweet_probability,
+                       retweet_count)
 from .network import FollowNetwork
 
 DAY_OFFSETS = np.arange(-MAX_DELTA_T, MAX_DELTA_T + 1)
@@ -278,9 +278,10 @@ class _Day(NamedTuple):
     """What one simulated day reads besides a block's state.
 
     None of it depends on the run, so _days computes it once per call and
-    every block of the call reads the same arrays. It holds no array of t:
-    t(users) recomputes t at the users a block gathers, with the same
-    bytes, as t is elementwise.
+    every block of the call reads the same arrays. It holds no array of t,
+    which would add 8 bytes per user for each distinct (tau, chi): t(users)
+    recomputes t at the users a block gathers, with the same bytes, as t
+    is elementwise.
     """
 
     index: int  # into DAY_OFFSETS
@@ -291,7 +292,6 @@ class _Day(NamedTuple):
     can_post: np.ndarray  # the users with t > 0 and rho > 0
     rho_post: np.ndarray  # rho at can_post
     gate: np.ndarray  # gate_min << shift, or the cap where t is 0
-    threshold: np.ndarray  # eta_star * influence, the same on every day
 
     def t(self, users) -> np.ndarray:
         """The action probability of these users today."""
@@ -307,10 +307,9 @@ def _days(net: FollowNetwork, params: ModelParams, a_vec, h_vec,
     coverage) share their arrays.
     """
     shift = net.l_max.bit_length()
-    eta_star, sigma = float(params.eta_star), float(params.sigma)
-    with np.errstate(over="ignore"):  # an inf threshold is never gated
-        threshold = gate_threshold(eta_star, net.influence)
-    gate = gate_min(eta_star, net.influence, net.edge_count) << shift
+    sigma = float(params.sigma)
+    gate = gate_min(float(params.eta_star), net.influence,
+                    net.edge_count) << shift
     closed = (net.edge_count + 1) << shift
     taus = [interest(float(DAY_OFFSETS[i]), params.lam) for i in days]
     # t = clip(sigma * tau - h, 0, 1) > 0 exactly when sigma * tau > h
@@ -334,7 +333,7 @@ def _days(net: FollowNetwork, params: ModelParams, a_vec, h_vec,
             shared[key] = (can_post, rho[can_post],
                            np.where(t_vec > 0.0, gate, closed))
         plan.append(_Day(day_index, update, taus[k], sigma, h_vec,
-                         *shared[key], threshold))
+                         *shared[key]))
     return plan
 
 
@@ -375,7 +374,7 @@ def _spread(streams, day: _Day, packed, shift: int, eta_star: float, infl,
         user = flat - run * acted.shape[1]
         gated = packed.reshape(-1)[flat]
         nu = retweet_count(gated & ((1 << shift) - 1), gated >> shift,
-                           eta_star, infl[user], day.threshold[user])
+                           eta_star, infl[user])
         r_each = per_retweet_probability(day.t(user), nu)
         u_rt = rng.uniforms(streams.reshape(-1)[flat], day.index, 2)
         retweets = binomial_count(u_rt, nu, r_each)
@@ -434,9 +433,8 @@ class BatchState:
                 self.streams, day, packed, shift, eta_star, net.influence,
                 acted)
             self.dist[:, day.index] = acted.sum(axis=1)
-            # branches share self.last, so a day replaces it
-            last = np.where(acted, np.int16(DAY_OFFSETS[day.index]),
-                            self.last)
+            last = self.last.copy()  # branches share self.last
+            np.putmask(last, acted, np.int16(DAY_OFFSETS[day.index]))
             if day.update and acted.any():
                 actors = np.flatnonzero(acted)
                 volume = int(net.follower_count[actors % net.user_count]

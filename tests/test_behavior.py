@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hashsim import (ModelParams, action_probability, activeness,
                      exposure_probability, hesitancy, interest,
                      per_retweet_probability, retweet_count, retweet_gate)
-from hashsim.behavior import gate_min, gate_threshold
+from hashsim.behavior import gate_min
 from hashsim.engine import user_arrays
 
 TOL = 1e-12
@@ -244,22 +244,6 @@ class TestRetweetCount:
         assert count >= 1
         assert retweet_count(eta_i + 1, y, eta_star, infl) >= count
         assert retweet_count(eta_i, y * 2, eta_star, infl) >= count
-
-    @settings(deadline=None)
-    @given(st.floats(1, 1e6),
-           st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 2**53),
-                              st.just(0.0) | st.floats(1e-3, 1e6)),
-                    min_size=1, max_size=20))
-    def test_given_threshold_gives_the_same_bytes(self, eta_star, pairs):
-        eta_i, y, infl = (np.array(column) for column in zip(*pairs))
-        threshold = gate_threshold(eta_star, infl)
-        want = retweet_count(eta_i, y, eta_star, infl)
-        got = retweet_count(eta_i, y, eta_star, infl, threshold)
-        assert got.dtype == want.dtype == np.int64
-        assert got.tobytes() == want.tobytes()
-        for (e, yy, f), t in zip(pairs, threshold):  # scalars
-            assert (retweet_count(e, yy, eta_star, f, t)
-                    == retweet_count(e, yy, eta_star, f))
 
 
 class TestPerRetweetProbability:
