@@ -14,7 +14,7 @@ from .classify import ClassBoundaries, classify_params, classify_profile
 from .engine import (ActivityProfile, binomial_count, run_ensemble,
                      run_simulation)
 from .fitter import GOOD_FIT_LIMIT, FitResult, GridSpec, grid_scan
-from .hashtags import HashtagCsvError, HashtagRecord, read_hashtag_csv
+from .hashtags import HashtagCsvError, read_hashtag_csv
 from .metric import DEFAULT_THETA, distance, normalize
 from .network import (EdgeListError, FollowNetwork, generate_synthetic,
                       load_edge_list, network_stats, write_edge_list)
@@ -24,10 +24,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ActivityProfile", "ClassBoundaries", "DEFAULT_THETA", "EdgeListError",
     "FitResult", "FollowNetwork", "GOOD_FIT_LIMIT", "GridSpec",
-    "HashtagCsvError", "HashtagRecord", "ModelParams", "action_probability",
-    "activeness", "binomial_count", "classify_params", "classify_profile",
-    "distance", "exposure_probability", "generate_synthetic", "grid_scan",
-    "hesitancy", "interest", "load_edge_list", "network_stats", "normalize",
+    "HashtagCsvError", "ModelParams", "action_probability", "activeness",
+    "binomial_count", "classify_params", "classify_profile", "distance",
+    "exposure_probability", "generate_synthetic", "grid_scan", "hesitancy",
+    "interest", "load_edge_list", "network_stats", "normalize",
     "per_retweet_probability", "read_hashtag_csv", "retweet_count",
     "retweet_gate", "run_ensemble", "run_simulation", "write_edge_list",
 ]

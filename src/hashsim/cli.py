@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -152,7 +153,7 @@ def cmd_simulate(args) -> int:
     profile = run_ensemble(net, params, args.seed, args.runs)
     profile.to_csv(sys.stdout if args.out == "-" else args.out)
     print(f"total_activities={profile.total_activities:.10g} "
-          f"peak_day={profile.peak_day}")
+          f"peak_day={profile.peak_day}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -164,16 +165,17 @@ def cmd_fit(args) -> int:
     check_theta(args.theta)
     # the target first: a malformed or all-zero one fails before a network
     # is loaded
-    record = read_hashtag_csv(args.hashtag, name=args.name)
-    targets = normalize(record.tweets), normalize(record.users)
+    target = read_hashtag_csv(args.hashtag)
+    targets = normalize(target.activities), normalize(target.distinct_users)
     check_targets(*targets)
     net = load_edge_list(args.network, direction=args.direction)
-    print(f"scan: {grid.size} triplets x {grid.runs} runs")
+    print(f"scan: {grid.size} triplets x {grid.runs} runs", file=sys.stderr)
     result = grid_scan(net, *targets, grid, base_seed=args.seed,
                        theta=args.theta, combine=args.combine,
                        threads=args.threads)
     report = {
-        "hashtag": record.name,
+        "hashtag": (args.name if args.name is not None else
+                    os.path.splitext(os.path.basename(args.hashtag))[0]),
         "lambda": result.params.lam,
         "eta_star": result.params.eta_star,
         "delta_t": result.params.delta_t,
@@ -212,8 +214,8 @@ def cmd_classify(args) -> int:
                 raise ValueError(f"bad fit JSON: {exc}") from None
         print(label)
     else:
-        record = read_hashtag_csv(args.profile_csv)
-        print(classify_profile(normalize(record.tweets), boundaries))
+        profile = read_hashtag_csv(args.profile_csv)
+        print(classify_profile(normalize(profile.activities), boundaries))
     return EXIT_OK
 
 
@@ -264,7 +266,8 @@ def build_parser() -> _Parser:
     add_direction(p)
     p.add_argument("--hashtag", required=True,
                    help="CSV 'day,tweets,users' for days -7..7")
-    p.add_argument("--name", default=None, help="hashtag name for the report")
+    p.add_argument("--name", default=None,
+                   help="report name (default: the --hashtag file's stem)")
     p.add_argument("--grid", default=None,
                    help="axes, e.g. lambda=0:4:0.1,eta=1:60:1,dt=0:7")
     p.add_argument("--runs", type=int, default=GridSpec.runs)

@@ -135,6 +135,8 @@ class ActivityProfile:
         dist = np.asarray(self.distinct_users, dtype=float)
         if acts.shape != (N_DAYS,) or dist.shape != (N_DAYS,):
             raise ValueError(f"profiles must have exactly {N_DAYS} days")
+        if not (np.all(np.isfinite(acts)) and np.all(np.isfinite(dist))):
+            raise ValueError("profile entries must be finite")
         if np.any(acts < 0) or np.any(dist < 0):
             raise ValueError("profile entries must be nonnegative")
         if np.any(dist > acts):

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import rng
 from .behavior import MAX_DELTA_T, ModelParams
-from .engine import peak_state, run_ensemble
-from .metric import DEFAULT_THETA, distance, normalize
+from .engine import N_DAYS, peak_state, run_ensemble
+from .metric import DEFAULT_THETA, check_theta, distance, normalize
 from .network import FollowNetwork
 
 GOOD_FIT_LIMIT = 0.08
@@ -114,11 +114,18 @@ def triplet_seed(base_seed: int, delta_t: int, eta_star: float,
 
 def check_targets(target_tweets: np.ndarray,
                   target_users: np.ndarray) -> None:
-    """Raise ValueError if either target fraction array is all zero.
+    """Raise ValueError unless both targets are finite 15-day arrays.
 
-    An all-zero count series has no profile shape to fit (metric.normalize
-    returns zeros for it).
+    An all-zero target is refused too: an all-zero count series has no
+    profile shape to fit (metric.normalize returns zeros for it). A NaN
+    day would drop out of every distance's mask instead of failing.
     """
+    for target in (target_tweets, target_users):
+        if np.shape(target) != (N_DAYS,):
+            raise ValueError(f"target profiles must have exactly {N_DAYS} "
+                             f"days, got shape {np.shape(target)}")
+        if not np.all(np.isfinite(target)):
+            raise ValueError("target profiles must be finite")
     if not (np.any(target_tweets) and np.any(target_users)):
         raise ValueError("target profiles must not be all-zero")
 
@@ -130,15 +137,20 @@ def grid_scan(net: FollowNetwork, target_tweets: np.ndarray,
     """Exhaustively score every triplet and return the best fit.
 
     The targets are 15-day fraction arrays (metric.normalize of the tweet
-    and user counts); an all-zero target raises ValueError. The objective
-    combines the tweet- and user-profile distances (max by default); ties
-    break toward smaller eta_star, then lambda, then delta_t, independent
-    of evaluation order. The result's scan holds every score.
+    and user counts). A target that check_targets refuses, a bad theta or
+    threads < 1 raises ValueError before anything is simulated. The
+    objective combines the tweet- and user-profile distances (max by
+    default); ties break toward smaller eta_star, then lambda, then
+    delta_t, independent of evaluation order. The result's scan holds
+    every score.
     """
     grid = grid or GridSpec()
     check_targets(target_tweets, target_users)
+    check_theta(theta)
     if combine not in (COMBINE_MAX, COMBINE_MEAN):
         raise ValueError(f"unknown combine mode {combine!r}")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
 
     def evaluate_group(group):
         """Score one (delta_t, eta_star) group, lambda by lambda."""

@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
-import numpy as np
-
-from .engine import DAY_OFFSETS, N_DAYS, PROFILE_CSV_HEADER
+from .engine import DAY_OFFSETS, N_DAYS, PROFILE_CSV_HEADER, ActivityProfile
 
 HASHTAG_CSV_HEADER = "day,tweets,users"
 
@@ -21,28 +18,19 @@ class HashtagCsvError(ValueError):
         self.row = row
 
 
-@dataclass(frozen=True)
-class HashtagRecord:
-    name: str
-    tweets: np.ndarray
-    users: np.ndarray
-
-
-def read_hashtag_csv(src, name: str | None = None) -> HashtagRecord:
+def read_hashtag_csv(src) -> ActivityProfile:
     """Parse "day,tweets,users" (or profile-CSV) input for days -7..7.
 
-    Values may be decimals (ensemble means compose through here); rows must
-    be in ascending day order with users <= tweets on every day.
+    Returns the tweets as `activities` and the users as `distinct_users`,
+    so an observed hashtag and a simulated ensemble are one type. Values
+    may be decimals (ensemble means compose through here); rows must be in
+    ascending day order with users <= tweets on every day.
     """
     if hasattr(src, "read"):
         text = src.read()
-        src_name = getattr(src, "name", "hashtag")
     else:
-        src_name = os.fspath(src)
-        with open(src_name, "r", encoding="utf-8") as fh:
+        with open(os.fspath(src), "r", encoding="utf-8") as fh:
             text = fh.read()
-    if name is None:
-        name = os.path.splitext(os.path.basename(str(src_name)))[0]
 
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -83,5 +71,4 @@ def read_hashtag_csv(src, name: str | None = None) -> HashtagRecord:
                 row)
         tweets.append(t_val)
         users.append(u_val)
-    return HashtagRecord(name=name, tweets=np.array(tweets),
-                         users=np.array(users))
+    return ActivityProfile(tweets, users)

@@ -10,13 +10,15 @@ DEFAULT_THETA = 0.04
 
 
 def normalize(counts) -> np.ndarray:
-    """Divide a nonnegative count series by its total.
+    """Divide a finite, nonnegative count series by its total.
 
     Returns a read-only float64 array of per-day fractions. An all-zero
     input yields the degenerate all-zero array rather than an error, so
     callers can flag it with `not np.any(...)`.
     """
     arr = np.asarray(counts, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("counts must be finite")
     if np.any(arr < 0):
         raise ValueError("counts must be nonnegative")
     total = arr.sum()

@@ -2,8 +2,11 @@ import argparse
 import ast
 import dataclasses
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -192,6 +195,10 @@ class TestExitCodes:
         assert main([command, "--network", star_file, "--runs", "9000"]
                     + rest) == 1
         err = capsys.readouterr().err
+        if command == "fit":  # the scan's banner comes before the error
+            banner = "scan: 1 triplets x 9000 runs\n"
+            assert err.startswith(banner)
+            err = err[len(banner):]
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "per (run, user)" in err
         assert ("--runs than 9000" in err) == (command == "fit")
@@ -250,7 +257,11 @@ class TestSynth:
 
 
 class TestStdout:
-    """'--out -' (the default for fit) writes what '--out FILE' writes."""
+    """'--out -' (the default for fit) writes what '--out FILE' writes.
+
+    Stdout carries the result alone; summary and banner lines go to
+    stderr, so the output can be read back by the tool itself.
+    """
 
     def test_synth(self, star_file, capsys):
         capsys.readouterr()
@@ -260,10 +271,11 @@ class TestStdout:
 
     def test_simulate(self, star_file, tmp_path, capsys):
         out = run_simulate(star_file, tmp_path, "p.csv")
-        summary = capsys.readouterr().out
-        assert summary.startswith("total_activities=")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("total_activities=")
         run_simulate(star_file, tmp_path, "unused", **{"--out": "-"})
-        assert capsys.readouterr().out == out.read_text() + summary
+        assert capsys.readouterr() == (out.read_text(), captured.err)
 
     def test_fit(self, star_file, tmp_path, capsys):
         target = run_simulate(star_file, tmp_path, "target.csv")
@@ -273,10 +285,42 @@ class TestStdout:
         report = tmp_path / "fit.json"
         capsys.readouterr()
         assert main(argv + ["--out", str(report)]) == 0
-        banner = capsys.readouterr().out
-        assert banner == "scan: 12 triplets x 3 runs\n"
+        banner = "scan: 12 triplets x 3 runs\n"
+        assert capsys.readouterr() == ("", banner)
         assert main(argv) == 0
-        assert capsys.readouterr().out == banner + report.read_text()
+        assert capsys.readouterr() == (report.read_text(), banner)
+
+    def test_outputs_pipe_through_the_module(self, tmp_path):
+        """simulate, fit and classify read what the previous step printed."""
+        src = str(pathlib.Path(hashsim.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def hashsim_cli(*argv, out=None):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hashsim.cli", *argv], env=env,
+                cwd=tmp_path, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            if out is not None:
+                (tmp_path / out).write_text(proc.stdout)
+            return proc
+
+        hashsim_cli("synth", "--kind", "uniform-random", "--n", "120",
+                    "--edge-prob", "0.06", "--seed", "3", out="net.txt")
+        sim = hashsim_cli("simulate", "--network", "net.txt", "--lambda",
+                          "0.5", "--eta-star", "3", "--delta-t", "1",
+                          "--runs", "5", "--seed", "17", "--out", "-",
+                          out="profile.csv")
+        assert sim.stderr.startswith("total_activities=")
+        fit = hashsim_cli("fit", "--network", "net.txt", "--hashtag",
+                          "profile.csv", "--grid", "lambda=0:1:0.5,eta=3,dt=1",
+                          "--runs", "5", out="fit.json")
+        assert fit.stderr == "scan: 3 triplets x 5 runs\n"
+        assert json.loads(fit.stdout)["hashtag"] == "profile"
+        label = hashsim_cli("classify", "--fit-json", "fit.json").stdout
+        assert label.strip() == json.loads(fit.stdout)["class"]
+        shape = hashsim_cli("classify", "--profile-csv", "profile.csv").stdout
+        assert shape.strip() in {"S", "A", "B", "P"}
 
 
 class TestStats:
@@ -298,9 +342,9 @@ class TestStats:
 class TestSimulate:
     def test_byte_identical_reruns(self, star_file, tmp_path, capsys):
         a = run_simulate(star_file, tmp_path, "a.csv")
-        first = capsys.readouterr().out
+        first = capsys.readouterr().err
         b = run_simulate(star_file, tmp_path, "b.csv")
-        second = capsys.readouterr().out
+        second = capsys.readouterr().err
         assert a.read_bytes() == b.read_bytes()
         assert first == second
         assert first.startswith("total_activities=")
@@ -355,7 +399,7 @@ class TestFitAndClassify:
                      "--runs", "10", "--seed", "8",
                      "--out", str(report_path), "--scan-out", str(scan_path)])
         assert code == 0
-        banner = capsys.readouterr().out
+        banner = capsys.readouterr().err
         assert "scan: 27 triplets x 10 runs" in banner
 
         report = json.loads(report_path.read_text())

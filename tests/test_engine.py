@@ -135,6 +135,14 @@ class TestActivityProfile:
         with pytest.raises(ValueError):
             ActivityProfile(np.zeros(14), np.zeros(14))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_entry_rejected(self, bad, column):
+        series = [np.full(15, 2.0), np.ones(15)]
+        series[column][6] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ActivityProfile(*series)
+
     def test_negative_entry_rejected(self):
         acts = np.ones(15)
         dist = np.zeros(15)
@@ -150,12 +158,20 @@ class TestActivityProfile:
             ActivityProfile(acts, dist)
 
     def test_csv_round_trip(self, tmp_path):
-        prof = run_simulation(generate_synthetic("star", 31), PARAMS, 5)
-        path = tmp_path / "profile.csv"
-        prof.to_csv(path)
-        again = read_hashtag_csv(path)
-        assert np.array_equal(prof.activities, again.tweets)
-        assert np.array_equal(prof.distinct_users, again.users)
+        # to_csv writes 10 significant digits: exact for one run's counts
+        # and for means over 20 runs (multiples of 0.05)
+        net = generate_synthetic("star", 31)
+        single = run_simulation(net, PARAMS, 5)
+        mean = run_ensemble(net, PARAMS, 5, 20)
+        assert np.any(mean.activities % 1)
+        for prof in (single, mean):
+            path = tmp_path / "profile.csv"
+            prof.to_csv(path)
+            again = read_hashtag_csv(path)
+            assert isinstance(again, ActivityProfile)
+            for a, b in ((prof.activities, again.activities),
+                         (prof.distinct_users, again.distinct_users)):
+                assert a.tobytes() == b.tobytes()
 
     def test_csv_header_enforced(self):
         with pytest.raises(HashtagCsvError):

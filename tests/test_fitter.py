@@ -268,3 +268,59 @@ class TestCommonRandomNumbers:
         serial = grid_scan(er200, tt, tu, grid, base_seed=2, threads=1)
         threaded = grid_scan(er200, tt, tu, grid, base_seed=2, threads=8)
         assert serial == threaded
+
+
+class TestCheckedBeforeSimulating:
+    """grid_scan refuses bad input before the first peak_state."""
+
+    GRID = GridSpec(lambda_axis=np.array([0.5]), eta_axis=np.array([3.0]),
+                    dt_axis=np.array([1]), runs=2)
+    TARGET = normalize(np.arange(1.0, 16.0))
+
+    @pytest.fixture
+    def peak_calls(self, monkeypatch):
+        calls, real = [], fitter.peak_state
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fitter, "peak_state", spy)
+        return calls
+
+    def test_valid_input_reaches_the_engine(self, er200, peak_calls):
+        grid_scan(er200, self.TARGET, self.TARGET, self.GRID)
+        assert len(peak_calls) == 1
+
+    @pytest.mark.parametrize("day,value", [(3, np.nan), (0, np.inf),
+                                           (14, -np.inf)])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_target(self, er200, peak_calls, day, value, which):
+        targets = [self.TARGET.copy(), self.TARGET.copy()]
+        targets[which][day] = value
+        with pytest.raises(ValueError, match="finite"):
+            grid_scan(er200, *targets, self.GRID)
+        assert peak_calls == []
+
+    @pytest.mark.parametrize("shape", [(14,), (16,), (1, 15), ()])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_target_shape(self, er200, peak_calls, shape, which):
+        targets = [self.TARGET, self.TARGET]
+        targets[which] = np.full(shape, 0.1)
+        with pytest.raises(ValueError, match="15 days"):
+            grid_scan(er200, *targets, self.GRID)
+        assert peak_calls == []
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -0.01])
+    def test_theta(self, er200, peak_calls, theta):
+        with pytest.raises(ValueError, match="theta"):
+            grid_scan(er200, self.TARGET, self.TARGET, self.GRID,
+                      theta=theta)
+        assert peak_calls == []
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads(self, er200, peak_calls, threads):
+        with pytest.raises(ValueError, match="threads"):
+            grid_scan(er200, self.TARGET, self.TARGET, self.GRID,
+                      threads=threads)
+        assert peak_calls == []

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hashsim import HashtagCsvError, read_hashtag_csv
+import hashsim
+from hashsim import ActivityProfile, HashtagCsvError, read_hashtag_csv
 from hashsim.cli import main
 
 
@@ -15,10 +16,16 @@ def csv_text(rows):
 
 def test_reads_fifteen_days():
     rows = [(d + 8, 1) for d in range(-7, 8)]
-    record = read_hashtag_csv(io.StringIO(csv_text(rows)), name="tag")
-    assert record.name == "tag"
-    assert np.array_equal(record.tweets, np.arange(1, 16, dtype=float))
-    assert np.all(record.users == 1.0)
+    profile = read_hashtag_csv(io.StringIO(csv_text(rows)))
+    assert isinstance(profile, ActivityProfile)
+    assert np.array_equal(profile.activities, np.arange(1, 16, dtype=float))
+    assert np.all(profile.distinct_users == 1.0)
+
+
+def test_hashtag_record_is_gone():
+    assert not hasattr(hashsim, "HashtagRecord")
+    assert not hasattr(hashsim.hashtags, "HashtagRecord")
+    assert "HashtagRecord" not in hashsim.__all__
 
 
 @pytest.mark.parametrize("bad", [("nan", 1), (5, "nan"), ("inf", 1),
@@ -81,14 +88,14 @@ def test_csv_is_rejected_or_finite(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "profile.csv"
     path.write_text(text, encoding="utf-8")
     try:
-        record = read_hashtag_csv(path)
+        profile = read_hashtag_csv(path)
     except HashtagCsvError:
-        record = None
+        profile = None
     else:
-        for arr in (record.tweets, record.users):
+        for arr in (profile.activities, profile.distinct_users):
             assert arr.shape == (15,) and np.all(np.isfinite(arr))
             assert np.all(arr >= 0)
-        assert np.all(record.users <= record.tweets)
+        assert np.all(profile.distinct_users <= profile.activities)
     # classify --profile-csv reads through the same parser
     code = main(["classify", "--profile-csv", str(path)])
-    assert code == 2 if record is None else code in (0, 2)
+    assert code == 2 if profile is None else code in (0, 2)

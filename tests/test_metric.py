@@ -41,6 +41,11 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize([1.0, -0.5] + [0.0] * 13)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            normalize([bad] + [1.0] * 14)
+
     @given(st.lists(st.floats(0, 1000), min_size=1, max_size=30))
     def test_sums_to_one_or_degenerate(self, counts):
         prof = normalize(counts)
