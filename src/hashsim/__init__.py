@@ -11,8 +11,7 @@ from .behavior import (ModelParams, action_probability, activeness,
                        exposure_probability, hesitancy, interest,
                        per_retweet_probability, retweet_count, retweet_gate)
 from .classify import ClassBoundaries, classify_params, classify_profile
-from .engine import (ActivityProfile, binomial_count, run_ensemble,
-                     run_simulation)
+from .engine import ActivityProfile, binomial_count, run_ensemble
 from .fitter import GOOD_FIT_LIMIT, FitResult, GridSpec, grid_scan
 from .hashtags import HashtagCsvError, read_hashtag_csv
 from .metric import DEFAULT_THETA, distance, normalize
@@ -29,5 +28,5 @@ __all__ = [
     "exposure_probability", "generate_synthetic", "grid_scan", "hesitancy",
     "interest", "load_edge_list", "network_stats", "normalize",
     "per_retweet_probability", "read_hashtag_csv", "retweet_count",
-    "retweet_gate", "run_ensemble", "run_simulation", "write_edge_list",
+    "retweet_gate", "run_ensemble", "write_edge_list",
 ]

@@ -92,14 +92,16 @@ def parse_grid(text: str | None, runs: int) -> GridSpec:
     """Parse "lambda=0:4:0.1,eta=1:60:1,dt=0:7" into a GridSpec.
 
     Axes left out, all of them when text is None or empty, keep their
-    defaults.
+    defaults. An axis given twice is a UsageError.
     """
     parts = {}
     for item in text.split(",") if text else ():
         if "=" not in item:
             raise UsageError(f"bad grid component {item!r}")
-        key, value = item.split("=", 1)
-        parts[key.strip()] = value.strip()
+        key, value = (side.strip() for side in item.split("=", 1))
+        if key in parts:
+            raise UsageError(f"grid axis {key!r} given more than once")
+        parts[key] = value
     unknown = set(parts) - {"lambda", "eta", "dt"}
     if unknown:
         raise UsageError(f"unknown grid axes {sorted(unknown)}")

@@ -77,7 +77,10 @@ tallies (240 bytes per run). peak_state returns the peak state of every
 block, as a tuple; given start=snapshot, run_ensemble continues a copy
 of one block at a time instead, so a scan simulates the pre-peak days
 once for every lambda that shares the other parameters, and holds the
-snapshot (about 18 bytes per (run, user)) while it does.
+snapshot (about 18 bytes per (run, user)) while it does. A block holds
+only its runs' state, and keeps the params it was built with: no block
+reads lambda, which reaches a continuation only through the _days list
+of the post-peak days.
 """
 
 from __future__ import annotations
@@ -300,19 +303,22 @@ class _Day(NamedTuple):
         return action_probability(self.sigma, self.tau, self.h_vec[users])
 
 
-def _days(net: FollowNetwork, params: ModelParams, a_vec, h_vec,
-          days: range) -> list:
+def _days(net: FollowNetwork, params: ModelParams, days: range) -> list:
     """The _Day of each of these days (indices into DAY_OFFSETS) that runs.
 
     A day on which nobody can post is left out, as it changes nothing.
     Days with the same tau and chi (the days up to the peak, without
     coverage) share their arrays.
     """
+    a_vec, h_vec = user_arrays(net)
     shift = net.l_max.bit_length()
+    # eta <= l_max < 2**shift and y <= E, and the gate's cap is E + 1
+    closed = (net.edge_count + 1) << shift
+    if closed >= 1 << 63:
+        raise ValueError("network too large to pack y and eta in int64")
     sigma = float(params.sigma)
     gate = gate_min(float(params.eta_star), net.influence,
                     net.edge_count) << shift
-    closed = (net.edge_count + 1) << shift
     taus = [interest(float(DAY_OFFSETS[i]), params.lam) for i in days]
     # t = clip(sigma * tau - h, 0, 1) > 0 exactly when sigma * tau > h
     h_min = h_vec.min()
@@ -394,29 +400,27 @@ class BatchState:
     the peak day, and run_ensemble continues each block or a copy of it.
     packed[r, i] is the exposure (y << shift) | eta of user i in run r: y
     sums F_j over the leaders j of i with last[r, j] > last[r, i], and eta
-    counts them. shift is l_max.bit_length(), so eta <= l_max fits below
-    y. packed agrees with last after every day whose actors a later day
-    can read (the module docstring gives the rule). streams, a_vec, h_vec
-    and last are never written in place (a day replaces last), so copies
-    share them; packed and the tallies are copied.
+    counts them. shift is net.l_max.bit_length(), so eta <= l_max fits
+    below y. packed agrees with last after every day whose actors a later
+    day can read (the module docstring gives the rule). params are the
+    ones the block was built with; no block reads lam, which reaches a
+    continuation only through the days it is given. streams and last are
+    never written in place (a day replaces last), so copies share them;
+    packed and the tallies are copied.
     """
 
     net: FollowNetwork
     params: ModelParams
     seeds: tuple
     streams: np.ndarray
-    a_vec: np.ndarray
-    h_vec: np.ndarray
     last: np.ndarray
     packed: np.ndarray
-    shift: int
     acts: np.ndarray
     dist: np.ndarray
 
-    def branch(self, params: ModelParams) -> BatchState:
-        """An independent copy that goes on with `params`."""
-        return dataclasses.replace(self, params=params,
-                                   packed=self.packed.copy(),
+    def branch(self) -> BatchState:
+        """An independent copy, to go on with the days of any lam."""
+        return dataclasses.replace(self, packed=self.packed.copy(),
                                    acts=self.acts.copy(),
                                    dist=self.dist.copy())
 
@@ -425,7 +429,8 @@ class BatchState:
 
         The tallies are acts and dist, each of shape (rows, N_DAYS).
         """
-        net, shift, packed = self.net, self.shift, self.packed
+        net, packed = self.net, self.packed
+        shift = net.l_max.bit_length()
         eta_star = float(self.params.eta_star)
         for day in days:
             acted = np.zeros(self.streams.shape, dtype=bool)
@@ -450,7 +455,7 @@ class BatchState:
 
 
 def _peak_blocks(net: FollowNetwork, params: ModelParams, base_seed: int,
-                 runs: int, a_vec, h_vec):
+                 runs: int):
     """peak_state's blocks, each built and simulated when it is asked for.
 
     A caller that drops a block before it asks for the next one holds one
@@ -458,11 +463,7 @@ def _peak_blocks(net: FollowNetwork, params: ModelParams, base_seed: int,
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    # eta <= l_max < 2**shift and y <= E, and the gate's cap is E + 1
-    shift = net.l_max.bit_length()
-    if (net.edge_count + 1) << shift >= 1 << 63:
-        raise ValueError("network too large to pack y and eta in int64")
-    days = _days(net, params, a_vec, h_vec,
+    days = _days(net, params,
                  range(PEAK_INDEX - int(params.delta_t), PEAK_INDEX + 1))
     size = max(1, _BLOCK_EDGES // max(1, net.edge_count))
 
@@ -471,7 +472,6 @@ def _peak_blocks(net: FollowNetwork, params: ModelParams, base_seed: int,
         shape = (len(seeds), net.user_count)
         state = BatchState(net=net, params=params, seeds=seeds,
                            streams=rng.stream_matrix(seeds, net.user_count),
-                           a_vec=a_vec, h_vec=h_vec, shift=shift,
                            last=np.full(shape, _NEVER, dtype=np.int16),
                            packed=np.zeros(shape, dtype=np.int64),
                            acts=np.zeros((len(seeds), N_DAYS)),
@@ -490,14 +490,7 @@ def peak_state(net: FollowNetwork, params: ModelParams, base_seed: int,
     run_ensemble(..., start=snapshot) continues the snapshot for any lam
     that shares the other parameters.
     """
-    return tuple(_peak_blocks(net, params, base_seed, runs,
-                              *user_arrays(net)))
-
-
-def run_simulation(net: FollowNetwork, params: ModelParams,
-                   seed: int) -> ActivityProfile:
-    """One stochastic run; deterministic for a fixed seed."""
-    return run_ensemble(net, params, seed, 1)
+    return tuple(_peak_blocks(net, params, base_seed, runs))
 
 
 def run_ensemble(net: FollowNetwork, params: ModelParams, base_seed: int,
@@ -509,24 +502,24 @@ def run_ensemble(net: FollowNetwork, params: ModelParams, base_seed: int,
     runs at a time, and only each block's (rows, N_DAYS) tallies are kept.
     Without `start` each block's peak state is built here, just before it
     is continued; with `start` from peak_state, a copy of each of its
-    blocks is continued, with the same bytes. The snapshot must come from
-    the same network, seeds and runs, and from params that differ at most
-    in lam; otherwise ValueError.
+    blocks is continued, with the same bytes. Every block of the snapshot
+    must come from this network and from params that differ at most in
+    lam, and the blocks together must hold these seeds, at least one, in
+    order; otherwise ValueError.
     """
     if start is None:
-        a_vec, h_vec = user_arrays(net)
-        blocks = _peak_blocks(net, params, base_seed, runs, a_vec, h_vec)
+        blocks = _peak_blocks(net, params, base_seed, runs)
     else:
-        if start[0].net is not net:
+        if any(block.net is not net for block in start):
             raise ValueError("snapshot is of another network")
-        if (sum((block.seeds for block in start), ())
-                != tuple(range(base_seed, base_seed + runs))):
+        seeds = [seed for block in start for seed in block.seeds]
+        if not seeds or seeds != list(range(base_seed, base_seed + runs)):
             raise ValueError("snapshot has other seeds or runs")
-        if dataclasses.replace(start[0].params, lam=params.lam) != params:
+        if any(dataclasses.replace(block.params, lam=params.lam) != params
+               for block in start):
             raise ValueError("snapshot has other parameters than lam")
-        a_vec, h_vec = start[0].a_vec, start[0].h_vec
-        blocks = (block.branch(params) for block in start)
-    days = _days(net, params, a_vec, h_vec, range(PEAK_INDEX + 1, N_DAYS))
+        blocks = (block.branch() for block in start)
+    days = _days(net, params, range(PEAK_INDEX + 1, N_DAYS))
     # map drops each block as soon as its tallies are taken
     acts, dist = (np.concatenate(rows) for rows in
                   zip(*map(lambda state: state.simulate(days), blocks)))

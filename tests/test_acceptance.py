@@ -18,7 +18,7 @@ from hashsim import (GridSpec, ModelParams, activeness, classify_params,
                      classify_profile, distance, generate_synthetic,
                      grid_scan, hesitancy, interest, load_edge_list,
                      normalize, per_retweet_probability, retweet_count,
-                     run_ensemble, run_simulation)
+                     run_ensemble)
 from hashsim.fitter import triplet_seed
 from reference import simulate_reference
 from test_metric import distance_reference
@@ -94,8 +94,8 @@ def test_acceptance_3_metric_properties():
 
 def test_acceptance_4_determinism(er1000):
     params = ModelParams(lam=0.5, eta_star=5, delta_t=2)
-    a = run_simulation(er1000, params, 31415)
-    b = run_simulation(er1000, params, 31415)
+    a = run_ensemble(er1000, params, 31415, 1)
+    b = run_ensemble(er1000, params, 31415, 1)
     checks = [np.array_equal(a.activities, b.activities),
               np.array_equal(a.distinct_users, b.distinct_users)]
 
@@ -150,7 +150,7 @@ def test_acceptance_7_injection_gating(er1000):
     ok = True
     for delta_t in range(8):
         params = ModelParams(lam=0.5, eta_star=2, delta_t=delta_t)
-        prof = run_simulation(er1000, params, 60 + delta_t)
+        prof = run_ensemble(er1000, params, 60 + delta_t, 1)
         cutoff = 7 - delta_t  # index of day -delta_t
         ok = ok and not np.any(prof.activities[:cutoff])
         ok = ok and not np.any(prof.distinct_users[:cutoff])

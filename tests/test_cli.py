@@ -88,6 +88,7 @@ class TestParseGrid:
         "lambda=0:1:0.5:9", "dt=0:9", "lambda=0:inf:1", "lambda=nan",
         "lambda=inf", "eta=inf", "dt=1.5", "dt=0.5:2.5", "dt=0:7:0.5",
         "lambda=0:1e15:1", "eta=1:1e308:1e-300", "lambda=0:10000:1",
+        "lambda=0:1:0.5,lambda=3", "dt=0,eta=2, dt =1",
     ])
     def test_bad_grid_raises_usage(self, text):
         with pytest.raises(UsageError):
@@ -143,6 +144,15 @@ class TestExitCodes:
                      "--grid", grid]) == 1
         err = capsys.readouterr().err
         assert "usage error" in err and "Traceback" not in err
+
+    def test_repeated_grid_axis_is_usage_before_loading(self, tmp_path,
+                                                        capsys):
+        assert main(["fit", "--network", str(tmp_path / "no.txt"),
+                     "--hashtag", str(tmp_path / "no.csv"),
+                     "--grid", "lambda=0:1:0.5,lambda=3"]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "'lambda' given more than once" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("grid", [[], ["--grid", "lambda=1,eta=2,dt=0"]])
     def test_fit_zero_runs_is_usage(self, tmp_path, capsys, grid):

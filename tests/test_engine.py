@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from hashsim import (ActivityProfile, FollowNetwork, GridSpec,
                      HashtagCsvError, ModelParams, binomial_count, engine,
                      generate_synthetic, grid_scan, normalize,
-                     read_hashtag_csv, rng, run_ensemble, run_simulation)
+                     read_hashtag_csv, rng, run_ensemble)
 from hashsim.behavior import action_probability, interest, retweet_gate
 from reference import (binomial_cdf, binomial_reference, edge_followers,
                        simulate_reference)
@@ -161,7 +161,7 @@ class TestActivityProfile:
         # to_csv writes 10 significant digits: exact for one run's counts
         # and for means over 20 runs (multiples of 0.05)
         net = generate_synthetic("star", 31)
-        single = run_simulation(net, PARAMS, 5)
+        single = run_ensemble(net, PARAMS, 5, 1)
         mean = run_ensemble(net, PARAMS, 5, 20)
         assert np.any(mean.activities % 1)
         for prof in (single, mean):
@@ -181,15 +181,15 @@ class TestActivityProfile:
 class TestSingleRun:
     def test_edgeless_network_is_silent(self):
         net = generate_synthetic("uniform-random", 50, edge_prob=0.0, seed=1)
-        prof = run_simulation(net, PARAMS, 9)
+        prof = run_ensemble(net, PARAMS, 9, 1)
         assert not np.any(prof.activities)
         assert not np.any(prof.distinct_users)
 
     def test_star_high_threshold_blocks_spokes(self, star11):
         # spokes see Y=10 < eta_star*I = 2*10; only the hub can ever act
         for seed in range(8):
-            prof = run_simulation(star11, ModelParams(lam=0.2, eta_star=2,
-                                                      delta_t=7), seed)
+            prof = run_ensemble(star11, ModelParams(lam=0.2, eta_star=2,
+                                                    delta_t=7), seed, 1)
             assert np.all(prof.distinct_users <= 1)
 
     def test_star_gate_boundary_lets_spokes_retweet(self, star11):
@@ -199,26 +199,26 @@ class TestSingleRun:
         assert ens.distinct_users.max() > 1.0
 
     def test_determinism_bitwise(self, er200):
-        a = run_simulation(er200, PARAMS, 77)
-        b = run_simulation(er200, PARAMS, 77)
+        a = run_ensemble(er200, PARAMS, 77, 1)
+        b = run_ensemble(er200, PARAMS, 77, 1)
         assert np.array_equal(a.activities, b.activities)
         assert np.array_equal(a.distinct_users, b.distinct_users)
 
     def test_different_seeds_differ(self, er200):
-        a = run_simulation(er200, PARAMS, 1)
-        b = run_simulation(er200, PARAMS, 2)
+        a = run_ensemble(er200, PARAMS, 1, 1)
+        b = run_ensemble(er200, PARAMS, 2, 1)
         assert not np.array_equal(a.activities, b.activities)
 
     def test_zero_before_injection_every_delta(self, star101):
         for delta_t in range(8):
             params = ModelParams(lam=0.3, eta_star=1, delta_t=delta_t)
-            prof = run_simulation(star101, params, 3)
+            prof = run_ensemble(star101, params, 3, 1)
             cutoff = 7 - delta_t
             assert not np.any(prof.activities[:cutoff])
 
     def test_causality_truncation(self, er200):
         # the peak state is the full run cut after day 0
-        full = run_simulation(er200, PARAMS, 13)
+        full = run_ensemble(er200, PARAMS, 13, 1)
         (state,) = engine.peak_state(er200, PARAMS, 13, 1)
         cut = engine.PEAK_INDEX + 1
         assert np.array_equal(state.acts[0, :cut], full.activities[:cut])
@@ -228,7 +228,7 @@ class TestSingleRun:
         assert np.any(full.activities[cut:])
 
     def test_distinct_bounded_by_activities_and_users(self, er200):
-        prof = run_simulation(er200, PARAMS, 4)
+        prof = run_ensemble(er200, PARAMS, 4, 1)
         assert np.all(prof.distinct_users <= prof.activities)
         assert np.all(prof.distinct_users <= er200.user_count)
 
@@ -247,14 +247,14 @@ def exposure_by_definition(net, last):
 
 def unpacked(state):
     """The y and eta fields of a state's packed (y << shift) | eta."""
-    return state.packed >> state.shift, state.packed & ((1 << state.shift) - 1)
+    shift = state.net.l_max.bit_length()
+    return state.packed >> shift, state.packed & ((1 << shift) - 1)
 
 
 def no_exposure(net, runs):
-    """Zero packed exposure of `runs` runs, with BatchState's shift."""
+    """Zero packed exposure of `runs` runs of net, as a BatchState holds it."""
     return SimpleNamespace(
-        packed=np.zeros((runs, net.user_count), dtype=np.int64),
-        shift=net.l_max.bit_length())
+        net=net, packed=np.zeros((runs, net.user_count), dtype=np.int64))
 
 
 def assert_exposure_by_definition(state, net, last):
@@ -294,7 +294,7 @@ class TestExposure:
         pushed = no_exposure(net, last_old.shape[0])
         engine._pull(net, pushed.packed, last_old)
         assert_exposure_by_definition(pushed, net, last_old)
-        engine._push(net, pushed.packed, pushed.shift, last_old,
+        engine._push(net, pushed.packed, net.l_max.bit_length(), last_old,
                      np.flatnonzero(acted))
         pulled = no_exposure(net, last_old.shape[0])
         engine._pull(net, pulled.packed, last_new)
@@ -329,7 +329,6 @@ class TestExposure:
         last[:, :followers] = engine._NEVER
         last[1, followers::3] = engine._NEVER
         pulled = no_exposure(net, 2)
-        assert pulled.shift == leaders.bit_length()
         engine._pull(net, pulled.packed, last)
         y, eta = unpacked(pulled)
         assert eta[0, 0] == leaders
@@ -339,24 +338,28 @@ class TestExposure:
         never = np.full(last.shape, engine._NEVER, dtype=np.int16)
         acted = last == 0
         pushed = no_exposure(net, 2)
-        engine._push(net, pushed.packed, pushed.shift, never,
+        engine._push(net, pushed.packed, net.l_max.bit_length(), never,
                      np.flatnonzero(acted))
         assert np.array_equal(pushed.packed, pulled.packed)
 
     def test_state_rejects_networks_too_large_to_pack(self):
         # shift 3: (E + 1) << 3 must stay below 2**63. A one-user network
-        # stands in for the edges: nobody can post, so no day reads them
+        # stands in for the edges: nobody can post, so no day reads them.
+        # Both entries check it, before any block is built
         one = FollowNetwork.from_edges(np.zeros(0, dtype=np.int64),
                                        np.zeros(0, dtype=np.int64), 1)
         fields = {f.name: getattr(one, f.name)
                   for f in dataclasses.fields(one)}
         fits = SimpleNamespace(**dict(fields, l_max=7,
                                       edge_count=(1 << 60) - 2))
-        assert engine.peak_state(fits, PARAMS, 0, 1)[0].shift == 3
         net = SimpleNamespace(**dict(fields, l_max=7,
                                      edge_count=(1 << 60) - 1))
-        with pytest.raises(ValueError, match="too large"):
-            engine.peak_state(net, PARAMS, 0, 1)
+        assert fits.l_max.bit_length() == 3
+        assert len(engine.peak_state(fits, PARAMS, 0, 1)) == 1
+        assert not np.any(run_ensemble(fits, PARAMS, 0, 1).activities)
+        for entry in (engine.peak_state, run_ensemble):
+            with pytest.raises(ValueError, match="too large"):
+                entry(net, PARAMS, 0, 1)
 
     def test_pull_plan_is_built_once_per_network(self, monkeypatch):
         builds = count_plan_builds(monkeypatch)
@@ -425,7 +428,7 @@ def continued(net, params, blocks):
 
     Returns the tallies of every run, in seed order: (acts, dist).
     """
-    days = engine._days(net, params, blocks[0].a_vec, blocks[0].h_vec,
+    days = engine._days(net, params,
                         range(engine.PEAK_INDEX + 1, engine.N_DAYS))
     acts, dist = zip(*(block.simulate(days) for block in blocks))
     return np.concatenate(acts), np.concatenate(dist)
@@ -438,7 +441,7 @@ class TestAgainstReference:
         params = ModelParams(lam=0.3, eta_star=1, delta_t=7)
         calls = count_directions(monkeypatch)
         for seed in (3, 4):
-            eng = run_simulation(net, params, seed)
+            eng = run_ensemble(net, params, seed, 1)
             ref = simulate_reference(net, params, seed)
             assert np.array_equal(eng.activities, ref.activities)
             assert np.array_equal(eng.distinct_users, ref.distinct_users)
@@ -448,7 +451,7 @@ class TestAgainstReference:
         net = sparse_push_network()
         params = ModelParams(lam=0.3, eta_star=8, delta_t=7)
         calls = count_directions(monkeypatch)
-        eng = run_simulation(net, params, 1)
+        eng = run_ensemble(net, params, 1, 1)
         ref = simulate_reference(net, params, 1)
         assert np.array_equal(eng.activities, ref.activities)
         assert np.array_equal(eng.distinct_users, ref.distinct_users)
@@ -460,7 +463,7 @@ class TestAgainstReference:
         net = generate_synthetic("uniform-random", 120, edge_prob=0.08,
                                  seed=3)
         params = ModelParams(lam=0.4, eta_star=3, delta_t=3)
-        eng = run_simulation(net, params, 12345)
+        eng = run_ensemble(net, params, 12345, 1)
         ref = simulate_reference(net, params, 12345)
         assert np.array_equal(eng.activities, ref.activities)
         assert np.array_equal(eng.distinct_users, ref.distinct_users)
@@ -544,7 +547,7 @@ class TestAgainstReference:
     def test_user_order_is_irrelevant(self):
         net = generate_synthetic("uniform-random", 80, edge_prob=0.1, seed=9)
         params = ModelParams(lam=0.2, eta_star=2, delta_t=5)
-        eng = run_simulation(net, params, 555)
+        eng = run_ensemble(net, params, 555, 1)
         orders = [range(net.user_count - 1, -1, -1),
                   np.random.default_rng(1).permutation(net.user_count)]
         for order in orders:
@@ -554,11 +557,6 @@ class TestAgainstReference:
 
 
 class TestEnsemble:
-    def test_single_run_identity(self, star101):
-        ens = run_ensemble(star101, PARAMS, 21, 1)
-        one = run_simulation(star101, PARAMS, 21)
-        assert np.array_equal(ens.activities, one.activities)
-
     def test_zero_runs_rejected(self, star101):
         with pytest.raises(ValueError):
             run_ensemble(star101, PARAMS, 0, 0)
@@ -704,12 +702,36 @@ class TestBranchAtPeak:
             run_ensemble(net, params, change.get("base_seed", 7),
                          change.get("runs", 4), start=snapshot)
 
+    @pytest.mark.parametrize("tail", [
+        pytest.param(dict(net="other"), id="network"),
+        pytest.param(dict(eta_star=3), id="eta_star"),
+        pytest.param(None, id="empty"),
+    ])
+    def test_every_block_of_a_snapshot_is_checked(self, er200, tail):
+        # the first block matches and a second one from another network
+        # or eta* is refused too; an empty snapshot holds no runs
+        if tail is None:
+            cases = [((), 0), ((), 6)]
+        else:
+            net = generate_synthetic("uniform-random", 200, edge_prob=0.05,
+                                     seed=7) if "net" in tail else er200
+            params = dataclasses.replace(PARAMS, **{
+                k: v for k, v in tail.items() if k != "net"})
+            snapshot = (engine.peak_state(er200, PARAMS, 0, 3)
+                        + engine.peak_state(net, params, 3, 3))
+            assert [s for block in snapshot for s in block.seeds] == list(
+                range(6))
+            cases = [(snapshot, 6)]
+        for snapshot, runs in cases:
+            with pytest.raises(ValueError):
+                run_ensemble(er200, PARAMS, 0, runs, start=snapshot)
+
     def test_integral_float_delta_t_simulates_as_int(self, er200):
         as_int = ModelParams(lam=0.5, eta_star=2, delta_t=2)
         as_float = ModelParams(lam=0.5, eta_star=2, delta_t=2.0)
         snapshot = engine.peak_state(er200, as_float, 3, 4)
-        pairs = [(run_simulation(er200, as_int, 3),
-                  run_simulation(er200, as_float, 3)),
+        pairs = [(run_ensemble(er200, as_int, 3, 1),
+                  run_ensemble(er200, as_float, 3, 1)),
                  (run_ensemble(er200, as_int, 3, 4),
                   run_ensemble(er200, as_float, 3, 4)),
                  (run_ensemble(er200, as_int, 3, 4),
@@ -731,7 +753,7 @@ class TestBlocks:
         out = []
         for net in (er200, star):
             snapshot = engine.peak_state(net, self.PARAMS, 5, 6)
-            out += [run_simulation(net, self.PARAMS, 3),
+            out += [run_ensemble(net, self.PARAMS, 3, 1),
                     run_ensemble(net, self.PARAMS, 5, 6)]
             out += [run_ensemble(net, ModelParams(lam=lam, eta_star=1,
                                                   delta_t=7),
