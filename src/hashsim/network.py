@@ -1,12 +1,14 @@
 """Directed leader/follower graph: loading, synthesis and static per-user stats.
 
 Node ids are compacted to 0..N-1 at load time so the hot simulation loops can
-use plain array indexing; the original ids are kept for reporting.
+use plain array indexing; the original ids are kept for reporting. An edge
+list has one parser, np.loadtxt; input that it refuses is read once more,
+line by line, only to name the first bad line.
 
 Memory: a network keeps 8 bytes per edge (leader_ids) and 40 per user.
 Its follower CSR, once built, adds another 8 per edge and 8 per user, and
 the exposure pull's plan 8 per edge and at most 9 per user. A load
-peaks while it parses. Canonical input is copied into an in-memory file
+peaks while it parses. The input is copied into an in-memory file
 (shared memory, outside the process's RSS) that np.loadtxt reads in C,
 and the load then keeps only that copy: the two copies, as the write
 ends, are 42 bytes per line, 75 MB, on a SNAP-sized file. Where there is
@@ -17,9 +19,10 @@ line, 67 MB (load_edge_list lists what each stage holds).
 
 from __future__ import annotations
 
-import array
+import contextlib
 import io
 import os
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,10 +36,9 @@ DIRECTION_FOLLOWED_BY = "followed-by"  # b follows a
 # generate_synthetic draws at most this many float64 uniforms (16 MiB) at once
 _RANDOM_BLOCK_DRAWS = 1 << 21
 _MAX_NODE_ID = int(np.iinfo(np.int64).max)
-# ASCII line breaks of str.splitlines that np.loadtxt does not honour
-_EXTRA_LINE_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-# _parse_lines splits the text into lines this many characters at a time
-_LINE_CHUNK_CHARS = 1 << 20
+_NODE_ID = re.compile(r"[+-]?[0-9]+")
+# write_edge_list formats this many rows at a time
+_WRITE_ROWS = 1 << 12
 
 
 class EdgeListError(ValueError):
@@ -165,22 +167,25 @@ class FollowNetwork:
 def load_edge_list(source, direction: str = DIRECTION_FOLLOWS) -> FollowNetwork:
     """Parse a whitespace-separated edge list into a FollowNetwork.
 
-    `source` may be a path or an open text/binary stream. Each line holds two
-    node ids; blank lines and lines whose first non-blank character is '#'
-    are skipped. Node ids are arbitrary integers in [0, 2^63) and get
-    compacted to 0..N-1 in ascending id order (original ids retained).
+    `source` may be a path or an open text/binary stream. The grammar is
+    np.loadtxt's, made strict: the input is ASCII, and only '\\n' and
+    '\\r\\n' end a line. '#' starts a comment wherever it stands. A line
+    is blank or holds two ids [+-]?[0-9]+ in [0, 2^63), split by blanks
+    (space, tab, \\x0b, \\x0c, \\x1c-\\x1f). Anything else raises an
+    EdgeListError naming its first bad line, and input with no edge line
+    one naming no line. Node ids get compacted to 0..N-1 in ascending id
+    order (original ids retained).
 
-    Speed: canonical input (_canonical_bytes), which is what
-    write_edge_list and SNAP files hold, is parsed by np.loadtxt in C from
-    an anonymous in-memory file, or, where the system has none (not
-    Linux), from io.BytesIO line by line in Python. Any other input goes
-    through a per-line loop (_parse_lines).
+    Speed: np.loadtxt parses in C from an anonymous in-memory file, or,
+    where the system has none (not Linux), from io.BytesIO line by line
+    in Python. Only input it refuses is scanned again, line by line, to
+    name the error (_first_bad_line).
 
     Memory: the raw input dies before the ids are compacted, and the
     parsed pairs before the compact ids are made. Per line of the file,
     the three stages hold:
     - parse: the raw input (21 B/line for SNAP-sized ids; for a text
-      stream also its str, which dies once the checks pass) until it is
+      stream also its str, which dies once it is encoded) until it is
       copied into the in-memory file (shared memory, outside RSS and the
       traced peak), then that file and the (m, 2) int64 pairs (16) that
       np.loadtxt grows; without the file the raw input stays beside the
@@ -211,59 +216,28 @@ def load_edge_list(source, direction: str = DIRECTION_FOLLOWS) -> FollowNetwork:
 def _read_pairs(source) -> np.ndarray:
     """The (m, 2) int64 id pairs of an edge-list source, one row per edge.
 
-    Canonical input (_canonical_bytes) is parsed by np.loadtxt
-    (_loadtxt_pairs) from a file that then holds the only copy of its
-    bytes (_in_memory_file). Other input, and canonical input that
-    loadtxt refuses, goes to _parse_lines, which alone reports errors
-    with line numbers. The raw input (and a text stream's str) dies on
-    return, before the ids are compacted.
+    np.loadtxt (_loadtxt_pairs) parses the bytes from a file that then
+    holds their only copy (_in_memory_file). A text stream's str is
+    encoded as UTF-8 first, so that any non-ASCII character is refused
+    at its line. When loadtxt refuses the input, and before it when a
+    lone '\\r' is in it (a path's reader ends a line there, io.BytesIO's
+    does not), _first_bad_line scans the same file for the error. The
+    raw input dies on return, before the ids are compacted.
     """
     if hasattr(source, "read"):
-        raw = source.read()
+        data = source.read()
     else:
         with open(os.fspath(source), "rb") as fh:
-            raw = fh.read()
-    data = _canonical_bytes(raw)
-    if data is not None:
-        raw = None  # a text stream's str dies here
-        with _in_memory_file(data) as fh:
-            data = None  # fh holds the only copy
-            pairs = _loadtxt_pairs(fh)
-            if pairs is not None:
-                return pairs
-            fh.seek(0)
-            raw = fh.read()  # for _parse_lines
-    if not isinstance(raw, str):
-        raw = raw.decode("utf-8")  # the bytes die here
-    return _parse_lines(raw)
-
-
-def _canonical_bytes(raw):
-    """raw's ASCII bytes if it is canonical edge-list input, else None.
-
-    Canonical input is ASCII, holds none of _EXTRA_LINE_BREAKS, and has '#'
-    only as the first non-blank byte of a line, with no lone '\\r' later in
-    that line. On it np.loadtxt splits lines, fields and comments as the
-    line loop does.
-    """
-    if not raw.isascii():
-        return None
-    data = raw.encode("ascii") if isinstance(raw, str) else raw
-    if any(brk in data for brk in _EXTRA_LINE_BREAKS):
-        return None
-    pos = data.find(b"#")
-    while pos >= 0:
-        start = pos
-        while start and data[start - 1] in b" \t":
-            start -= 1
-        if start and data[start - 1] not in b"\n\r":
-            return None  # a '#' after an id
-        end = data.find(b"\n", pos)
-        end = len(data) if end < 0 else end
-        if data.find(b"\r", pos, end - 1) >= 0:
-            return None  # str.splitlines ends this comment early
-        pos = data.find(b"#", end)
-    return data
+            data = fh.read()
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")  # the str dies here
+    lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+    with _in_memory_file(data) as fh:
+        data = None  # fh holds the only copy
+        pairs = None if lone_cr else _loadtxt_pairs(fh)
+        if pairs is None:
+            raise _first_bad_line(fh)
+    return pairs
 
 
 def _in_memory_file(data: bytes):
@@ -296,8 +270,7 @@ def _loadtxt_pairs(fh):
     """np.loadtxt's (m, 2) pairs of an _in_memory_file, or None.
 
     The pairs are kept when no warning was raised and they have at least
-    one row, two columns and no negative id; None sends the input to
-    _parse_lines.
+    one row, two columns and no negative id; None refuses the input.
     """
     fname = (fh if isinstance(fh, io.BytesIO)
              else f"/proc/self/fd/{fh.fileno()}")
@@ -313,61 +286,42 @@ def _loadtxt_pairs(fh):
     return pairs
 
 
-def _parse_lines(text: str) -> np.ndarray:
-    """Per-line parse of edge-list text into (m, 2) int64 id pairs.
+def _first_bad_line(fh) -> EdgeListError:
+    """The EdgeListError of refused input: its first bad line, if any.
 
-    Accepts what int() accepts for an id (also '+5', '1_000' and non-ASCII
-    digits) and raises EdgeListError, with the line number where there is
-    one, on malformed input. The ids are collected as int64 as they are
-    read, so an id above the int64 range is reported at its own line, and
-    the lines are split a chunk at a time (_iter_lines), so the text's
-    whole list of lines is never held.
+    Rewinds fh and reads it one '\\n'-ended line at a time; only '\\n' and
+    '\\r\\n' end a line. A line is bad if it holds a non-ASCII byte or
+    another '\\r', or if, cut at its first '#', it is neither blank nor
+    two ids [+-]?[0-9]+ in [0, 2^63 - 1]. Blanks are loadtxt's: space,
+    tab and \\x0b \\x0c \\x1c-\\x1f (str.split's ASCII ones).
     """
-    ids = array.array("q")
-    append = ids.append
-    lines = _iter_lines(text, _LINE_CHUNK_CHARS)
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    fh.seek(0)
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw[:-2] if raw.endswith(b"\r\n") else raw.removesuffix(b"\n")
+        if not line.isascii():
+            return EdgeListError(
+                f"line {lineno}: non-ASCII byte in {line!r}", lineno)
+        if b"\r" in line:
+            return EdgeListError(
+                f"line {lineno}: '\\r' not followed by '\\n' in {line!r}",
+                lineno)
+        line = line.decode("ascii")
+        parts = line.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = stripped.split()
         if len(parts) != 2:
-            raise EdgeListError(
+            return EdgeListError(
                 f"line {lineno}: expected two node ids, got {line!r}", lineno)
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListError(
-                f"line {lineno}: non-integer node id in {line!r}",
-                lineno) from None
+        if not all(map(_NODE_ID.fullmatch, parts)):
+            return EdgeListError(
+                f"line {lineno}: non-integer node id in {line!r}", lineno)
+        a, b = int(parts[0]), int(parts[1])
         if a < 0 or b < 0:
-            raise EdgeListError(f"line {lineno}: negative node id", lineno)
-        try:
-            append(a)
-            append(b)
-        except OverflowError:
-            raise EdgeListError(
-                f"line {lineno}: node id above {_MAX_NODE_ID}",
-                lineno) from None
-    if not ids:
-        raise EdgeListError("edge list contains no edges")
-    return np.frombuffer(ids, dtype=np.int64).reshape(-1, 2)
-
-
-def _iter_lines(text: str, chunk: int):
-    """The lines of text.splitlines(), split one chunk of text at a time.
-
-    Each chunk ends just after a '\n' (or at the end of the text), which
-    always ends a line, also as the last character of '\r\n'. So the
-    chunks' lines are the text's lines, and only one chunk's list of lines
-    (about `chunk` characters) is held at a time.
-    """
-    start = 0
-    while start < len(text):
-        cut = text.find("\n", start + chunk - 1)
-        end = len(text) if cut < 0 else cut + 1
-        yield from text[start:end].splitlines()
-        start = end
+            return EdgeListError(f"line {lineno}: negative node id", lineno)
+        if max(a, b) > _MAX_NODE_ID:
+            return EdgeListError(
+                f"line {lineno}: node id above {_MAX_NODE_ID}", lineno)
+    return EdgeListError("edge list contains no edges")
 
 
 def _compact_ids(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,17 +383,21 @@ def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
 
 
 def write_edge_list(net: FollowNetwork, dest) -> None:
-    """Write the network as edge-list text ("i j" means i follows j)."""
+    """Write the network as edge-list text ("i j" means i follows j).
+
+    `dest` is a path or an open stream. Rows are formatted _WRITE_ROWS at
+    a time, so beyond the network the write holds 8 bytes per edge (each
+    edge's follower id) and one chunk of rows.
+    """
     orig = net.original_ids
-    followers = np.repeat(np.arange(net.user_count), net.leader_count)
-    lines = [f"{orig[f]} {orig[l]}"
-             for f, l in zip(followers, net.leader_ids)]
-    payload = "\n".join(lines) + ("\n" if lines else "")
-    if hasattr(dest, "write"):
-        dest.write(payload)
-    else:
-        with open(os.fspath(dest), "w", encoding="utf-8") as fh:
-            fh.write(payload)
+    followers = np.repeat(orig, net.leader_count)
+    with (contextlib.nullcontext(dest) if hasattr(dest, "write")
+          else open(os.fspath(dest), "w", encoding="ascii")) as fh:
+        for start in range(0, net.edge_count, _WRITE_ROWS):
+            stop = start + _WRITE_ROWS
+            rows = np.column_stack((followers[start:stop],
+                                    orig[net.leader_ids[start:stop]]))
+            np.savetxt(fh, rows, fmt="%d %d")
 
 
 def network_stats(net: FollowNetwork) -> dict:

@@ -3,21 +3,62 @@
 Walks users one at a time in any given order, applying the scalar behavior
 functions directly. Because draws are addressed by (seed, user, day, slot),
 this must reproduce the vectorized engine bit for bit, for any user order.
+
+Also a strict per-line edge-list parser, the oracle for load_edge_list.
 """
+
+import re
 
 import numpy as np
 
-from hashsim import rng
+from hashsim import EdgeListError, rng
 from hashsim.behavior import (activeness, hesitancy, interest,
                               per_retweet_probability)
 from hashsim.engine import ActivityProfile
 
 _NEVER = -100
 
+# an edge-list line without its end: two ids, then an optional comment
+_BLANKS = "[ \t\x0b\x0c\x1c-\x1f]"
+_ID = "([+-]?[0-9]+)"
+_EDGE_LINE = re.compile(f"{_BLANKS}*{_ID}{_BLANKS}+{_ID}{_BLANKS}*(#.*)?")
+_BLANK_LINE = re.compile(f"{_BLANKS}*(#.*)?")
+
 
 def edge_followers(net):
     """The follower of each entry of net.leader_ids: its leader-CSR row."""
     return np.repeat(np.arange(net.user_count), net.leader_count)
+
+
+def parse_edge_list(data: bytes) -> np.ndarray:
+    """The (m, 2) int64 id pairs of edge-list bytes, read line by line.
+
+    A line ends at '\\n' or '\\r\\n'. It must be ASCII and hold no
+    other '\\r'. Before an optional '#' comment, it is blank or holds two
+    ids in [0, 2^63 - 1]. Raises EdgeListError with the number of the
+    first line that is not, or with none when no line holds an edge.
+    """
+    lines = data.split(b"\n")
+    ends = [b"\n"] * (len(lines) - 1) + [b""]
+    pairs = []
+    for lineno, (line, end) in enumerate(zip(lines, ends), start=1):
+        if end and line.endswith(b"\r"):
+            line = line[:-1]
+        text = line.decode("latin-1")
+        if not text.isascii() or "\r" in text:
+            raise EdgeListError("bad byte", lineno)
+        if _BLANK_LINE.fullmatch(text):
+            continue
+        match = _EDGE_LINE.fullmatch(text)
+        if match is None:
+            raise EdgeListError("not two ids", lineno)
+        pair = [int(match[1]), int(match[2])]
+        if not all(0 <= v < 2**63 for v in pair):
+            raise EdgeListError("id out of range", lineno)
+        pairs.append(pair)
+    if not pairs:
+        raise EdgeListError("no edges")
+    return np.array(pairs, dtype=np.int64)
 
 
 def binomial_cdf(n, p):

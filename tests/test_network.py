@@ -17,7 +17,7 @@ from hashsim import (EdgeListError, FollowNetwork, generate_synthetic,
                      load_edge_list, network_stats, write_edge_list)
 from hashsim import network
 from hashsim.network import DIRECTION_FOLLOWED_BY, DIRECTION_FOLLOWS
-from reference import edge_followers
+from reference import edge_followers, parse_edge_list
 
 SAMPLE_EDGES = pathlib.Path(__file__).parent / "data" / "sample_edges.txt"
 
@@ -242,6 +242,21 @@ def test_write_read_round_trip(er200):
     assert np.array_equal(er200.leader_ids, again.leader_ids)
 
 
+def test_write_peak_memory_per_edge(tmp_path):
+    """Beyond the network, a write holds 8 bytes per edge and one chunk of
+    rows (13 bytes per edge here). Formatting every line at once held 94."""
+    net = generate_synthetic("uniform-random", 5000, edge_prob=0.002, seed=0)
+    tracemalloc.start()
+    try:
+        write_edge_list(net, tmp_path / "edges.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.edge_count > 45_000
+    assert peak <= 16 * net.edge_count, (
+        f"{peak / net.edge_count:.1f} bytes per edge")
+
+
 def test_from_edges_rejects_empty_node_set():
     with pytest.raises(EdgeListError):
         FollowNetwork.from_edges([], [], 0)
@@ -268,9 +283,10 @@ def test_follower_csr_is_the_transpose(er200):
             assert leader in er200.leader_ids[lo:hi]
 
 
-def _loop_load(text, direction):
-    """Reference loader: the per-line parse, then np.unique compaction."""
-    a, b = network._parse_lines(text).T
+def _reference_load(text, direction):
+    """Reference loader: the strict per-line parse of the UTF-8 bytes,
+    then np.unique compaction."""
+    a, b = parse_edge_list(text.encode("utf-8", "surrogatepass")).T
     ids = np.unique(np.concatenate((a, b)))
     a, b = np.searchsorted(ids, a), np.searchsorted(ids, b)
     if direction == DIRECTION_FOLLOWED_BY:
@@ -308,13 +324,14 @@ _LINE = st.one_of(
     st.builds(lambda lead, body: lead + "#" + body, _BLANK,
               st.text(" 0123456789#", max_size=6)),
     _BLANK)
-# every character or line break that the line loop and np.loadtxt could
-# read differently: extra line breaks (also non-ASCII ones, whose UTF-8
-# bytes np.loadtxt would not see as one), inline '#', signs, '_',
-# non-ASCII digits and blanks
-_ODD = st.sampled_from(["#", " # c", "#x", "\r", "\r\n", "\n", "\x1c",
-                        "\x0c", "\x85", "\u2028", "\xa0", "\u0661", "+",
-                        "-", "_", " ", "\t", " 7", "0"])
+# characters at the edges of the grammar: '\r' alone or before '\r\n',
+# loadtxt's odd blanks (\x0b \x0c \x1c, line breaks to str.splitlines,
+# and \x1f), non-ASCII line breaks, digits and blanks, inline '#', signs,
+# '_' and a control character that is no blank
+_ODD = st.sampled_from(["#", " # c", "#x", "\r", "\r\n", "\n", "\x0b",
+                        "\x0c", "\x1c", "\x1f", "\x85", "\u2028", "\xa0",
+                        "\u0661", "\xe9", "+", "-", "_", "\x01", " ", "\t",
+                        " 7", "0"])
 
 
 @st.composite
@@ -331,7 +348,8 @@ def _edge_text(draw):
 
 _EDGE_TEXT = st.one_of(
     _edge_text(),
-    st.text("0123456789 \t\r\n#+-_\x1c\x0c\x85\xa0\u0661", max_size=30))
+    st.text("0123456789 \t\r\n#+-_\x0b\x1c\x0c\x1f\x85\xa0\u0661",
+            max_size=30))
 
 
 # (text, direction, as_bytes) inputs that each loader test runs
@@ -350,6 +368,16 @@ _LOADER_EXAMPLES = [
     ("1\x1c2\n", DIRECTION_FOLLOWS, False),
     ("1\x0c2\n", DIRECTION_FOLLOWS, True),
     ("1 2\r3 4\n", DIRECTION_FOLLOWS, True),
+    ("1 2\r3 4\n", DIRECTION_FOLLOWS, False),
+    ("0 0\r", DIRECTION_FOLLOWS, True),
+    ("0 0\r\r\n", DIRECTION_FOLLOWS, False),
+    ("#\r0 1\n", DIRECTION_FOLLOWS, True),
+    ("\r#\n0 1\n", DIRECTION_FOLLOWS, False),
+    ("# caf\xe9\n1 2\n", DIRECTION_FOLLOWS, True),
+    ("# caf\xe9\n1 2\n", DIRECTION_FOLLOWS, False),
+    ("1 2\n# \udc80\n", DIRECTION_FOLLOWS, False),  # a str's lone surrogate
+    ("1\x0c2\n", DIRECTION_FOLLOWS, False),
+    ("1 2 # note\n", DIRECTION_FOLLOWED_BY, True),
     ("# a\r5 6\n3 4\n", DIRECTION_FOLLOWS, False),
     ("1_000 2\n", DIRECTION_FOLLOWS, False),
     ("\u0661 2\n", DIRECTION_FOLLOWS, False),
@@ -369,29 +397,46 @@ _LOADER_EXAMPLES = [
 ]
 
 
-def _with_loader_examples(test):
-    """test with each of _LOADER_EXAMPLES as a Hypothesis example."""
-    for args in reversed(_LOADER_EXAMPLES):
-        test = example(*args)(test)
-    return test
+def _loader_examples(*tails):
+    """Add each of _LOADER_EXAMPLES, followed by each of tails, to a test
+    as a Hypothesis example."""
+    def decorate(test):
+        for args in reversed(_LOADER_EXAMPLES):
+            for tail in tails:
+                test = example(*args, *tail)(test)
+        return test
+    return decorate
+
+
+def _no_scan(fh):
+    raise AssertionError("accepted input reached the line scan")
 
 
 class TestLoaderMatchesLineLoop:
-    """load_edge_list accepts, rejects and builds exactly as the line loop."""
+    """load_edge_list accepts, rejects and builds exactly as the strict
+    per-line reference parser, with the in-memory file and without it."""
 
     @settings(max_examples=400, deadline=None)
     @given(_EDGE_TEXT, st.sampled_from([DIRECTION_FOLLOWS,
                                         DIRECTION_FOLLOWED_BY]),
-           st.booleans())
-    @_with_loader_examples
-    def test_differential(self, text, direction, as_bytes):
-        want = _outcome(lambda: _loop_load(text, direction))
+           st.booleans(), st.booleans())
+    @_loader_examples((True,), (False,))
+    def test_differential(self, text, direction, as_bytes, memfd):
+        want = _outcome(lambda: _reference_load(text, direction))
         source = (io.BytesIO(text.encode("utf-8")) if as_bytes
                   else io.StringIO(text))
-        got = _outcome(lambda: load_edge_list(source, direction=direction))
+        with pytest.MonkeyPatch.context() as mp:
+            if not memfd:
+                _no_memfd(mp)
+            if isinstance(want, FollowNetwork):
+                mp.setattr(network, "_first_bad_line", _no_scan)
+            calls = _spy_loadtxt(mp)
+            got = _outcome(lambda: load_edge_list(source,
+                                                  direction=direction))
         if isinstance(want, FollowNetwork):
             assert isinstance(got, FollowNetwork), got
             _assert_same_network(got, want)
+            assert len(calls) == 1
         else:
             assert got == want
 
@@ -401,15 +446,14 @@ class TestLoaderMatchesLineLoop:
                                       "# see #5\n  # c #d\n1 2\n",
                                       " +5  0 \n\n"])
     def test_canonical_input_takes_the_fast_path(self, text, monkeypatch):
-        want_a, want_b = network._parse_lines(text).T
-
-        def parse_lines(text):
-            raise AssertionError("canonical input went to _parse_lines")
-
-        monkeypatch.setattr(network, "_parse_lines", parse_lines)
+        """Accepted input takes one np.loadtxt call and no line scan."""
+        want = parse_edge_list(text.encode("ascii"))
+        monkeypatch.setattr(network, "_first_bad_line", _no_scan)
+        calls = _spy_loadtxt(monkeypatch)
         for source in (io.StringIO(text), io.BytesIO(text.encode("ascii"))):
-            a, b = network._read_pairs(source).T
-            assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+            calls.clear()
+            pairs = network._read_pairs(source)
+            assert np.array_equal(pairs, want) and len(calls) == 1
 
 
 def _spy_loadtxt(mp):
@@ -471,7 +515,7 @@ def _assert_same_without_memfd(load):
 @given(_EDGE_TEXT, st.sampled_from([DIRECTION_FOLLOWS,
                                     DIRECTION_FOLLOWED_BY]),
        st.booleans())
-@_with_loader_examples
+@_loader_examples(())
 def test_load_is_the_same_without_the_in_memory_file(text, direction,
                                                      as_bytes):
     def load():
@@ -491,11 +535,7 @@ def test_sample_file_is_the_same_without_the_in_memory_file():
 def test_canonical_file_reaches_loadtxt_as_a_path(monkeypatch):
     """A silent fall back to io.BytesIO would only show in the benchmark."""
     calls = _spy_loadtxt(monkeypatch)
-
-    def parse_lines(text):
-        raise AssertionError("canonical input went to _parse_lines")
-
-    monkeypatch.setattr(network, "_parse_lines", parse_lines)
+    monkeypatch.setattr(network, "_first_bad_line", _no_scan)
     net = load_edge_list(SAMPLE_EDGES)
     assert net.edge_count == 7
     assert len(calls) == 1 and isinstance(calls[0], str), calls
@@ -505,7 +545,7 @@ def test_canonical_file_reaches_loadtxt_as_a_path(monkeypatch):
                     reason="no /proc/self/fd to list")
 def test_in_memory_file_is_written_in_full_and_closed(monkeypatch):
     text = SAMPLE_EDGES.read_text(encoding="ascii")
-    want = _loop_load(text, DIRECTION_FOLLOWS)
+    want = _reference_load(text, DIRECTION_FOLLOWS)
     sizes, real_write = [], os.write
 
     def write(fd, data):
@@ -516,9 +556,10 @@ def test_in_memory_file_is_written_in_full_and_closed(monkeypatch):
     _assert_same_network(load_edge_list(io.StringIO(text)), want)
     assert sum(sizes) == len(text) and len(sizes) > 1
     monkeypatch.setattr(os, "write", real_write)
-    # canonical; refused by np.loadtxt but not by _parse_lines; an error;
-    # canonical with a failing write or open of the in-memory file
-    for text, loads, setup in ((text, True, None), ("1_000 2\n", True, None),
+    # accepted; refused by np.loadtxt, or by the lone '\r' check, before
+    # it; accepted with a failing write or open of the in-memory file
+    for text, loads, setup in ((text, True, None), ("1_000 2\n", False, None),
+                               ("0 1\r2 3\n", False, None),
                                ("1 2 3\n", False, None),
                                (text, True, _write_fails),
                                (text, True, _open_fails)):
@@ -617,52 +658,25 @@ def test_load_peak_memory_per_line(tmp_path):
     assert peak <= 64 * lines, f"{peak / lines:.1f} bytes per line"
 
 
-def test_fallback_load_holds_one_chunk_of_lines(tmp_path, monkeypatch):
-    """The per-line parse holds one chunk's lines, not the whole list.
+def test_bad_last_line_is_named_in_bounded_memory(tmp_path):
+    """A file refused at its last line is scanned one line at a time.
 
-    The first id written '0_…' sends the file to _parse_lines; with a
-    small chunk its traced peak is that of the canonical load (about 36
-    bytes per line here), where the whole list of lines would add ~60.
+    The error names that line, and the traced peak stays that of a load
+    that succeeds: the line scan holds no list of lines.
     """
     net = generate_synthetic("uniform-random", 5000, edge_prob=0.002, seed=0)
     path = tmp_path / "edges.txt"
     write_edge_list(net, path)
-    lines = net.edge_count
-    path.write_bytes(b"0_" + path.read_bytes())
-    want = load_edge_list(path)
-    monkeypatch.setattr(network, "_LINE_CHUNK_CHARS", 4096)
-    texts, parse_lines = [], network._parse_lines
-
-    def spy(text):
-        texts.append(len(text))
-        return parse_lines(text)
-
-    monkeypatch.setattr(network, "_parse_lines", spy)
+    lines = net.edge_count + 1
+    del net
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write("1_000 2\n")
     tracemalloc.start()
     try:
-        got = load_edge_list(path)
+        with pytest.raises(EdgeListError, match="non-integer") as exc:
+            load_edge_list(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    _assert_same_network(got, want)
-    assert network._canonical_bytes(path.read_bytes()) is not None
-    assert texts == [path.stat().st_size]  # loadtxt refused the file
+    assert lines > 45_000 and exc.value.line_number == lines
     assert peak <= 64 * lines, f"{peak / lines:.1f} bytes per line"
-
-
-# every line break of str.splitlines, '\r\n' among them, and a few others
-_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(list(_BREAKS) + ["\r\n", "1", " ", "#",
-                                                 "\xa0", "a"]),
-                max_size=40).map("".join),
-       st.integers(1, 8))
-@example("1 2\r\n3 4", 4)
-@example("\r\n\r\n", 1)
-@example("a\r", 2)
-def test_iter_lines_equals_splitlines(text, chunk):
-    assert list(network._iter_lines(text, chunk)) == text.splitlines()
-    assert (list(network._iter_lines(text, network._LINE_CHUNK_CHARS))
-            == text.splitlines())
