@@ -131,6 +131,23 @@ def gate_min(eta_star: float, influence, y_max: int):
     return np.maximum(least, 1.0).astype(np.int64)[()]
 
 
+def gate_min_leaders(eta_star: float) -> int:
+    """floor(eta_star): a user with fewer leaders never passes the gate.
+
+    Let user i have l < floor(eta_star) leaders, whose follower counts sum
+    to S, the most that its y can reach. If l = 0, y = 0 < gate_min.
+    Otherwise every leader has i as a follower, so S >= l, and influence
+    is fl(S / l). As l + 1 <= eta_star, eta_star * S / l >= S + S / l >=
+    S + 1, and the two float64 roundings (relative error <= 2**-53 each)
+    leave the computed threshold >= (S + 1)(1 - 2**-52) > S, as S + 1 <
+    2**52 (S <= E, for any network that fits in memory). So gate_min,
+    the threshold's ceiling or the cap E + 1, is at least S + 1 > y. The
+    bound is tight: at an integer eta_star, a user whose floor(eta_star)
+    leaders have equal follower counts passes once they are all recent.
+    """
+    return math.floor(eta_star)
+
+
 def retweet_count(eta_i, y, eta_star: float, influence):
     """Possible retweets this day, assuming the gate passed.
 

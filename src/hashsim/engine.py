@@ -26,22 +26,37 @@ it had not yet counted. The update is applied within the day, after the
 day's retweets are drawn, in one of two directions (Beamer, Asanovic &
 Patterson, "Direction-optimizing BFS", SC 2012):
 
-- push walks the follower CSR (the transpose of the leader CSR, built once
-  per network) from the actors, when their out-edge volume sum(F_j) is at
-  most _PUSH_MAX_FRAC of the block's runs x E, and scatters their weights
-  in one np.add.at;
-- pull recomputes the packed rows from `last` over every edge, as one
-  segmented sum over the follower-sorted leader CSR of the per-edge
-  weights (FollowNetwork.pull_plan, built once per network on the first
-  pull).
+- push walks, from the actors, the follower CSR of the followers that
+  can ever pass the gate (FollowNetwork.follower_csr at k =
+  behavior.gate_min_leaders(eta_star) = floor(eta_star), fetched once per
+  peak_state call), when the pairs it lists for them are at most
+  _PUSH_MAX_FRAC of the block's runs x E, and scatters their weights in
+  one np.add.at;
+- pull recomputes the packed rows of every user from `last` over every
+  edge, as one segmented sum over the follower-sorted leader CSR of the
+  per-edge weights (FollowNetwork.pull_plan, built once per network on
+  the first pull).
 
-y and eta are integer sums below 2**53, so both directions give the same
-values as a from-scratch recomputation, and nu converts them to float64
-exactly. The gate is one int64 comparison per (run, user): packed >=
-gate_min << b, where behavior.gate_min is the least integer y that passes
+y and eta are integer sums below 2**53, so a pull gives the same values
+as a from-scratch recomputation, and nu converts them to float64 exactly.
+The gate is one int64 comparison per (run, user): packed >= gate_min <<
+b, where behavior.gate_min is the least integer y that passes
 behavior.retweet_gate. As 0 <= eta < 2**b, that holds exactly when y >=
 gate_min, and so exactly when the gate passes. A user whose t is 0 that
 day gets the cap E + 1, which no y reaches.
+
+A push leaves out the users with fewer than k leaders, so packed is
+exact only for the others. For a user with fewer than k leaders it is at
+most the exact value and below that user's gate_min, so the gate, nu and
+every output byte are as with exact values. Proof: the exact y and eta
+of a user only grow from one of its own actions to the next, and its
+action sets both to 0. packed follows it exactly at every pull and every
+action of the user, and in between a push adds to it what it adds to the
+exact value, or, for a user left out, nothing. So packed's y and eta are
+at most the exact ones, which are at most the sums over all of the
+user's leaders, and gate_min_leaders proves that such a user's sum of
+F_j is below its gate_min. Every user that can pass the gate has at
+least k leaders, so its packed value, and its nu, are exact.
 
 Only the updates that a later day reads are made. Someone can post on day
 d exactly when sigma * tau(d) > min(h), since t = clip(sigma * tau - h, 0,
@@ -95,8 +110,8 @@ import numpy as np
 from . import rng
 from .behavior import (MAX_DELTA_T, ModelParams, action_probability,
                        activeness, exposure_probability, gate_min,
-                       hesitancy, interest, per_retweet_probability,
-                       retweet_count)
+                       gate_min_leaders, hesitancy, interest,
+                       per_retweet_probability, retweet_count)
 from .network import FollowNetwork
 
 DAY_OFFSETS = np.arange(-MAX_DELTA_T, MAX_DELTA_T + 1)
@@ -104,15 +119,17 @@ N_DAYS = DAY_OFFSETS.size
 PEAK_INDEX = MAX_DELTA_T  # DAY_OFFSETS[PEAK_INDEX] is the peak day, 0
 _NEVER = np.int16(-100)  # "no activity yet"; below every real day offset
 
-# Push a day's actors to their followers when their out-edge volume is at
-# most this fraction of the block's runs x E; otherwise pull. On a 2-vCPU
-# x86-64 VM and a dense 20k-node heavy-tailed graph, a push costs ~21 ns
-# per (actor, follower) pair and a pull ~9 ns per (run, edge). At 0.3 /
-# 0.4 / 0.5 (medians of 3, seconds): three 50-run ensembles on that graph
-# 7.80 / 7.96 / 7.55, three 1k-node ER fits 4.30 / 4.47 / 4.74 (peak 47.0
-# / 47.8 / 48.2 MB), and an 11-lambda group of 10 runs on a SNAP-sized
-# graph (1-run blocks) 6.10 / 6.13 / 6.03 at eta* 1 and 5.34 / 5.43 / 5.11
-# at eta* 5. No value was faster on all.
+# Push a day's actors to their followers when the (actor, follower) pairs
+# that the push lists are at most this fraction of the block's runs x E;
+# otherwise pull. On a 2-vCPU x86-64 VM and a dense 20k-node heavy-tailed
+# graph, timed inside three 50-run ensembles (lambda 0.5, eta* 2, delta_t
+# 7), a push costs 19-22 ns per pair and a pull 8.5-9 ns per (run, edge).
+# At 0.3 / 0.4 / 0.5 (medians of 3, seconds, with the full follower CSR):
+# three 50-run ensembles on that graph 7.80 / 7.96 / 7.55, three 1k-node
+# ER fits 4.30 / 4.47 / 4.74 (peak 47.0 / 47.8 / 48.2 MB), and an
+# 11-lambda group of 10 runs on a SNAP-sized graph (1-run blocks) 6.10 /
+# 6.13 / 6.03 at eta* 1 and 5.34 / 5.43 / 5.11 at eta* 5. No value was
+# faster on all.
 _PUSH_MAX_FRAC = 0.3
 # A block holds at most this many (run, edge) pairs (at least one run). A
 # pull holds ~9 bytes of temporaries per pair (the bool comparison and its
@@ -238,28 +255,32 @@ def user_arrays(net: FollowNetwork) -> tuple[np.ndarray, np.ndarray]:
     return activeness(f, l, net.f_max, net.l_max), h
 
 
-def _push(net: FollowNetwork, packed, shift: int, last, actors) -> None:
-    """Add one day's actors to the exposure of their followers.
+def _push(net: FollowNetwork, packed, shift: int, last, actors,
+          followers) -> None:
+    """Add one day's actors to the exposure of their capable followers.
 
-    packed (updated in place) and last (as it was before today) are one
-    block's rows, and `actors` are flat indices into them. A follower i
-    gains (F_j << shift) | 1 from an actor j, unless j already counted for
-    it (last[j] > last[i]). Actors then drop to zero, since no leader can
-    be more recent than today.
+    followers is net.follower_csr(gate_min_leaders(eta_star)), which lists
+    only the followers that can ever pass the gate. packed (updated in
+    place) and last (as it was before today) are one block's rows, and
+    `actors` are flat indices into them. A listed follower i gains (F_j <<
+    shift) | 1 from an actor j, unless j already counted for it (last[j] >
+    last[i]). Actors then drop to zero, since no leader can be more recent
+    than today.
     """
     n = net.user_count
     packed = packed.reshape(-1)
     last = last.reshape(-1)
-    indptr, follower_ids = net.follower_csr
+    indptr, follower_ids = followers
     j = actors % n
-    count = net.follower_count[j]
+    start = indptr[j]
+    count = indptr[j + 1] - start
     # (actor, follower) pairs: follower i and the flat (run, i) index
-    pos = np.repeat(indptr[j] - (np.cumsum(count) - count), count)
+    pos = np.repeat(start - (np.cumsum(count) - count), count)
     pos += np.arange(pos.size)
     flat = follower_ids[pos]
     del pos
     flat += np.repeat(actors - j, count)
-    weight = np.repeat((count << shift) | 1, count)
+    weight = np.repeat((net.follower_count[j] << shift) | 1, count)
     weight *= np.repeat(last[actors], count) <= last[flat]
     np.add.at(packed, flat, weight)
     packed[actors] = 0
@@ -402,7 +423,11 @@ class BatchState:
     sums F_j over the leaders j of i with last[r, j] > last[r, i], and eta
     counts them. shift is net.l_max.bit_length(), so eta <= l_max fits
     below y. packed agrees with last after every day whose actors a later
-    day can read (the module docstring gives the rule). params are the
+    day can read (the module docstring gives the rule), exactly for the
+    users with at least floor(eta_star) leaders, and for the others at
+    most and below their gate_min. followers is a list that every block
+    of a peak_state call and every copy shares; it holds the push's
+    follower CSR once one of them has fetched it. params are the
     ones the block was built with; no block reads lam, which reaches a
     continuation only through the days it is given. streams and last are
     never written in place (a day replaces last), so copies share them;
@@ -417,6 +442,14 @@ class BatchState:
     packed: np.ndarray
     acts: np.ndarray
     dist: np.ndarray
+    followers: list  # the push's follower CSR, once fetched (_peak_blocks)
+
+    def _follower_csr(self) -> tuple:
+        """net.follower_csr at this block's eta_star, fetched once."""
+        if not self.followers:
+            self.followers.append(self.net.follower_csr(
+                gate_min_leaders(float(self.params.eta_star))))
+        return self.followers[0]
 
     def branch(self) -> BatchState:
         """An independent copy, to go on with the days of any lam."""
@@ -444,10 +477,11 @@ class BatchState:
             np.putmask(last, acted, np.int16(DAY_OFFSETS[day.index]))
             if day.update and acted.any():
                 actors = np.flatnonzero(acted)
-                volume = int(net.follower_count[actors % net.user_count]
-                             .sum())
+                followers = self._follower_csr()
+                j = actors % net.user_count
+                volume = int((followers[0][j + 1] - followers[0][j]).sum())
                 if volume <= _PUSH_MAX_FRAC * acted.shape[0] * net.edge_count:
-                    _push(net, packed, shift, self.last, actors)
+                    _push(net, packed, shift, self.last, actors, followers)
                 else:
                     _pull(net, packed, last)
             self.last = last
@@ -459,13 +493,17 @@ def _peak_blocks(net: FollowNetwork, params: ModelParams, base_seed: int,
     """peak_state's blocks, each built and simulated when it is asked for.
 
     A caller that drops a block before it asks for the next one holds one
-    block at a time. The pre-peak days' _days list is shared by all.
+    block at a time. The pre-peak days' _days list is shared by all, and
+    so is the list that holds the push's follower CSR.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     days = _days(net, params,
                  range(PEAK_INDEX - int(params.delta_t), PEAK_INDEX + 1))
     size = max(1, _BLOCK_EDGES // max(1, net.edge_count))
+    # the network keeps the CSR of one eta_star only, so a thread at
+    # another eta_star could make each block of this call rebuild it
+    followers = []
 
     def block(lo: int) -> BatchState:
         seeds = tuple(range(lo, min(lo + size, base_seed + runs)))
@@ -475,7 +513,8 @@ def _peak_blocks(net: FollowNetwork, params: ModelParams, base_seed: int,
                            last=np.full(shape, _NEVER, dtype=np.int16),
                            packed=np.zeros(shape, dtype=np.int64),
                            acts=np.zeros((len(seeds), N_DAYS)),
-                           dist=np.zeros((len(seeds), N_DAYS)))
+                           dist=np.zeros((len(seeds), N_DAYS)),
+                           followers=followers)
         state.simulate(days)
         return state
     return map(block, range(base_seed, base_seed + runs, size))

@@ -6,15 +6,17 @@ list has one parser, np.loadtxt; input that it refuses is read once more,
 line by line, only to name the first bad line.
 
 Memory: a network keeps 8 bytes per edge (leader_ids) and 40 per user.
-Its follower CSR, once built, adds another 8 per edge and 8 per user, and
-the exposure pull's plan 8 per edge and at most 9 per user. A load
-peaks while it parses. The input is copied into an in-memory file
-(shared memory, outside the process's RSS) that np.loadtxt reads in C,
-and the load then keeps only that copy: the two copies, as the write
-ends, are 42 bytes per line, 75 MB, on a SNAP-sized file. Where there is
-no such file (not Linux), loadtxt reads the raw input from io.BytesIO,
-and the input and 16 bytes per line of parsed ids peak at 38 bytes per
-line, 67 MB (load_edge_list lists what each stage holds).
+Its follower CSR, once built, adds 8 per user and 8 per edge whose
+follower has at least the min_leaders asked for (it is kept for one
+min_leaders at a time), and the exposure pull's plan 8 per edge and at
+most 9 per user. A load peaks while it parses. The input is copied into
+an in-memory file (shared memory, outside the process's RSS) that
+np.loadtxt reads in C, and the load then keeps only that copy: the two
+copies, as the write ends, are 42 bytes per line, 75 MB, on a SNAP-sized
+file. Where there is no such file (not Linux), loadtxt reads the raw
+input from io.BytesIO, and the input and 16 bytes per line of parsed ids
+peak at 38 bytes per line, 67 MB (load_edge_list lists what each stage
+holds).
 """
 
 from __future__ import annotations
@@ -125,20 +127,34 @@ class FollowNetwork:
     def edge_count(self) -> int:
         return int(self.leader_ids.shape[0])
 
-    @cached_property
-    def follower_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Follower CSR (indptr, ids), the transpose of the leader CSR.
+    def follower_csr(self, min_leaders: int) -> tuple[np.ndarray, np.ndarray]:
+        """Follower CSR (indptr, ids) of the users with >= min_leaders leaders.
 
-        ids[indptr[j]:indptr[j+1]] lists the followers of user j in
-        ascending order. Built on first use and kept, so loading a network
-        does not pay for it.
+        ids[indptr[j]:indptr[j+1]] lists, in ascending order, the followers
+        of user j that have at least min_leaders leaders; at min_leaders 1
+        it is the transpose of the leader CSR. Built on first use, so
+        loading a network does not pay for it, and kept for the latest
+        min_leaders only (values above l_max are one key: no follower).
         """
-        followers = np.repeat(np.arange(self.user_count), self.leader_count)
+        min_leaders = min(max(int(min_leaders), 1), self.l_max + 1)
+        cached = self.__dict__.get("_follower_csr")
+        if cached is None or cached[0] != min_leaders:
+            cached = (min_leaders, *self._build_follower_csr(min_leaders))
+            # frozen: set as functools.cached_property does
+            self.__dict__["_follower_csr"] = cached
+        return cached[1:]
+
+    def _build_follower_csr(self, min_leaders: int):
+        """follower_csr's (indptr, ids) for this min_leaders, built anew."""
+        kept = np.where(self.leader_count >= min_leaders, self.leader_count, 0)
+        followers = np.repeat(np.arange(self.user_count), kept)
+        key = self.leader_ids[np.repeat(kept > 0, self.leader_count)]
+        indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(key, minlength=self.user_count))))
+        key *= np.int64(self.user_count)
+        key += followers
         # (leader, follower) keys are unique, so any sort orders them fully
-        order = np.argsort(self.leader_ids * np.int64(self.user_count)
-                           + followers)
-        indptr = np.concatenate(([0], np.cumsum(self.follower_count)))
-        ids = followers[order]
+        ids = followers[np.argsort(key)]
         indptr.flags.writeable = False
         ids.flags.writeable = False
         return indptr, ids
@@ -386,18 +402,20 @@ def write_edge_list(net: FollowNetwork, dest) -> None:
     """Write the network as edge-list text ("i j" means i follows j).
 
     `dest` is a path or an open stream. Rows are formatted _WRITE_ROWS at
-    a time, so beyond the network the write holds 8 bytes per edge (each
-    edge's follower id) and one chunk of rows.
+    a time, by one %-format of a tuple of Python ints, so beyond the
+    network the write holds one chunk of rows.
     """
-    orig = net.original_ids
-    followers = np.repeat(orig, net.leader_count)
+    orig, indptr = net.original_ids, net.leader_indptr
     with (contextlib.nullcontext(dest) if hasattr(dest, "write")
           else open(os.fspath(dest), "w", encoding="ascii")) as fh:
         for start in range(0, net.edge_count, _WRITE_ROWS):
-            stop = start + _WRITE_ROWS
-            rows = np.column_stack((followers[start:stop],
-                                    orig[net.leader_ids[start:stop]]))
-            np.savetxt(fh, rows, fmt="%d %d")
+            leaders = net.leader_ids[start:start + _WRITE_ROWS]
+            # the follower of edge e: the last user whose row starts at or
+            # before e
+            followers = np.searchsorted(
+                indptr, np.arange(start, start + leaders.size), "right") - 1
+            rows = np.column_stack((orig[followers], orig[leaders]))
+            fh.write("%d %d\n" * leaders.size % tuple(rows.ravel().tolist()))
 
 
 def network_stats(net: FollowNetwork) -> dict:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hashsim import (ModelParams, action_probability, activeness,
-                     exposure_probability, hesitancy, interest,
-                     per_retweet_probability, retweet_count, retweet_gate)
-from hashsim.behavior import gate_min
+from hashsim import (FollowNetwork, ModelParams, action_probability,
+                     activeness, exposure_probability, generate_synthetic,
+                     hesitancy, interest, per_retweet_probability,
+                     retweet_count, retweet_gate)
+from hashsim.behavior import gate_min, gate_min_leaders
 from hashsim.engine import user_arrays
+from reference import edge_followers
 
 TOL = 1e-12
 
@@ -220,6 +222,43 @@ class TestGateMin:
         # an overflow to inf is capped, without a warning
         capped = gate_min(1e300, np.array([1e10, 0.0]), 100)
         assert capped.tolist() == [101, 1]
+
+
+# eta_star in [1, 60]: integers, x.5 and one ulp on either side of integers
+_ETA_STARS = st.one_of(
+    st.integers(1, 60).map(float),
+    st.integers(1, 59).map(lambda k: k + 0.5),
+    st.integers(2, 60).map(lambda k: float(np.nextafter(k, 0.0))),
+    st.integers(1, 60).map(lambda k: float(np.nextafter(k, 61.0))))
+
+
+class TestGateMinLeaders:
+    @settings(max_examples=300, deadline=None)
+    @given(_ETA_STARS, st.integers(2, 150), st.floats(0.5, 1.5),
+           st.integers(0, 2**32 - 1))
+    def test_fewer_leaders_never_pass_the_gate(self, eta_star, n, spread,
+                                               seed):
+        # random graphs whose mean leader count is near floor(eta_star):
+        # the summed follower counts of all of a user's leaders, the most
+        # y can reach, stay below its gate_min when it has fewer leaders
+        k = gate_min_leaders(eta_star)
+        assert k == math.floor(eta_star)
+        net = generate_synthetic("uniform-random", n, seed=seed,
+                                 edge_prob=min(1.0, spread * k / (n - 1)))
+        reach = np.zeros(n, dtype=np.int64)
+        np.add.at(reach, edge_followers(net),
+                  net.follower_count[net.leader_ids])
+        least = gate_min(eta_star, net.influence, net.edge_count)
+        below = net.leader_count < k
+        assert np.all(reach[below] < least[below])
+        if eta_star == k:
+            # k leaders with one follower each open the gate together,
+            # so an integer eta_star admits no higher cut
+            one = FollowNetwork.from_edges(np.zeros(k, dtype=np.int64),
+                                           np.arange(1, k + 1), k + 1)
+            assert one.leader_count[0] == k
+            assert gate_min(eta_star, one.influence[0], k) == k
+            assert retweet_gate(k, eta_star, one.influence[0])
 
 
 class TestRetweetCount:

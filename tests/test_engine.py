@@ -15,7 +15,8 @@ from hashsim import (ActivityProfile, FollowNetwork, GridSpec,
                      HashtagCsvError, ModelParams, binomial_count, engine,
                      generate_synthetic, grid_scan, normalize,
                      read_hashtag_csv, rng, run_ensemble)
-from hashsim.behavior import action_probability, interest, retweet_gate
+from hashsim.behavior import (action_probability, gate_min,
+                              gate_min_leaders, interest, retweet_gate)
 from reference import (binomial_cdf, binomial_reference, edge_followers,
                        simulate_reference)
 
@@ -284,6 +285,21 @@ def exposure_steps(draw):
     return net, last_old, acted, np.where(acted, np.int16(day), last_old)
 
 
+@st.composite
+def push_days(draw):
+    """A small graph and who acts on each of a few consecutive days."""
+    n = draw(st.integers(2, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          min_size=1, max_size=40))
+    followers, leaders = zip(*pairs)
+    net = FollowNetwork.from_edges(followers, leaders, n)
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 3)), n)
+    size = int(np.prod(shape))
+    acted = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return net, np.array(acted).reshape(shape)
+
+
 class TestExposure:
     @settings(max_examples=200, deadline=None)
     @given(exposure_steps())
@@ -295,11 +311,36 @@ class TestExposure:
         engine._pull(net, pushed.packed, last_old)
         assert_exposure_by_definition(pushed, net, last_old)
         engine._push(net, pushed.packed, net.l_max.bit_length(), last_old,
-                     np.flatnonzero(acted))
+                     np.flatnonzero(acted), net.follower_csr(1))
         pulled = no_exposure(net, last_old.shape[0])
         engine._pull(net, pulled.packed, last_new)
         for state in (pushed, pulled):
             assert_exposure_by_definition(state, net, last_new)
+
+    @settings(max_examples=200, deadline=None)
+    @given(push_days(), st.floats(1.0, 14.0))
+    def test_pruned_pushes_are_exact_where_the_gate_can_pass(self, days,
+                                                             eta_star):
+        # pushes to the users with >= floor(eta_star) leaders only: theirs
+        # is the exposure by definition, and the others' stays at most
+        # that and below their gate_min
+        net, acted = days
+        shift = net.l_max.bit_length()
+        followers = net.follower_csr(gate_min_leaders(eta_star))
+        capable = net.leader_count >= gate_min_leaders(eta_star)
+        least = gate_min(eta_star, net.influence, net.edge_count)
+        state = no_exposure(net, acted.shape[1])
+        last = np.full(acted.shape[1:], engine._NEVER, dtype=np.int16)
+        for day, today in enumerate(acted):
+            engine._push(net, state.packed, shift, last,
+                         np.flatnonzero(today), followers)
+            last = np.where(today, np.int16(day), last)
+            y, eta = unpacked(state)
+            want_y, want_eta = exposure_by_definition(net, last)
+            assert np.array_equal(y[:, capable], want_y[:, capable])
+            assert np.array_equal(eta[:, capable], want_eta[:, capable])
+            assert np.all(y <= want_y) and np.all(eta <= want_eta)
+            assert np.all(y[:, ~capable] < least[~capable])
 
     def test_pull_counts_past_int8(self):
         # one user follows 300 leaders that are all more recent than it
@@ -339,7 +380,7 @@ class TestExposure:
         acted = last == 0
         pushed = no_exposure(net, 2)
         engine._push(net, pushed.packed, net.l_max.bit_length(), never,
-                     np.flatnonzero(acted))
+                     np.flatnonzero(acted), net.follower_csr(1))
         assert np.array_equal(pushed.packed, pulled.packed)
 
     def test_state_rejects_networks_too_large_to_pack(self):
@@ -378,6 +419,37 @@ class TestExposure:
             run_ensemble(net, params, 3, 4)
         assert calls["pull"] > 2 * 2 * 4
         assert list(map(id, builds)) == list(map(id, stars))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("budget", [engine._BLOCK_EDGES, 1])
+    def test_follower_csr_is_built_once_per_group(self, monkeypatch, threads,
+                                                   budget):
+        # three eta_star groups of three lambda: every group pushes, and
+        # its blocks and branches share one fetch of the CSR at its
+        # floor(eta_star), also when the groups run on two threads
+        target = normalize(run_ensemble(
+            sparse_push_network(), ModelParams(lam=0.5, eta_star=3,
+                                               delta_t=2), 1, 4).activities)
+        net = sparse_push_network()  # nothing cached yet
+        calls = {"follower_csr": [], "_build_follower_csr": []}
+
+        def spy(name):
+            original = getattr(FollowNetwork, name)
+
+            def counted(net, min_leaders):
+                calls[name].append(min_leaders)
+                return original(net, min_leaders)
+            monkeypatch.setattr(FollowNetwork, name, counted)
+        spy("follower_csr")
+        spy("_build_follower_csr")
+        monkeypatch.setattr(engine, "_BLOCK_EDGES", budget)
+        directions = count_directions(monkeypatch)
+        grid = GridSpec(lambda_axis=[0.0, 0.5, 1.0],
+                        eta_axis=[2.0, 3.5, 5.0], dt_axis=[2], runs=3)
+        grid_scan(net, target, target, grid, threads=threads)
+        assert directions["push"] > 0
+        assert sorted(calls["follower_csr"]) == [2, 3, 5]
+        assert sorted(calls["_build_follower_csr"]) == [2, 3, 5]
 
 
 def count_plan_builds(monkeypatch):
@@ -458,6 +530,22 @@ class TestAgainstReference:
         assert calls["push"] > 0 and calls["pull"] == 0
         # someone posted twice in a day, so retweets happened
         assert eng.activities.sum() > eng.distinct_users.sum()
+
+    def test_pruned_pushes_match_reference(self, monkeypatch):
+        # at eta_star 6.5 the users with fewer than 6 leaders get no push:
+        # a sixth of the edges, while capable users still retweet
+        net = sparse_push_network()
+        params = ModelParams(lam=0.3, eta_star=6.5, delta_t=7)
+        sizes, push = [], engine._push
+
+        def spy(*args):
+            sizes.append(args[-1][1].size)  # the follower CSR's ids
+            return push(*args)
+        monkeypatch.setattr(engine, "_push", spy)
+        acts, dist = self.assert_rows_match_reference(monkeypatch, net,
+                                                      params, [1, 2, 3])
+        assert sizes and max(sizes) < net.edge_count
+        assert np.all(acts.sum(axis=1) > dist.sum(axis=1))  # retweets
 
     def test_matches_slow_reference(self):
         net = generate_synthetic("uniform-random", 120, edge_prob=0.08,

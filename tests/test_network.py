@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -243,8 +244,8 @@ def test_write_read_round_trip(er200):
 
 
 def test_write_peak_memory_per_edge(tmp_path):
-    """Beyond the network, a write holds 8 bytes per edge and one chunk of
-    rows (13 bytes per edge here). Formatting every line at once held 94."""
+    """Beyond the network, a write holds one chunk of rows (10.6 bytes
+    per edge here). Formatting every line at once held 94."""
     net = generate_synthetic("uniform-random", 5000, edge_prob=0.002, seed=0)
     tracemalloc.start()
     try:
@@ -272,7 +273,7 @@ def test_from_edges_reads_float_ids_as_int64():
 
 
 def test_follower_csr_is_the_transpose(er200):
-    indptr, ids = er200.follower_csr
+    indptr, ids = er200.follower_csr(1)
     assert ids.size == er200.edge_count
     for leader in range(er200.user_count):
         followers = ids[indptr[leader]:indptr[leader + 1]]
@@ -281,6 +282,74 @@ def test_follower_csr_is_the_transpose(er200):
         for f in followers:
             lo, hi = er200.leader_indptr[f], er200.leader_indptr[f + 1]
             assert leader in er200.leader_ids[lo:hi]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), edge_prob=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**16), min_leaders=st.integers(-1, 45))
+def test_follower_csr_keeps_the_followers_with_min_leaders(n, edge_prob, seed,
+                                                           min_leaders):
+    net = generate_synthetic("uniform-random", n, edge_prob=edge_prob,
+                             seed=seed)
+    indptr, ids = net.follower_csr(min_leaders)
+    capable = net.leader_count >= min_leaders
+    assert indptr.shape == (n + 1,) and indptr[0] == 0
+    assert ids.size == indptr[-1] == net.leader_count[capable].sum()
+    followers = edge_followers(net)
+    for leader in range(n):
+        got = ids[indptr[leader]:indptr[leader + 1]]
+        want = followers[(net.leader_ids == leader) & capable[followers]]
+        assert np.array_equal(got, np.sort(want))
+
+
+def test_follower_csr_is_kept_for_the_latest_min_leaders(monkeypatch):
+    net = generate_synthetic("uniform-random", 200, edge_prob=0.05, seed=7)
+    builds = []
+    build = FollowNetwork._build_follower_csr
+
+    def counted(net, min_leaders):
+        builds.append(min_leaders)
+        return build(net, min_leaders)
+    monkeypatch.setattr(FollowNetwork, "_build_follower_csr", counted)
+    first = net.follower_csr(3)
+    assert all(a is b for a, b in zip(net.follower_csr(3), first))
+    assert builds == [3]
+    net.follower_csr(4)
+    net.follower_csr(3)
+    # every value above l_max keeps no follower, and is one build
+    net.follower_csr(net.l_max + 1)
+    net.follower_csr(10**6)
+    assert builds == [3, 4, 3, net.l_max + 1]
+    # a CSR holds at most 8 bytes per edge and 8 per user
+    assert sum(a.nbytes for a in first) <= 8 * (net.edge_count
+                                                 + net.user_count + 1)
+
+
+def test_follower_csr_under_threads_is_the_csr_asked_for(er200):
+    # threads that ask at different min_leaders replace each other's cache
+    # entry; each still gets the CSR of its own min_leaders
+    want = {k: FollowNetwork._build_follower_csr(er200, k)
+            for k in range(1, 9)}
+    wrong = []
+
+    def ask(k):
+        for _ in range(30):
+            got = er200.follower_csr(k)
+            if not all(map(np.array_equal, got, want[k])):
+                wrong.append(k)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(k,))
+                   for k in range(1, 9)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def _reference_load(text, direction):
