@@ -40,10 +40,10 @@ MAX_AXIS_POINTS = 10_000
 # Runs in one ensemble, 200x the paper's 50, checked before anything is
 # loaded, so a count such as 10**9 is refused before its seeds are built.
 # simulate holds one block of runs at a time (~20 bytes per (run, user) of
-# the block) and 240 bytes of tallies per run, so its memory hardly grows
-# with runs. fit's scan holds the peak state of every run of a group (~18
-# bytes per (run, user)), so 10,000 runs of an 81k-user graph need ~15 GB
-# there. main reports a failed allocation as a usage error.
+# the block) and the blocks' 15-day totals, nothing per run, so its memory
+# does not grow with runs. fit's scan holds the peak state of every run of
+# a group (~18 bytes per (run, user)), so 10,000 runs of an 81k-user graph
+# need ~15 GB there. main reports a failed allocation as a usage error.
 MAX_RUNS = 10_000
 
 

@@ -28,10 +28,10 @@ Patterson, "Direction-optimizing BFS", SC 2012):
 
 - push walks, from the actors, the follower CSR of the followers that
   can ever pass the gate (FollowNetwork.follower_csr at k =
-  behavior.gate_min_leaders(eta_star) = floor(eta_star), fetched once per
-  peak_state call), when the pairs it lists for them are at most
-  _PUSH_MAX_FRAC of the block's runs x E, and scatters their weights in
-  one np.add.at;
+  behavior.gate_min_leaders(eta_star) = floor(eta_star), fetched once
+  when an ensemble or a snapshot starts), when the pairs it lists for
+  them are at most _PUSH_MAX_FRAC of the block's runs x E, and scatters
+  their weights in one np.add.at;
 - pull recomputes the packed rows of every user from `last` over every
   edge, as one segmented sum over the follower-sorted leader CSR of the
   per-edge weights (FollowNetwork.pull_plan, built once per network on
@@ -85,10 +85,13 @@ blocks give the same bytes as one block of every run.
 Interest is 1 on every day up to the peak, so days -delta_t..0 do not
 depend on lambda. Every block takes one path: it is built and simulated
 through day 0 (its peak state), then continued through days 1..7, and
-run_ensemble keeps only its (rows, N_DAYS) tallies. Without a snapshot,
-run_ensemble builds each block's peak state just before continuing it,
-so one block is alive at a time and memory grows with runs only by the
-tallies (240 bytes per run). peak_state returns the peak state of every
+run_ensemble keeps only its totals: acts and dist, the block's int64
+sums over its runs of each day's activities and distinct users. Without
+a snapshot, run_ensemble builds each block's peak state just before
+continuing it, so one block is alive at a time and an ensemble holds
+nothing per run. Integer sums below 2**53 add exactly in any order, so
+the mean, their sum over the blocks divided by runs, has the bytes of a
+mean over every run's row. peak_state returns the peak state of every
 block, as a tuple; given start=snapshot, run_ensemble continues a copy
 of one block at a time instead, so a scan simulates the pre-peak days
 once for every lambda that shares the other parameters, and holds the
@@ -383,7 +386,7 @@ def _inject(streams, day: _Day, acted) -> None:
 
 
 def _spread(streams, day: _Day, packed, shift: int, eta_star: float, infl,
-            acted) -> np.ndarray:
+            acted) -> int:
     """Endogenous stimulus: mark in `acted` who retweets today.
 
     packed is the exposure (y << shift) | eta of the same rows as streams
@@ -394,22 +397,20 @@ def _spread(streams, day: _Day, packed, shift: int, eta_star: float, infl,
     the (run, user) pairs that pass it, and the day's temporaries die on
     return, as in _inject. Pairs are handled by flat index into the (rows,
     users) arrays, which numpy gathers and scatters faster than (row,
-    column) pairs. Returns each row's retweet count.
+    column) pairs. Returns the day's retweets, summed over the rows.
     """
-    counts = np.zeros(acted.shape[0], dtype=np.int64)
     flat = np.flatnonzero(packed >= day.gate)
-    if flat.size:
-        run = flat // acted.shape[1]
-        user = flat - run * acted.shape[1]
-        gated = packed.reshape(-1)[flat]
-        nu = retweet_count(gated & ((1 << shift) - 1), gated >> shift,
-                           eta_star, infl[user])
-        r_each = per_retweet_probability(day.t(user), nu)
-        u_rt = rng.uniforms(streams.reshape(-1)[flat], day.index, 2)
-        retweets = binomial_count(u_rt, nu, r_each)
-        np.add.at(counts, run, retweets)
-        acted.reshape(-1)[flat[retweets > 0]] = True
-    return counts
+    if not flat.size:
+        return 0
+    user = flat % acted.shape[1]
+    gated = packed.reshape(-1)[flat]
+    nu = retweet_count(gated & ((1 << shift) - 1), gated >> shift,
+                       eta_star, infl[user])
+    r_each = per_retweet_probability(day.t(user), nu)
+    u_rt = rng.uniforms(streams.reshape(-1)[flat], day.index, 2)
+    retweets = binomial_count(u_rt, nu, r_each)
+    acted.reshape(-1)[flat[retweets > 0]] = True
+    return int(retweets.sum())
 
 
 @dataclass(eq=False)
@@ -425,13 +426,14 @@ class BatchState:
     below y. packed agrees with last after every day whose actors a later
     day can read (the module docstring gives the rule), exactly for the
     users with at least floor(eta_star) leaders, and for the others at
-    most and below their gate_min. followers is a list that every block
-    of a peak_state call and every copy shares; it holds the push's
-    follower CSR once one of them has fetched it. params are the
-    ones the block was built with; no block reads lam, which reaches a
+    most and below their gate_min. acts[d] and dist[d] sum, over the
+    block's runs, the activities and distinct users of day d (int64, 0
+    on a day not simulated yet). followers is the push's follower CSR,
+    which every block of a peak_state call shares. params are the ones
+    the block was built with; no block reads lam, which reaches a
     continuation only through the days it is given. streams and last are
     never written in place (a day replaces last), so copies share them;
-    packed and the tallies are copied.
+    packed and the totals are copied.
     """
 
     net: FollowNetwork
@@ -442,14 +444,7 @@ class BatchState:
     packed: np.ndarray
     acts: np.ndarray
     dist: np.ndarray
-    followers: list  # the push's follower CSR, once fetched (_peak_blocks)
-
-    def _follower_csr(self) -> tuple:
-        """net.follower_csr at this block's eta_star, fetched once."""
-        if not self.followers:
-            self.followers.append(self.net.follower_csr(
-                gate_min_leaders(float(self.params.eta_star))))
-        return self.followers[0]
+    followers: tuple
 
     def branch(self) -> BatchState:
         """An independent copy, to go on with the days of any lam."""
@@ -458,30 +453,30 @@ class BatchState:
                                    dist=self.dist.copy())
 
     def simulate(self, days: list) -> tuple:
-        """Simulate these days (a _days list), in order; return the tallies.
+        """Simulate these days (a _days list), in order; return the totals.
 
-        The tallies are acts and dist, each of shape (rows, N_DAYS).
+        The totals are acts and dist, the block's day sums over its runs.
         """
         net, packed = self.net, self.packed
         shift = net.l_max.bit_length()
         eta_star = float(self.params.eta_star)
+        indptr = self.followers[0]
         for day in days:
             acted = np.zeros(self.streams.shape, dtype=bool)
             _inject(self.streams, day, acted)
-            tweets = acted.sum(axis=1)
-            self.acts[:, day.index] = tweets + _spread(
+            self.acts[day.index] = np.count_nonzero(acted) + _spread(
                 self.streams, day, packed, shift, eta_star, net.influence,
                 acted)
-            self.dist[:, day.index] = acted.sum(axis=1)
+            self.dist[day.index] = np.count_nonzero(acted)
             last = self.last.copy()  # branches share self.last
             np.putmask(last, acted, np.int16(DAY_OFFSETS[day.index]))
             if day.update and acted.any():
                 actors = np.flatnonzero(acted)
-                followers = self._follower_csr()
                 j = actors % net.user_count
-                volume = int((followers[0][j + 1] - followers[0][j]).sum())
+                volume = int((indptr[j + 1] - indptr[j]).sum())
                 if volume <= _PUSH_MAX_FRAC * acted.shape[0] * net.edge_count:
-                    _push(net, packed, shift, self.last, actors, followers)
+                    _push(net, packed, shift, self.last, actors,
+                          self.followers)
                 else:
                     _pull(net, packed, last)
             self.last = last
@@ -493,17 +488,15 @@ def _peak_blocks(net: FollowNetwork, params: ModelParams, base_seed: int,
     """peak_state's blocks, each built and simulated when it is asked for.
 
     A caller that drops a block before it asks for the next one holds one
-    block at a time. The pre-peak days' _days list is shared by all, and
-    so is the list that holds the push's follower CSR.
+    block at a time. All share the pre-peak days' _days list and the
+    push's follower CSR.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     days = _days(net, params,
                  range(PEAK_INDEX - int(params.delta_t), PEAK_INDEX + 1))
+    followers = net.follower_csr(gate_min_leaders(float(params.eta_star)))
     size = max(1, _BLOCK_EDGES // max(1, net.edge_count))
-    # the network keeps the CSR of one eta_star only, so a thread at
-    # another eta_star could make each block of this call rebuild it
-    followers = []
 
     def block(lo: int) -> BatchState:
         seeds = tuple(range(lo, min(lo + size, base_seed + runs)))
@@ -512,8 +505,8 @@ def _peak_blocks(net: FollowNetwork, params: ModelParams, base_seed: int,
                            streams=rng.stream_matrix(seeds, net.user_count),
                            last=np.full(shape, _NEVER, dtype=np.int16),
                            packed=np.zeros(shape, dtype=np.int64),
-                           acts=np.zeros((len(seeds), N_DAYS)),
-                           dist=np.zeros((len(seeds), N_DAYS)),
+                           acts=np.zeros(N_DAYS, dtype=np.int64),
+                           dist=np.zeros(N_DAYS, dtype=np.int64),
                            followers=followers)
         state.simulate(days)
         return state
@@ -538,13 +531,14 @@ def run_ensemble(net: FollowNetwork, params: ModelParams, base_seed: int,
     """Mean profile over runs with seeds base_seed .. base_seed + runs - 1.
 
     Each run is its peak state continued through days 1..7, one block of
-    runs at a time, and only each block's (rows, N_DAYS) tallies are kept.
-    Without `start` each block's peak state is built here, just before it
-    is continued; with `start` from peak_state, a copy of each of its
-    blocks is continued, with the same bytes. Every block of the snapshot
-    must come from this network and from params that differ at most in
-    lam, and the blocks together must hold these seeds, at least one, in
-    order; otherwise ValueError.
+    runs at a time, and only each block's day totals are kept: they are
+    added up, and the mean is their sum divided by runs. Without `start`
+    each block's peak state is built here, just before it is continued;
+    with `start` from peak_state, a copy of each of its blocks is
+    continued, with the same bytes. Every block of the snapshot must come
+    from this network and from params that differ at most in lam, and the
+    blocks together must hold these seeds, at least one, in order;
+    otherwise ValueError.
     """
     if start is None:
         blocks = _peak_blocks(net, params, base_seed, runs)
@@ -559,7 +553,9 @@ def run_ensemble(net: FollowNetwork, params: ModelParams, base_seed: int,
             raise ValueError("snapshot has other parameters than lam")
         blocks = (block.branch() for block in start)
     days = _days(net, params, range(PEAK_INDEX + 1, N_DAYS))
-    # map drops each block as soon as its tallies are taken
-    acts, dist = (np.concatenate(rows) for rows in
-                  zip(*map(lambda state: state.simulate(days), blocks)))
-    return ActivityProfile(acts.mean(axis=0), dist.mean(axis=0))
+    totals = np.zeros((2, N_DAYS), dtype=np.int64)  # acts and dist
+    # map drops each block as soon as it returns its totals; a generator
+    # expression would hold it until the next one is built
+    for block_totals in map(lambda state: state.simulate(days), blocks):
+        totals += block_totals
+    return ActivityProfile(*(totals / runs))

@@ -76,13 +76,18 @@ class FollowNetwork:
         """Build a network from parallel (follower, leader) id arrays.
 
         Self-loops are dropped and duplicate edges collapsed. Ids must
-        already be compact in [0, user_count). Integer id arrays of any
-        width and stride are read as they are: the only edge-sized int64
-        array made from them is the key.
+        already be compact integers in [0, user_count), as float or
+        integer arrays of one length, and original_ids, if given, must
+        hold user_count ids; otherwise EdgeListError. Integer id arrays
+        of any width and stride are read as they are: the only edge-sized
+        int64 array made from them is the key.
         """
         if user_count < 1:
             raise EdgeListError("graph must have at least one node")
-        followers, leaders = _int_ids(followers), _int_ids(leaders)
+        followers = _int_ids(followers, user_count)
+        leaders = _int_ids(leaders, user_count)
+        if followers.shape != leaders.shape:
+            raise EdgeListError("follower and leader ids differ in length")
         # unique (follower, leader) pairs, sorted by follower then leader
         key = followers.astype(np.int64)
         key *= np.int64(user_count)
@@ -106,6 +111,8 @@ class FollowNetwork:
             original_ids = np.arange(user_count, dtype=np.int64)
         else:
             original_ids = np.asarray(original_ids, dtype=np.int64)
+            if original_ids.shape != (user_count,):
+                raise EdgeListError(f"original_ids must hold {user_count} ids")
 
         arrays = (indptr, leaders, follower_count, leader_count, influence,
                   original_ids)
@@ -382,12 +389,21 @@ def _compact_ids(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, compact
 
 
-def _int_ids(values) -> np.ndarray:
-    """values as an integer array: as it is when int64 holds its dtype."""
+def _int_ids(values, user_count: int) -> np.ndarray:
+    """values as an integer array: as it is when int64 holds its dtype.
+
+    Raises EdgeListError unless every value is an integer in [0,
+    user_count); NaN fails the range test.
+    """
     values = np.asarray(values)
+    if values.size and not (values.min() >= 0 and values.max() < user_count):
+        raise EdgeListError(f"node ids must lie in [0, {user_count})")
     if np.can_cast(values.dtype, np.int64):
         return values
-    return values.astype(np.int64)
+    ids = values.astype(np.int64)
+    if not np.array_equal(ids, values):
+        raise EdgeListError("node ids must be integers")
+    return ids
 
 
 def _run_starts(sorted_values: np.ndarray) -> np.ndarray:

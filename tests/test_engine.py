@@ -218,15 +218,20 @@ class TestSingleRun:
             assert not np.any(prof.activities[:cutoff])
 
     def test_causality_truncation(self, er200):
-        # the peak state is the full run cut after day 0
-        full = run_ensemble(er200, PARAMS, 13, 1)
-        (state,) = engine.peak_state(er200, PARAMS, 13, 1)
+        # the peak state is the full run cut after day 0: a one-run block's
+        # totals are that run's, and a block of three holds their sums
         cut = engine.PEAK_INDEX + 1
-        assert np.array_equal(state.acts[0, :cut], full.activities[:cut])
-        assert np.array_equal(state.dist[0, :cut], full.distinct_users[:cut])
-        assert not np.any(state.acts[:, cut:])
-        assert not np.any(state.dist[:, cut:])
-        assert np.any(full.activities[cut:])
+        for runs in (1, 3):
+            full = run_ensemble(er200, PARAMS, 13, runs)
+            (state,) = engine.peak_state(er200, PARAMS, 13, runs)
+            assert state.seeds == tuple(range(13, 13 + runs))
+            assert np.array_equal(state.acts[:cut] / runs,
+                                  full.activities[:cut])
+            assert np.array_equal(state.dist[:cut] / runs,
+                                  full.distinct_users[:cut])
+            assert not np.any(state.acts[cut:])
+            assert not np.any(state.dist[cut:])
+            assert np.any(full.activities[cut:])
 
     def test_distinct_bounded_by_activities_and_users(self, er200):
         prof = run_ensemble(er200, PARAMS, 4, 1)
@@ -391,6 +396,7 @@ class TestExposure:
                                        np.zeros(0, dtype=np.int64), 1)
         fields = {f.name: getattr(one, f.name)
                   for f in dataclasses.fields(one)}
+        fields["follower_csr"] = one.follower_csr
         fits = SimpleNamespace(**dict(fields, l_max=7,
                                       edge_count=(1 << 60) - 2))
         net = SimpleNamespace(**dict(fields, l_max=7,
@@ -498,12 +504,26 @@ def count_directions(monkeypatch):
 def continued(net, params, blocks):
     """Continue the blocks of a peak_state through day +7, in place.
 
-    Returns the tallies of every run, in seed order: (acts, dist).
+    Returns the day totals of every block, one row per block in seed
+    order: (acts, dist). In blocks of one run a row is one run's profile.
     """
     days = engine._days(net, params,
                         range(engine.PEAK_INDEX + 1, engine.N_DAYS))
     acts, dist = zip(*(block.simulate(days) for block in blocks))
-    return np.concatenate(acts), np.concatenate(dist)
+    return np.stack(acts), np.stack(dist)
+
+
+def assert_totals_match_reference(net, params, seeds, acts, dist):
+    """Each block's totals are the sums of the oracle's runs of its seeds.
+
+    seeds, acts and dist hold one entry per block.
+    """
+    assert len(seeds) == len(acts) == len(dist)
+    for block_seeds, block_acts, block_dist in zip(seeds, acts, dist):
+        refs = [simulate_reference(net, params, seed) for seed in block_seeds]
+        assert np.array_equal(block_acts, sum(r.activities for r in refs))
+        assert np.array_equal(block_dist,
+                              sum(r.distinct_users for r in refs))
 
 
 class TestAgainstReference:
@@ -563,18 +583,17 @@ class TestAgainstReference:
     SPARSE_SEEDS = [11, 12, 13, 14]
 
     def assert_rows_match_reference(self, monkeypatch, net, params, seeds):
-        # once in one block of every run, once in blocks of one run
+        # once in one block of every run, whose totals are the sums of the
+        # oracle's runs, once in blocks of one run, each the oracle's run
         for budget in (engine._BLOCK_EDGES, 1):
             monkeypatch.setattr(engine, "_BLOCK_EDGES", budget)
             blocks = engine.peak_state(net, params, seeds[0], len(seeds))
             assert sum((block.seeds for block in blocks), ()) == tuple(seeds)
             assert len(blocks) == (1 if budget > 1 else len(seeds))
             acts, dist = continued(net, params, blocks)
-            for row, seed in enumerate(seeds):
-                ref = simulate_reference(net, params, seed)
-                assert np.array_equal(acts[row], ref.activities)
-                assert np.array_equal(dist[row], ref.distinct_users)
-        return acts, dist
+            assert_totals_match_reference(
+                net, params, [block.seeds for block in blocks], acts, dist)
+        return acts, dist  # one row per run
 
     def test_batch_rows_match_reference(self, monkeypatch):
         net = generate_synthetic(**self.SPARSE)
@@ -645,6 +664,30 @@ class TestAgainstReference:
 
 
 class TestEnsemble:
+    @pytest.mark.parametrize("budget", [engine._BLOCK_EDGES, 1])
+    def test_block_totals_add_up_exactly(self, monkeypatch, er200, budget):
+        # the int64 day totals of seeds s..s+r-1 and s+r..s+2r-1 add up to
+        # those of s..s+2r-1, and their sum / 2r has the mean's bytes; in
+        # one-run blocks that is also the float64 mean over the runs' rows
+        monkeypatch.setattr(engine, "_BLOCK_EDGES", budget)
+        s, r = 40, 3
+
+        def totals(base, runs):
+            blocks = engine.peak_state(er200, PARAMS, base, runs)
+            assert len(blocks) == (1 if budget > 1 else runs)
+            return continued(er200, PARAMS, blocks)
+        first, second, both = totals(s, r), totals(s + r, r), totals(s, 2 * r)
+        mean = run_ensemble(er200, PARAMS, s, 2 * r)
+        for k, want in enumerate((mean.activities, mean.distinct_users)):
+            assert both[k].dtype == np.int64
+            pooled = first[k].sum(axis=0) + second[k].sum(axis=0)
+            assert np.array_equal(pooled, both[k].sum(axis=0))
+            assert (pooled / (2 * r)).tobytes() == want.tobytes()
+            if budget == 1:
+                rows = both[k].astype(float)
+                assert rows.mean(axis=0).tobytes() == want.tobytes()
+        assert np.any(both[0].sum(axis=0) % (2 * r))  # an inexact division
+
     def test_zero_runs_rejected(self, star101):
         with pytest.raises(ValueError):
             run_ensemble(star101, PARAMS, 0, 0)
@@ -910,15 +953,15 @@ class TestBlocks:
         assert list(rows)[-1] == tuple(range(20, 27))
         assert split.activities.tobytes() == whole.activities.tobytes()
         assert split.distinct_users.tobytes() == whole.distinct_users.tobytes()
-        for seeds in list(rows)[:3]:
-            for row, seed in enumerate(seeds):
-                ref = simulate_reference(net, params, seed)
-                assert np.array_equal(rows[seeds][0][row], ref.activities)
-                assert np.array_equal(rows[seeds][1][row],
-                                      ref.distinct_users)
+        # two blocks of three runs, and the last one of one run alone
+        split_seeds = list(rows)[:3]
+        assert_totals_match_reference(
+            net, params, split_seeds, [rows[s][0] for s in split_seeds],
+            [rows[s][1] for s in split_seeds])
 
     def test_memory_is_flat_in_runs(self, monkeypatch, er1000):
-        # 1-run blocks: of what a run holds, only its tallies outlive it
+        # 1-run blocks: nothing of a run outlives it, as a block hands the
+        # ensemble only its day totals, which are added up at once
         monkeypatch.setattr(engine, "_BLOCK_EDGES", 1)
 
         def peak(runs):
@@ -928,13 +971,16 @@ class TestBlocks:
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        run_ensemble(er1000, self.PARAMS, 5, 1)  # build the network's CSRs
-        few, many = peak(8), peak(64)
-        # a run's tallies are 240 B (acts and dist, float64), under 1 KB
-        # with their array and tuple headers and the concatenated copy;
-        # its state is ~20 B per user, 20 KB here, so blocks that all
-        # stayed alive would add ~1.1 MB
-        assert many - few <= (64 - 8) * 2048
+        # build the network's CSRs, and fill numpy's cache of small freed
+        # buffers, which tracemalloc counts: it grows by ~9 KB over the
+        # first 256 runs, with the sizes of their per-day temporaries
+        run_ensemble(er1000, self.PARAMS, 5, 256)
+        few, many = peak(8), peak(256)
+        # the peak is ~496 KB at either run count; keeping even one run's
+        # 240 B of float64 rows per run would add ~60 KB here, and a run's
+        # state is ~20 B per user, 20 KB, so blocks that all stayed alive
+        # would add ~5 MB
+        assert many - few <= 4096
 
 
 def test_benchmark_tracing_wraps_the_engine(star11):

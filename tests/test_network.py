@@ -272,6 +272,24 @@ def test_from_edges_reads_float_ids_as_int64():
     _assert_same_network(got, want)
 
 
+@pytest.mark.parametrize("followers, leaders, original_ids", [
+    pytest.param([0, 5], [1, 2], None, id="id-above-range"),
+    pytest.param([0, 1], [-1, 2], None, id="negative-id"),
+    pytest.param(np.array([0, 3], dtype=np.uint64), [1, 2], None,
+                 id="unsigned-id-above-range"),
+    pytest.param([0.5, 1.0], [1.0, 2.0], None, id="fractional-float"),
+    pytest.param([0.0, np.nan], [1.0, 2.0], None, id="nan"),
+    pytest.param([0.0, 1.0], [np.inf, 2.0], None, id="inf"),
+    pytest.param([0, 1, 2], [1, 2], None, id="unequal-lengths"),
+    pytest.param([0, 1], [1, 2], [10, 11], id="too-few-original-ids"),
+    pytest.param([0, 1], [1, 2], [10, 11, 12, 13], id="too-many-original-ids"),
+])
+def test_from_edges_refuses_bad_ids(followers, leaders, original_ids):
+    with pytest.raises(EdgeListError):
+        FollowNetwork.from_edges(followers, leaders, 3,
+                                 original_ids=original_ids)
+
+
 def test_follower_csr_is_the_transpose(er200):
     indptr, ids = er200.follower_csr(1)
     assert ids.size == er200.edge_count
