@@ -19,8 +19,8 @@ import numpy as np
 from .behavior import ModelParams
 from .classify import ClassBoundaries, classify_params, classify_profile
 from .engine import run_ensemble
-from .fitter import (COMBINE_MAX, COMBINE_MEAN, GridSpec, check_targets,
-                     grid_scan)
+from .fitter import (COMBINE_MAX, COMBINE_MEAN, RACE_RUNS, GridSpec,
+                     check_targets, grid_scan, race_survivors)
 from .hashtags import HashtagCsvError, read_hashtag_csv
 from .metric import DEFAULT_THETA, check_theta, normalize
 from .network import (DIRECTION_FOLLOWED_BY, DIRECTION_FOLLOWS,
@@ -171,7 +171,11 @@ def cmd_fit(args) -> int:
     targets = normalize(target.activities), normalize(target.distinct_users)
     check_targets(*targets)
     net = load_edge_list(args.network, direction=args.direction)
-    print(f"scan: {grid.size} triplets x {grid.runs} runs", file=sys.stderr)
+    keep = race_survivors(grid)
+    plan = f"{grid.size} triplets x {RACE_RUNS if keep else grid.runs} runs"
+    if keep:
+        plan += f", best {keep} x {grid.runs} runs"
+    print(f"scan: {plan}", file=sys.stderr)
     result = grid_scan(net, *targets, grid, base_seed=args.seed,
                        theta=args.theta, combine=args.combine,
                        threads=args.threads)
@@ -190,9 +194,11 @@ def cmd_fit(args) -> int:
     }
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
     if args.scan_out is not None:
-        lines = ["lambda,eta_star,delta_t,delta_tweets,delta_users"]
-        for lam, eta, dt, d_t, d_u in result.scan:
-            lines.append(f"{lam:.10g},{eta:.10g},{dt},{d_t:.10g},{d_u:.10g}")
+        lines = ["lambda,eta_star,delta_t,delta_tweets,delta_users,runs"]
+        for (lam, eta, dt, d_t, d_u), runs in zip(result.scan,
+                                                  result.scan_runs):
+            lines.append(f"{lam:.10g},{eta:.10g},{dt},{d_t:.10g},{d_u:.10g},"
+                         f"{runs}")
         _write_text(args.scan_out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -75,13 +75,17 @@ class FollowNetwork:
     def from_edges(cls, followers, leaders, user_count, original_ids=None):
         """Build a network from parallel (follower, leader) id arrays.
 
-        Self-loops are dropped and duplicate edges collapsed. Ids must
-        already be compact integers in [0, user_count), as float or
-        integer arrays of one length, and original_ids, if given, must
-        hold user_count ids; otherwise EdgeListError. Integer id arrays
-        of any width and stride are read as they are: the only edge-sized
-        int64 array made from them is the key.
+        Self-loops are dropped and duplicate edges collapsed. user_count
+        must be an int (not a bool), ids already compact integers in [0,
+        user_count), as 1-D float or integer arrays of one length, and
+        original_ids, if given, must hold user_count ids; otherwise
+        EdgeListError. Integer id arrays of any width and stride are read
+        as they are: the only edge-sized int64 array made from them is the
+        key.
         """
+        if (isinstance(user_count, bool)
+                or not isinstance(user_count, (int, np.integer))):
+            raise EdgeListError(f"user_count must be an int: {user_count!r}")
         if user_count < 1:
             raise EdgeListError("graph must have at least one node")
         followers = _int_ids(followers, user_count)
@@ -392,10 +396,12 @@ def _compact_ids(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _int_ids(values, user_count: int) -> np.ndarray:
     """values as an integer array: as it is when int64 holds its dtype.
 
-    Raises EdgeListError unless every value is an integer in [0,
-    user_count); NaN fails the range test.
+    Raises EdgeListError unless values are 1-D and every value is an
+    integer in [0, user_count); NaN fails the range test.
     """
     values = np.asarray(values)
+    if values.ndim != 1:
+        raise EdgeListError(f"node ids must be 1-D, got shape {values.shape}")
     if values.size and not (values.min() >= 0 and values.max() < user_count):
         raise EdgeListError(f"node ids must lie in [0, {user_count})")
     if np.can_cast(values.dtype, np.int64):

@@ -300,6 +300,21 @@ class TestStdout:
         assert main(argv) == 0
         assert capsys.readouterr() == (report.read_text(), banner)
 
+    def test_fit_banner_states_the_race(self, star_file, tmp_path, capsys):
+        target = run_simulate(star_file, tmp_path, "target.csv")
+        scan = tmp_path / "scan.csv"
+        argv = ["fit", "--network", star_file, "--hashtag", str(target),
+                "--grid", "lambda=0:1:0.5,eta=1:5:2,dt=0:2", "--runs", "20",
+                "--seed", "5", "--out", str(tmp_path / "fit.json"),
+                "--scan-out", str(scan)]
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == (
+            "", "scan: 27 triplets x 10 runs, best 16 x 20 runs\n")
+        runs = [row.rsplit(",", 1)[1]
+                for row in scan.read_text().splitlines()[1:]]
+        assert sorted(runs) == ["10"] * 11 + ["20"] * 16
+
     def test_outputs_pipe_through_the_module(self, tmp_path):
         """simulate, fit and classify read what the previous step printed."""
         src = str(pathlib.Path(hashsim.__file__).parents[1])
@@ -421,7 +436,8 @@ class TestFitAndClassify:
             max(report["delta_tweets"], report["delta_users"]))
 
         scan_lines = scan_path.read_text().splitlines()
-        assert scan_lines[0] == "lambda,eta_star,delta_t,delta_tweets,delta_users"
+        assert scan_lines[0] == ("lambda,eta_star,delta_t,delta_tweets,"
+                                 "delta_users,runs")
         assert len(scan_lines) == 28
         best = min(scan_lines[1:],
                    key=lambda r: max(float(r.split(",")[3]),

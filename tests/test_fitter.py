@@ -4,10 +4,11 @@ import itertools
 import numpy as np
 import pytest
 
-from hashsim import (FitResult, GridSpec, ModelParams, distance,
-                     generate_synthetic, grid_scan, normalize, run_ensemble)
+from hashsim import (ActivityProfile, FitResult, GridSpec, ModelParams,
+                     distance, generate_synthetic, grid_scan, normalize,
+                     run_ensemble)
 from hashsim import fitter
-from hashsim.fitter import triplet_seed
+from hashsim.fitter import RACE_RUNS, race_survivors, triplet_seed
 
 
 def _targets(net, params, seed, runs=20):
@@ -268,6 +269,153 @@ class TestCommonRandomNumbers:
         serial = grid_scan(er200, tt, tu, grid, base_seed=2, threads=1)
         threaded = grid_scan(er200, tt, tu, grid, base_seed=2, threads=8)
         assert serial == threaded
+
+
+def _standalone_row(net, lam, eta, dt, runs, base_seed, tt, tu):
+    """A scan row recomputed alone, as one run_ensemble call."""
+    prof = run_ensemble(net, ModelParams(lam=lam, eta_star=eta, delta_t=dt),
+                        triplet_seed(base_seed, dt, eta, lam), runs)
+    return (lam, eta, dt, distance(normalize(prof.activities), tt),
+            distance(normalize(prof.distinct_users), tu))
+
+
+class TestRace:
+    """Round one at RACE_RUNS, round two re-scores the best at grid.runs."""
+
+    # 5 x 4 x 2 = 40 triplets: 16 survive
+    GRID = GridSpec(lambda_axis=np.array([0.0, 0.5, 1.0, 2.0, 4.0]),
+                    eta_axis=np.array([1.0, 3.0, 8.0, 20.0]),
+                    dt_axis=np.array([0, 2]), runs=20)
+
+    def test_rows_are_standalone_scores_at_their_runs(self, er200,
+                                                      monkeypatch):
+        peaks, real = [], fitter.peak_state
+
+        def spy(net, params, base_seed, runs):
+            peaks.append((params.delta_t, params.eta_star, runs))
+            return real(net, params, base_seed, runs)
+
+        monkeypatch.setattr(fitter, "peak_state", spy)
+        tt, tu = _targets(er200, ModelParams(lam=1.0, eta_star=3, delta_t=2),
+                          seed=81)
+        result = grid_scan(er200, tt, tu, self.GRID, base_seed=6)
+        # one peak state per group and round: every group in round one,
+        # each group that holds a survivor in round two
+        kept = sorted({(row[2], row[1], 20) for row, runs in
+                       zip(result.scan, result.scan_runs) if runs == 20})
+        assert peaks[:8] == [(dt, eta, RACE_RUNS) for dt in (0, 2)
+                             for eta in (1.0, 3.0, 8.0, 20.0)]
+        assert peaks[8:] == kept
+        assert race_survivors(self.GRID) == 16
+        assert result.scan_runs.count(20) == 16
+        assert result.scan_runs.count(RACE_RUNS) == 40 - 16
+        for row, runs in zip(result.scan, result.scan_runs):
+            want = _standalone_row(er200, *row[:3], runs, 6, tt, tu)
+            assert np.array(row).tobytes() == np.array(want).tobytes()
+        # the survivors are the best 16 rows of round one
+        first = [_standalone_row(er200, *row[:3], RACE_RUNS, 6, tt, tu)
+                 for row in result.scan]
+        order = sorted(range(40), key=lambda i: (
+            max(first[i][3], first[i][4]), first[i][1], first[i][0],
+            first[i][2]))
+        assert sorted(order[:16]) == [i for i, runs in
+                                      enumerate(result.scan_runs)
+                                      if runs == 20]
+
+    def test_planted_targets_win_as_in_the_exhaustive_scan(self, er1000):
+        grid = GridSpec(lambda_axis=np.array([0.0, 0.5, 1.0, 2.0, 4.0]),
+                        eta_axis=np.array([2.0, 5.0, 10.0, 20.0, 40.0]),
+                        dt_axis=np.array([0, 2, 4]), runs=20)
+        table = []  # the exhaustive scan's profiles, as acceptance 9 makes
+        for dt, eta, lam in itertools.product(grid.dt_axis.tolist(),
+                                              grid.eta_axis.tolist(),
+                                              grid.lambda_axis.tolist()):
+            prof = run_ensemble(er1000, ModelParams(lam=lam, eta_star=eta,
+                                                    delta_t=dt),
+                                triplet_seed(3, dt, eta, lam), 20)
+            table.append(((lam, eta, dt), normalize(prof.activities),
+                          normalize(prof.distinct_users)))
+        planted = [(0.5, 10, 2), (2.0, 5, 0), (0.0, 40, 4), (1.0, 2, 4),
+                   (0.7, 7.5, 1), (1.5, 30, 3), (3.0, 3, 0), (0.25, 15, 5)]
+        for k, (lam, eta, dt) in enumerate(planted):
+            tt, tu = _targets(er1000, ModelParams(lam=lam, eta_star=eta,
+                                                  delta_t=dt),
+                              seed=500 + k)
+            objective, eta_w, lam_w, dt_w = min(
+                (max(distance(a, tt), distance(u, tu)), t[1], t[0], t[2])
+                for t, a, u in table)
+            result = grid_scan(er1000, tt, tu, grid, base_seed=3)
+            assert result.params == ModelParams(lam=lam_w, eta_star=eta_w,
+                                                delta_t=dt_w)
+            assert result.objective == objective
+
+    def test_winner_is_a_row_at_full_runs(self, er200, monkeypatch):
+        # round two scores every survivor far from any target, so that
+        # rows of round one score better than all rows at grid.runs
+        far = ActivityProfile(np.eye(15)[0], np.eye(15)[0])
+
+        def far_at_full_runs(net, params, base_seed, runs, *, start=None):
+            if runs == self.GRID.runs:
+                return far
+            return run_ensemble(net, params, base_seed, runs, start=start)
+
+        monkeypatch.setattr(fitter, "run_ensemble", far_at_full_runs)
+        tt, tu = _targets(er200, ModelParams(lam=1.0, eta_star=3, delta_t=2),
+                          seed=81)
+        result = grid_scan(er200, tt, tu, self.GRID, base_seed=6)
+        objectives = [max(row[3], row[4]) for row in result.scan]
+        full = [i for i, runs in enumerate(result.scan_runs) if runs == 20]
+        first = [i for i, runs in enumerate(result.scan_runs) if runs != 20]
+        assert min(objectives[i] for i in first) < result.objective
+        assert result.objective == min(objectives[i] for i in full)
+        assert (result.params.lam, result.params.eta_star,
+                result.params.delta_t) in [result.scan[i][:3] for i in full]
+
+    def test_threads_do_not_change_the_race(self, er200, monkeypatch):
+        monkeypatch.setattr(fitter.os, "cpu_count", lambda: 2)
+        tt, tu = _targets(er200, ModelParams(lam=0.5, eta_star=8, delta_t=0),
+                          seed=91)
+        serial = grid_scan(er200, tt, tu, self.GRID, base_seed=2, threads=1)
+        threaded = grid_scan(er200, tt, tu, self.GRID, base_seed=2,
+                             threads=2)
+        assert serial.scan_runs.count(20) == 16
+        assert serial == threaded
+
+    @pytest.mark.parametrize("grid", [
+        dataclasses.replace(GRID, runs=RACE_RUNS),
+        dataclasses.replace(GRID, runs=3),
+        GridSpec(lambda_axis=np.array([0.0, 0.5, 1.0, 2.0]),
+                 eta_axis=np.array([1.0, 3.0]), dt_axis=np.array([0, 2]),
+                 runs=20),
+    ], ids=["runs-at-race-runs", "runs-below", "16-triplets"])
+    def test_one_round_when_nothing_is_left_out(self, er200, monkeypatch,
+                                                grid):
+        calls = []
+
+        def counting(net, params, base_seed, runs, *, start=None):
+            calls.append(runs)
+            return run_ensemble(net, params, base_seed, runs, start=start)
+
+        monkeypatch.setattr(fitter, "run_ensemble", counting)
+        tt, tu = _targets(er200, ModelParams(lam=0.5, eta_star=3, delta_t=2),
+                          seed=17)
+        result = grid_scan(er200, tt, tu, grid, base_seed=4)
+        assert race_survivors(grid) == 0
+        assert calls == [grid.runs] * grid.size
+        assert result.scan_runs == (grid.runs,) * grid.size
+
+    def test_survivor_count(self):
+        def grid(lams, runs):
+            return GridSpec(lambda_axis=np.arange(lams, dtype=float),
+                            eta_axis=np.array([1.0]), dt_axis=np.array([0]),
+                            runs=runs)
+
+        assert race_survivors(grid(17, RACE_RUNS + 1)) == 16
+        assert race_survivors(grid(17, RACE_RUNS)) == 0
+        assert race_survivors(grid(16, 50)) == 0
+        assert race_survivors(grid(320, 50)) == 16
+        assert race_survivors(grid(321, 50)) == 17  # 5%, rounded up
+        assert race_survivors(GridSpec()) == 984
 
 
 class TestCheckedBeforeSimulating:

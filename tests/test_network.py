@@ -272,22 +272,37 @@ def test_from_edges_reads_float_ids_as_int64():
     _assert_same_network(got, want)
 
 
-@pytest.mark.parametrize("followers, leaders, original_ids", [
-    pytest.param([0, 5], [1, 2], None, id="id-above-range"),
-    pytest.param([0, 1], [-1, 2], None, id="negative-id"),
-    pytest.param(np.array([0, 3], dtype=np.uint64), [1, 2], None,
+@pytest.mark.parametrize("followers, leaders, original_ids, user_count", [
+    pytest.param([0, 5], [1, 2], None, 3, id="id-above-range"),
+    pytest.param([0, 1], [-1, 2], None, 3, id="negative-id"),
+    pytest.param(np.array([0, 3], dtype=np.uint64), [1, 2], None, 3,
                  id="unsigned-id-above-range"),
-    pytest.param([0.5, 1.0], [1.0, 2.0], None, id="fractional-float"),
-    pytest.param([0.0, np.nan], [1.0, 2.0], None, id="nan"),
-    pytest.param([0.0, 1.0], [np.inf, 2.0], None, id="inf"),
-    pytest.param([0, 1, 2], [1, 2], None, id="unequal-lengths"),
-    pytest.param([0, 1], [1, 2], [10, 11], id="too-few-original-ids"),
-    pytest.param([0, 1], [1, 2], [10, 11, 12, 13], id="too-many-original-ids"),
+    pytest.param([0.5, 1.0], [1.0, 2.0], None, 3, id="fractional-float"),
+    pytest.param([0.0, np.nan], [1.0, 2.0], None, 3, id="nan"),
+    pytest.param([0.0, 1.0], [np.inf, 2.0], None, 3, id="inf"),
+    pytest.param([0, 1, 2], [1, 2], None, 3, id="unequal-lengths"),
+    pytest.param([0, 1], [1, 2], [10, 11], 3, id="too-few-original-ids"),
+    pytest.param([0, 1], [1, 2], [10, 11, 12, 13], 3,
+                 id="too-many-original-ids"),
+    pytest.param([0, 1], [1, 0], None, 2.5, id="fractional-user-count"),
+    pytest.param([0, 1], [1, 0], None, 2.0, id="float-user-count"),
+    pytest.param([0, 1], [1, 0], None, True, id="bool-user-count"),
+    pytest.param([0, 1], [1, 0], None, np.True_, id="numpy-bool-user-count"),
+    pytest.param([[0, 1], [1, 2]], [[1, 2], [2, 0]], None, 3,
+                 id="2-d-ids"),
+    pytest.param(0, 1, None, 3, id="0-d-ids"),
 ])
-def test_from_edges_refuses_bad_ids(followers, leaders, original_ids):
+def test_from_edges_refuses_bad_ids(followers, leaders, original_ids,
+                                    user_count):
     with pytest.raises(EdgeListError):
-        FollowNetwork.from_edges(followers, leaders, 3,
+        FollowNetwork.from_edges(followers, leaders, user_count,
                                  original_ids=original_ids)
+
+
+def test_from_edges_takes_a_numpy_integer_user_count():
+    got = FollowNetwork.from_edges([0, 1], [1, 0], np.int64(2))
+    _assert_same_network(got, FollowNetwork.from_edges([0, 1], [1, 0], 2))
+    assert type(got.user_count) is int
 
 
 def test_follower_csr_is_the_transpose(er200):
