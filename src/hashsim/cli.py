@@ -45,6 +45,10 @@ MAX_AXIS_POINTS = 10_000
 # a group (~18 bytes per (run, user)), so 10,000 runs of an 81k-user graph
 # need ~15 GB there. main reports a failed allocation as a usage error.
 MAX_RUNS = 10_000
+# The largest --seed. The runs of --seed s take the seeds s .. s + runs - 1,
+# so every run seed of [0, MAX_SEED] is below 2^63, and no two seeds of it
+# alias in rng.as_u64, which reduces seeds mod 2^64.
+MAX_SEED = 2**63 - MAX_RUNS
 
 
 class UsageError(Exception):
@@ -54,6 +58,18 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # map argparse usage failures to exit code 1
         raise UsageError(message)
+
+
+def _seed(text: str) -> int:
+    """--seed's type: an int in [0, MAX_SEED], else a usage error."""
+    try:
+        seed = int(text)
+        if 0 <= seed <= MAX_SEED:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be an int in [0, {MAX_SEED}], got {text!r}")
 
 
 def _parse_axis(spec: str, name: str) -> np.ndarray:
@@ -263,7 +279,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eta-star", type=float, required=True)
     p.add_argument("--delta-t", type=int, required=True)
     p.add_argument("--runs", type=int, default=GridSpec.runs)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="-", help="profile CSV path "
                                               "('-' for stdout)")
     p.set_defaults(func=cmd_simulate)
@@ -279,7 +295,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", default=None,
                    help="axes, e.g. lambda=0:4:0.1,eta=1:60:1,dt=0:7")
     p.add_argument("--runs", type=int, default=GridSpec.runs)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--theta", type=float, default=DEFAULT_THETA)
     p.add_argument("--combine", choices=(COMBINE_MAX, COMBINE_MEAN),
                    default=COMBINE_MAX)
@@ -302,7 +318,7 @@ def build_parser() -> _Parser:
                    required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--edge-prob", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_synth)
 

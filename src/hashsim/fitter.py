@@ -22,6 +22,7 @@ recomputed alone with one run_ensemble.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -87,6 +88,10 @@ class GridSpec:
         for d in dt:
             ModelParams(lam=lam[0], eta_star=eta[0], delta_t=d)
         ModelParams(lam=lam[-1], eta_star=eta[-1], delta_t=dt[0])
+        # triplet_seed rounds eta * 10^6 to an int, which inf is not
+        if not math.isfinite(float(eta[-1]) * 1_000_000):
+            raise ValueError(f"eta axis must keep eta * 10^6 finite "
+                             f"(eta up to ~1.8e302), got {eta[-1]:g}")
         object.__setattr__(self, "lambda_axis", lam)
         object.__setattr__(self, "eta_axis", eta)
         object.__setattr__(self, "dt_axis", dt.astype(int))

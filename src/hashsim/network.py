@@ -2,8 +2,8 @@
 
 Node ids are compacted to 0..N-1 at load time so the hot simulation loops can
 use plain array indexing; the original ids are kept for reporting. An edge
-list has one parser, np.loadtxt; input that it refuses is read once more,
-line by line, only to name the first bad line.
+list has one parser, np.loadtxt; input that it refuses is parsed again
+in halves, by the same call, only to name the first bad line.
 
 Memory: a network keeps 8 bytes per edge (leader_ids) and 40 per user.
 Its follower CSR, once built, adds 8 per user and 8 per edge whose
@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,8 +36,6 @@ DIRECTION_FOLLOWED_BY = "followed-by"  # b follows a
 
 # generate_synthetic draws at most this many float64 uniforms (16 MiB) at once
 _RANDOM_BLOCK_DRAWS = 1 << 21
-_MAX_NODE_ID = int(np.iinfo(np.int64).max)
-_NODE_ID = re.compile(r"[+-]?[0-9]+")
 # write_edge_list formats this many rows at a time
 _WRITE_ROWS = 1 << 12
 
@@ -205,8 +202,8 @@ def load_edge_list(source, direction: str = DIRECTION_FOLLOWS) -> FollowNetwork:
 
     Speed: np.loadtxt parses in C from an anonymous in-memory file, or,
     where the system has none (not Linux), from io.BytesIO line by line
-    in Python. Only input it refuses is scanned again, line by line, to
-    name the error (_first_bad_line).
+    in Python. Only input it refuses is parsed again, in halves that add
+    up to about one more parse, to name the error (_first_bad_line).
 
     Memory: the raw input dies before the ids are compacted, and the
     parsed pairs before the compact ids are made. Per line of the file,
@@ -248,8 +245,9 @@ def _read_pairs(source) -> np.ndarray:
     encoded as UTF-8 first, so that any non-ASCII character is refused
     at its line. When loadtxt refuses the input, and before it when a
     lone '\\r' is in it (a path's reader ends a line there, io.BytesIO's
-    does not), _first_bad_line scans the same file for the error. The
-    raw input dies on return, before the ids are compacted.
+    does not), _first_bad_line finds the error in the same file. Input
+    with no edge line raises at once. The raw input dies on return,
+    before the ids are compacted.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -258,17 +256,27 @@ def _read_pairs(source) -> np.ndarray:
             data = fh.read()
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")  # the str dies here
-    lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+    refused = b"\r" in data and _lone_cr(data, 0, len(data))
     with _in_memory_file(data) as fh:
         data = None  # fh holds the only copy
-        pairs = None if lone_cr else _loadtxt_pairs(fh)
-        if pairs is None:
+        pairs = refused or _loadtxt_pairs(fh)
+        if isinstance(pairs, str):
             raise _first_bad_line(fh)
+    if not pairs.shape[0]:
+        raise EdgeListError("edge list contains no edges")
     return pairs
 
 
-def _in_memory_file(data: bytes):
-    """A binary file that holds data, for np.loadtxt to read in C.
+def _lone_cr(data: bytes, lo: int, hi: int) -> str | None:
+    """Why data[lo:hi] is refused if a '\\r' in it does not start a
+    '\\r\\n', else None."""
+    return ("'\\r' not followed by '\\n'"
+            if data.count(b"\r", lo, hi) != data.count(b"\r\n", lo, hi)
+            else None)
+
+
+def _in_memory_file(data):
+    """A binary file that holds data (bytes-like), for np.loadtxt to read in C.
 
     loadtxt reads in C only a file that it opens itself from a str path,
     and iterates a file object such as io.BytesIO line by line in Python.
@@ -293,62 +301,62 @@ def _in_memory_file(data: bytes):
         os.close(fd)
 
 
-def _loadtxt_pairs(fh):
-    """np.loadtxt's (m, 2) pairs of an _in_memory_file, or None.
+def _loadtxt_pairs(fh) -> np.ndarray | str:
+    """np.loadtxt's (m, 2) pairs of an _in_memory_file, or why it refused.
 
-    The pairs are kept when no warning was raised and they have at least
-    one row, two columns and no negative id; None refuses the input.
+    Input with no data line gives (0, 2) pairs. Otherwise the pairs are
+    kept when loadtxt parsed them and they have two columns and no
+    negative id; the reason returned instead refuses the input.
     """
     fname = (fh if isinstance(fh, io.BytesIO)
              else f"/proc/self/fd/{fh.fileno()}")
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # e.g. the no-data warning
+        warnings.simplefilter("error")  # the no-data warning
         try:
             pairs = np.loadtxt(fname, dtype=np.int64, comments="#", ndmin=2,
                                encoding="ascii")
-        except (ValueError, Warning):
-            return None
-    if pairs.shape[0] < 1 or pairs.shape[1] != 2 or pairs.min() < 0:
-        return None
-    return pairs
+        except UnicodeDecodeError:
+            return "non-ASCII byte"
+        except ValueError:  # loadtxt's message cannot tell these apart
+            return "non-integer node id or node id above 2^63 - 1"
+        except Warning:
+            return np.empty((0, 2), dtype=np.int64)
+    if pairs.shape[1] != 2:
+        return "expected two node ids"
+    return "negative node id" if pairs.min() < 0 else pairs
+
+
+def _parse(data: bytes, lo: int, hi: int) -> np.ndarray | str:
+    """The pairs of the lines data[lo:hi], or why they are refused."""
+    with _in_memory_file(memoryview(data)[lo:hi]) as fh:
+        return _lone_cr(data, lo, hi) or _loadtxt_pairs(fh)
 
 
 def _first_bad_line(fh) -> EdgeListError:
-    """The EdgeListError of refused input: its first bad line, if any.
+    """The EdgeListError of refused input, naming its first bad line.
 
-    Rewinds fh and reads it one '\\n'-ended line at a time; only '\\n' and
-    '\\r\\n' end a line. A line is bad if it holds a non-ASCII byte or
-    another '\\r', or if, cut at its first '#', it is neither blank nor
-    two ids [+-]?[0-9]+ in [0, 2^63 - 1]. Blanks are loadtxt's: space,
-    tab and \\x0b \\x0c \\x1c-\\x1f (str.split's ASCII ones).
+    Reads fh back. A line is bad when it is refused on its own (_parse),
+    and loadtxt judges every line by itself, so a run of lines is refused
+    exactly when it holds a bad line. The run that holds the first one is
+    cut in two at a line end near its middle, and the search goes on
+    in the first half if that is refused, else in the second, until one
+    line is left. The halves parsed add up to about one more parse of the
+    input, in about log2(lines) loadtxt calls.
     """
     fh.seek(0)
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw[:-2] if raw.endswith(b"\r\n") else raw.removesuffix(b"\n")
-        if not line.isascii():
-            return EdgeListError(
-                f"line {lineno}: non-ASCII byte in {line!r}", lineno)
-        if b"\r" in line:
-            return EdgeListError(
-                f"line {lineno}: '\\r' not followed by '\\n' in {line!r}",
-                lineno)
-        line = line.decode("ascii")
-        parts = line.split("#", 1)[0].split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            return EdgeListError(
-                f"line {lineno}: expected two node ids, got {line!r}", lineno)
-        if not all(map(_NODE_ID.fullmatch, parts)):
-            return EdgeListError(
-                f"line {lineno}: non-integer node id in {line!r}", lineno)
-        a, b = int(parts[0]), int(parts[1])
-        if a < 0 or b < 0:
-            return EdgeListError(f"line {lineno}: negative node id", lineno)
-        if max(a, b) > _MAX_NODE_ID:
-            return EdgeListError(
-                f"line {lineno}: node id above {_MAX_NODE_ID}", lineno)
-    return EdgeListError("edge list contains no edges")
+    data = fh.read()
+    lo, hi = 0, len(data)
+    # cut after the first '\n' from the middle on, else after the last one
+    # before it; there is none to cut after when data[lo:hi] is one line
+    while cut := (data.find(b"\n", (lo + hi) // 2, hi - 1) + 1
+                  or data.rfind(b"\n", lo, (lo + hi) // 2) + 1):
+        if isinstance(_parse(data, lo, cut), str):
+            hi = cut
+        else:
+            lo = cut
+    lineno = data.count(b"\n", 0, lo) + 1
+    return EdgeListError(
+        f"line {lineno}: {_parse(data, lo, hi)} in {data[lo:hi]!r}", lineno)
 
 
 def _compact_ids(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

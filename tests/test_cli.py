@@ -1,6 +1,8 @@
 import argparse
 import ast
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import pathlib
@@ -11,13 +13,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hashsim
 from hashsim import cli
 from hashsim.classify import ClassBoundaries
-from hashsim.cli import (MAX_AXIS_POINTS, MAX_RUNS, build_parser, main,
-                         parse_grid, UsageError)
+from hashsim.cli import (MAX_AXIS_POINTS, MAX_RUNS, MAX_SEED, build_parser,
+                         main, parse_grid, UsageError)
 from hashsim.fitter import COMBINE_MAX, COMBINE_MEAN, GridSpec
 
 # grid-axis fields: plain numbers, extremes and junk
@@ -30,6 +32,58 @@ _GRID = st.lists(
                                          "gamma", ""]), _AXIS).map("=".join),
               st.text(max_size=8)),
     max_size=4).map(",".join)
+
+# numeric flag values at the edges of what the CLI's parsers take, and
+# each command's numeric flags (fit's grid axes by name) with a usual value
+_EXTREME = st.sampled_from(["1e308", "-0.0", "-1", str(2**63), str(2**64),
+                            str(10**30)])
+_NUMERIC_FLAGS = {
+    "simulate": {"--lambda": "0.5", "--eta-star": "2", "--delta-t": "1",
+                 "--runs": "2", "--seed": "0"},
+    "fit": {"lambda": "0.5", "eta": "2", "dt": "1", "--runs": "2",
+            "--seed": "0", "--theta": "0.04", "--threads": "1"},
+    "synth": {"--n": "20", "--edge-prob": "0.1", "--seed": "0"},
+    "classify": {"--lambda-split": "2", "--eta-split": "30",
+                 "--dt-anticipated": "2", "--peak-frac": "0.6",
+                 "--side-frac": "0.25"},
+}
+
+
+@st.composite
+def _numeric_argv(draw):
+    """A command line whose numeric flags are usual or extreme; {net},
+    {tag} and {out} stand for a network, a hashtag CSV and an output."""
+    command = draw(st.sampled_from(sorted(_NUMERIC_FLAGS)))
+    values = {flag: draw(st.one_of(st.just(usual), st.just(usual), _EXTREME))
+              for flag, usual in _NUMERIC_FLAGS[command].items()}
+    argv = [command]
+    if command == "fit":
+        argv += ["--network={net}", "--hashtag={tag}", "--out={out}",
+                 "--grid=lambda={},eta={},dt={}".format(
+                     values.pop("lambda"), values.pop("eta"),
+                     values.pop("dt"))]
+    elif command == "simulate":
+        argv += ["--network={net}", "--out={out}"]
+    elif command == "synth":
+        argv += ["--kind=" + draw(st.sampled_from(["star", "uniform-random"])),
+                 "--out={out}"]
+    else:
+        argv += ["--profile-csv={tag}"]
+    return argv + [f"{flag}={value}" for flag, value in values.items()]
+
+
+@pytest.fixture(scope="module")
+def real_inputs(tmp_path_factory):
+    """A 30-user network, a hashtag CSV with a profile, and an output."""
+    folder = tmp_path_factory.mktemp("real")
+    paths = {name: str(folder / name) for name in ("net", "tag", "out")}
+    assert main(["synth", "--kind", "uniform-random", "--n", "30",
+                 "--edge-prob", "0.2", "--seed", "1",
+                 "--out", paths["net"]]) == 0
+    pathlib.Path(paths["tag"]).write_text(
+        "day,tweets,users\n"
+        + "".join(f"{d},{8 - abs(d)},1\n" for d in range(-7, 8)))
+    return paths
 
 
 @pytest.fixture
@@ -135,7 +189,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("grid", ["lambda=0:inf:1", "lambda=nan",
                                       "lambda=inf", "eta=inf", "dt=1.5",
-                                      "lambda=0:1e15:1"])
+                                      "lambda=0:1e15:1", "eta=1e308"])
     def test_non_finite_grid_is_usage_before_loading(self, tmp_path, capsys,
                                                      grid):
         # the inputs do not exist, so loading them would exit 3
@@ -184,6 +238,30 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert ("--runs" in err) == (code == 1)
 
+    @pytest.mark.parametrize("command", ["simulate", "fit", "star",
+                                         "uniform-random"])
+    @pytest.mark.parametrize("seed,code", [("-1", 1), (str(MAX_SEED + 1), 1),
+                                           (str(2**64), 1), ("x", 1),
+                                           (str(MAX_SEED), 3)])
+    def test_seeds_are_bounded_before_loading(self, tmp_path, capsys,
+                                              command, seed, code):
+        # the inputs and the output's folder do not exist, so a seed that
+        # passes exits 3
+        missing = str(tmp_path / "no" / "file")
+        rest = {"simulate": ["simulate", "--network", missing, "--lambda",
+                             "0.5", "--eta-star", "2", "--delta-t", "0"],
+                "fit": ["fit", "--network", missing, "--hashtag", missing,
+                        "--grid", "lambda=1,eta=2,dt=0"],
+                "star": ["synth", "--kind", "star", "--n", "3",
+                         "--out", missing],
+                "uniform-random": ["synth", "--kind", "uniform-random",
+                                   "--n", "3", "--edge-prob", "0.5",
+                                   "--out", missing]}[command]
+        assert main(rest + [f"--seed={seed}"]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("--seed" in err) == (code == 1)
+
     @pytest.mark.parametrize("command", ["simulate", "fit"])
     def test_out_of_memory_is_usage(self, star_file, tmp_path, capsys,
                                     monkeypatch, command):
@@ -225,6 +303,21 @@ class TestExitCodes:
                      "--hashtag", str(missing / "tag.csv"),
                      f"--grid={grid}", "--runs", runs, f"--theta={theta}"])
         assert code in (1, 2, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_numeric_argv())
+    @example(argv=["fit", "--network={net}", "--hashtag={tag}",
+                   "--out={out}", "--grid=lambda=0.5,eta=1e308,dt=1",
+                   "--runs=2"])
+    def test_extreme_numeric_flags_end_in_an_exit_code(self, real_inputs,
+                                                       argv):
+        """Every numeric flag, on a real network and hashtag: an exit code
+        and no traceback, also past the loaders."""
+        err = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            code = main([arg.format(**real_inputs) for arg in argv])
+        assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
 
     def test_id_above_int64_is_validation(self, tmp_path, capsys):
         big = tmp_path / "big.txt"

@@ -37,6 +37,7 @@ class TestGridSpec:
         dict(dt_axis=np.array([2.7])),
         dict(dt_axis=np.array([0.5, 1.5, 2.5])),
         dict(dt_axis=np.array([np.nan])),
+        dict(eta_axis=np.array([2.0, 1e308])),
     ])
     def test_invalid_axes_rejected(self, kwargs):
         with pytest.raises(ValueError):

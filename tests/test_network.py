@@ -85,7 +85,9 @@ def test_empty_edge_list_is_an_error():
 
 
 @pytest.mark.parametrize("text", ["", "# only comments\n", "\n  \n"])
-def test_empty_edge_list_raises_without_a_warning(text):
+def test_empty_edge_list_raises_without_a_warning(text, monkeypatch):
+    # and without a search for a bad line: it has none
+    monkeypatch.setattr(network, "_first_bad_line", _no_scan)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(EdgeListError, match="no edges"):
@@ -761,10 +763,10 @@ def test_load_peak_memory_per_line(tmp_path):
 
 
 def test_bad_last_line_is_named_in_bounded_memory(tmp_path):
-    """A file refused at its last line is scanned one line at a time.
+    """A file refused at its last line is searched by halves.
 
     The error names that line, and the traced peak stays that of a load
-    that succeeds: the line scan holds no list of lines.
+    that succeeds: the search holds the file's bytes and one half's pairs.
     """
     net = generate_synthetic("uniform-random", 5000, edge_prob=0.002, seed=0)
     path = tmp_path / "edges.txt"
@@ -782,3 +784,28 @@ def test_bad_last_line_is_named_in_bounded_memory(tmp_path):
         tracemalloc.stop()
     assert lines > 45_000 and exc.value.line_number == lines
     assert peak <= 64 * lines, f"{peak / lines:.1f} bytes per line"
+
+
+def test_bad_last_line_costs_about_one_more_parse(tmp_path, monkeypatch):
+    """After the refused whole-file parse, np.loadtxt is given halves that
+    add up to about the file's size, in about log2(lines) calls."""
+    net = generate_synthetic("uniform-random", 5000, edge_prob=0.002, seed=0)
+    path = tmp_path / "edges.txt"
+    write_edge_list(net, path)
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write("1_000 2\n")
+    lines = net.edge_count + 1
+    sizes, real = [], np.loadtxt
+
+    def loadtxt(fname, *args, **kwargs):
+        sizes.append(os.stat(fname).st_size if isinstance(fname, str)
+                     else fname.getbuffer().nbytes)
+        return real(fname, *args, **kwargs)
+
+    monkeypatch.setattr(network.np, "loadtxt", loadtxt)
+    with pytest.raises(EdgeListError) as exc:
+        load_edge_list(path)
+    size = path.stat().st_size
+    assert exc.value.line_number == lines and sizes[0] == size
+    assert sum(sizes[1:]) <= 1.01 * size
+    assert len(sizes) - 1 <= 2 * np.log2(lines) + 2, len(sizes)
