@@ -155,13 +155,19 @@ def retweet_count(eta_i, y, eta_star: float, influence):
     to 1 since a retweeting user posts at least one retweet. influence == 0
     (gate passed via the y > 0 guard) also yields 1. The result is int64:
     an array for array input, a scalar (`[()]`) for scalar input.
+
+    The last passes run in place on the product. The bump comes before
+    the floor: for v >= 0, floor(max(v, 1)) = max(floor(v), 1), and the
+    int64 cast truncates toward 0, which is floor there.
     """
     influence = np.asarray(influence, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.floor(np.sqrt((eta_i / eta_star)
-                                 * (y / gate_threshold(eta_star, influence))))
-    return np.where(influence == 0, 1,
-                    np.maximum(value, 1.0)).astype(np.int64)[()]
+        value = np.asarray(np.divide(eta_i, eta_star)
+                           * np.divide(y, gate_threshold(eta_star, influence)))
+        np.sqrt(value, out=value)
+    np.maximum(value, 1.0, out=value)
+    value[influence == 0] = 1.0
+    return value.astype(np.int64)[()]
 
 
 def per_retweet_probability(r_total, n):

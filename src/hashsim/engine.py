@@ -72,15 +72,26 @@ Runs never interact, so an ensemble is simulated one block of
 consecutive runs at a time, and each block goes through all its days
 before the next block starts. A block (BatchState) holds at most
 _BLOCK_EDGES (run, edge) pairs, or one run when a single run has more
-edges. Its state is about 20 bytes per (run, user): the stream root and
-the packed exposure (8 each), `last` (2) and, during a day, its
-replacement (2); a day's temporaries are bounded by the same budget, not
-by runs x users or runs x E. What a day reads that does not depend on
-the run (tau, who can post and their rho, the gate, whether the day is
-skipped or applied) is computed once per call, by _days, and every
-block reads it; t is recomputed only at the users a block gathers. Runs
-are independent, draws are addressed and y and eta are exact, so the
-blocks give the same bytes as one block of every run.
+edges; wide blocks share a day's Python work among many runs. Its state
+is about 20 bytes per (run, user): the stream root and the packed
+exposure (8 each), `last` (2) and, during a day, its replacement (2).
+Within a block, a day works in chunks of a fixed budget, so its
+temporaries grow neither with E nor with the block's width: the pull
+takes ranges of whole users whose leader segments hold at most
+_DAY_CHUNK (run, edge) pairs, the push ranges of actors whose listed
+followers hold at most a sixteenth as many pairs, and the retweet stage
+slices of a thirty-second as many gated (run, user) pairs. A range is larger
+only where one user's segment or one actor's list is. The chunks give
+the bytes of one call: packed sums are integers and add exactly in any
+order, each segment is summed whole, and binomial_count's count of an
+entry does not depend on the entries drawn with it. Beside them a day
+holds a few bytes per (run, user) of the block (who acted, the gate's
+comparison, the slot-0 and slot-1 draws). What a day reads that does not
+depend on the run (tau, who can post and their rho, the gate, whether
+the day is skipped or applied) is computed once per call, by _days, and
+every block reads it; t is recomputed only at the users a block gathers.
+Runs are independent, draws are addressed and y and eta are exact, so
+the blocks give the same bytes as one block of every run.
 
 Interest is 1 on every day up to the peak, so days -delta_t..0 do not
 depend on lambda. Every block takes one path: it is built and simulated
@@ -126,18 +137,31 @@ _NEVER = np.int16(-100)  # "no activity yet"; below every real day offset
 # that the push lists are at most this fraction of the block's runs x E;
 # otherwise pull. On a 2-vCPU x86-64 VM and a dense 20k-node heavy-tailed
 # graph, timed inside three 50-run ensembles (lambda 0.5, eta* 2, delta_t
-# 7), a push costs 19-22 ns per pair and a pull 8.5-9 ns per (run, edge).
-# At 0.3 / 0.4 / 0.5 (medians of 3, seconds, with the full follower CSR):
-# three 50-run ensembles on that graph 7.80 / 7.96 / 7.55, three 1k-node
-# ER fits 4.30 / 4.47 / 4.74 (peak 47.0 / 47.8 / 48.2 MB), and an
-# 11-lambda group of 10 runs on a SNAP-sized graph (1-run blocks) 6.10 /
-# 6.13 / 6.03 at eta* 1 and 5.34 / 5.43 / 5.11 at eta* 5. No value was
-# faster on all.
+# 7), a push costs 12-12.6 ns per listed pair and a pull in 2^18-pair
+# ranges 4.4-4.5 ns per (run, edge). At 0.2 / 0.3 / 0.4 / 0.5 (medians of
+# 3, seconds): those three ensembles 3.70 / 3.70 / 3.69 / 3.74, three
+# 1k-node ER fits 1.61 / 1.61 / 1.66 / 1.69, and an 11-lambda group of 10
+# runs on a SNAP-sized graph (1-run blocks) 2.62 / 2.46 / 2.44 / 2.55 at
+# eta* 1 and 2.51 / 2.39 / 2.32 / 2.37 at eta* 5. No value was faster on
+# all. With the pull in 2^20-pair ranges, later and slower runs on that
+# graph read a push at 14-15 ns and a pull at 5.9-6.3 ns (4.8-5.0 in
+# 2^18-pair ranges, 6.9-7.3 unchunked); two more sweeps of the ensembles
+# and fits ranked the four values differently each time.
 _PUSH_MAX_FRAC = 0.3
-# A block holds at most this many (run, edge) pairs (at least one run). A
-# pull holds ~9 bytes of temporaries per pair (the bool comparison and its
-# int64 weights), and a push at most _PUSH_MAX_FRAC of the pairs.
+# A block holds at most this many (run, edge) pairs (at least one run), so
+# this sets how many runs share each day's Python work; a day's temporaries
+# are bounded by _DAY_CHUNK instead.
 _BLOCK_EDGES = 1 << 21
+# A day's pull works in ranges of at most this many (run, edge) pairs (~13
+# B of temporaries each), its push in ranges of a sixteenth as many listed
+# pairs (~40 B each) and its retweet stage in slices of a thirty-second as
+# many gated pairs (~90 B each): ~14, ~3 and ~3 MB. On the dense 20k-node
+# graph (a 50-run ensemble in 7-run blocks) peak RSS fell from 79.7 MB
+# unchunked to 67.6 MB. A smaller pull budget (60.6 MB at 2^18) splits the
+# 50-run blocks of a 1k-node ER fit (1M pairs), and glibc then trims and
+# faults the heap in again on most pulls: ~12,500 minor page faults per fit
+# at 2^18 against ~5 at 2^20, with runs that spread far more.
+_DAY_CHUNK = 1 << 20
 
 PROFILE_CSV_HEADER = "day,activities,distinct_users"
 
@@ -258,6 +282,22 @@ def user_arrays(net: FollowNetwork) -> tuple[np.ndarray, np.ndarray]:
     return activeness(f, l, net.f_max, net.l_max), h
 
 
+def _chunks(ends, budget: int):
+    """Consecutive ranges of segments, each of at most budget entries.
+
+    ends[k] is the number of entries in segments 0..k. Yields (lo, hi):
+    segments lo..hi-1 hold at most budget entries together, or one
+    segment alone holds more. A range of whole segments costs one
+    np.searchsorted, so a stage that fits one range pays one call.
+    """
+    lo, done = 0, 0
+    while lo < ends.size:
+        hi = max(int(np.searchsorted(ends, done + budget, side="right")),
+                 lo + 1)
+        yield lo, hi
+        lo, done = hi, ends[hi - 1]
+
+
 def _push(net: FollowNetwork, packed, shift: int, last, actors,
           followers) -> None:
     """Add one day's actors to the exposure of their capable followers.
@@ -268,24 +308,35 @@ def _push(net: FollowNetwork, packed, shift: int, last, actors,
     `actors` are flat indices into them. A listed follower i gains (F_j <<
     shift) | 1 from an actor j, unless j already counted for it (last[j] >
     last[i]). Actors then drop to zero, since no leader can be more recent
-    than today.
+    than today. The (actor, follower) pairs are made for ranges of actors
+    whose lists hold at most _DAY_CHUNK // 16 pairs (or one actor's list)
+    together; the weights add exactly, so the ranges can be added in turn.
     """
     n = net.user_count
     packed = packed.reshape(-1)
     last = last.reshape(-1)
     indptr, follower_ids = followers
     j = actors % n
-    start = indptr[j]
-    count = indptr[j + 1] - start
-    # (actor, follower) pairs: follower i and the flat (run, i) index
-    pos = np.repeat(start - (np.cumsum(count) - count), count)
-    pos += np.arange(pos.size)
-    flat = follower_ids[pos]
-    del pos
-    flat += np.repeat(actors - j, count)
-    weight = np.repeat((net.follower_count[j] << shift) | 1, count)
-    weight *= np.repeat(last[actors], count) <= last[flat]
-    np.add.at(packed, flat, weight)
+    offset = indptr[j]
+    count = indptr[j + 1] - offset
+    ends = np.cumsum(count)
+    # pair p (counted over all actors) is follower_ids[p + offset[k]]
+    # for the actor k whose list holds it
+    offset -= ends - count
+    for lo, hi in _chunks(ends, max(1, _DAY_CHUNK >> 4)):
+        counts = count[lo:hi]
+        pos = np.repeat(offset[lo:hi], counts)
+        first = int(ends[hi - 1]) - pos.size
+        pos += np.arange(first, first + pos.size)
+        # (actor, follower) pairs: follower i and the flat (run, i) index
+        flat = follower_ids[pos]
+        del pos
+        ids = actors[lo:hi]
+        flat += np.repeat(ids - j[lo:hi], counts)
+        weight = np.repeat((net.follower_count[j[lo:hi]] << shift) | 1,
+                           counts)
+        weight *= np.repeat(last[ids], counts) <= last[flat]
+        np.add.at(packed, flat, weight)
     packed[actors] = 0
 
 
@@ -294,13 +345,20 @@ def _pull(net: FollowNetwork, packed, last) -> None:
 
     Edges are sorted by follower, so each user's leaders form one segment,
     and one segmented sum of the weights of the recent edges gives each
-    packed value (FollowNetwork.pull_plan). The rows are one block, so a
-    pull holds at most _BLOCK_EDGES (run, edge) pairs, or one run's edges.
+    packed value (FollowNetwork.pull_plan). The sums are taken for ranges
+    of whole segments of at most _DAY_CHUNK (run, edge) pairs over the
+    block's rows (or one user's leaders), so a pull's temporaries do not
+    grow with E.
     """
-    weights, starts, has_leaders = net.pull_plan
-    recent = (np.take(last, net.leader_ids, axis=1)
-              > np.repeat(last, net.leader_count, axis=1))
-    packed[:, has_leaders] = np.add.reduceat(recent * weights, starts, axis=1)
+    weights, bounds, users = net.pull_plan
+    for lo, hi in _chunks(bounds[1:], max(1, _DAY_CHUNK // last.shape[0])):
+        first, stop = bounds[lo], bounds[hi]
+        # users outside users[lo:hi] in this range have no leaders
+        span = slice(users[lo], users[hi - 1] + 1)
+        recent = (np.take(last, net.leader_ids[first:stop], axis=1)
+                  > np.repeat(last[:, span], net.leader_count[span], axis=1))
+        packed[:, users[lo:hi]] = np.add.reduceat(
+            recent * weights[first:stop], bounds[lo:hi] - first, axis=1)
 
 
 class _Day(NamedTuple):
@@ -397,20 +455,24 @@ def _spread(streams, day: _Day, packed, shift: int, eta_star: float, infl,
     the (run, user) pairs that pass it, and the day's temporaries die on
     return, as in _inject. Pairs are handled by flat index into the (rows,
     users) arrays, which numpy gathers and scatters faster than (row,
-    column) pairs. Returns the day's retweets, summed over the rows.
+    column) pairs, in slices of _DAY_CHUNK // 32 of them. Returns the day's
+    retweets, summed over the rows.
     """
-    flat = np.flatnonzero(packed >= day.gate)
-    if not flat.size:
-        return 0
-    user = flat % acted.shape[1]
-    gated = packed.reshape(-1)[flat]
-    nu = retweet_count(gated & ((1 << shift) - 1), gated >> shift,
-                       eta_star, infl[user])
-    r_each = per_retweet_probability(day.t(user), nu)
-    u_rt = rng.uniforms(streams.reshape(-1)[flat], day.index, 2)
-    retweets = binomial_count(u_rt, nu, r_each)
-    acted.reshape(-1)[flat[retweets > 0]] = True
-    return int(retweets.sum())
+    gated_flat = np.flatnonzero(packed >= day.gate)
+    step = max(1, _DAY_CHUNK >> 5)
+    total = 0
+    for lo in range(0, gated_flat.size, step):
+        flat = gated_flat[lo:lo + step]
+        user = flat % acted.shape[1]
+        gated = packed.reshape(-1)[flat]
+        nu = retweet_count(gated & ((1 << shift) - 1), gated >> shift,
+                           eta_star, infl[user])
+        r_each = per_retweet_probability(day.t(user), nu)
+        u_rt = rng.uniforms(streams.reshape(-1)[flat], day.index, 2)
+        retweets = binomial_count(u_rt, nu, r_each)
+        acted.reshape(-1)[flat[retweets > 0]] = True
+        total += int(retweets.sum())
+    return total
 
 
 @dataclass(eq=False)

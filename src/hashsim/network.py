@@ -169,23 +169,24 @@ class FollowNetwork:
 
     @cached_property
     def pull_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The exposure pull's plan: (weights, starts, has_leaders).
+        """The exposure pull's plan: (weights, bounds, users).
 
         weights[e] is (F_j << b) | 1 for the leader j of edge e, with b =
         l_max.bit_length(), the packing of hashsim.engine's exposure state.
-        has_leaders masks the users with at least one leader, and starts
-        holds the start of each of their segments in leader_ids, for
-        np.add.reduceat. Built on the first pull and kept, so a network
-        whose updates are all pushes does not hold its 8 bytes per edge.
+        users lists the users with at least one leader, in ascending order,
+        and the segment of users[k] in leader_ids is bounds[k]:bounds[k+1]
+        (bounds ends with E), for np.add.reduceat. Built on the first pull
+        and kept, so a network whose updates are all pushes does not hold
+        its 8 bytes per edge.
         """
         weights = self.follower_count[self.leader_ids]
         weights <<= self.l_max.bit_length()
         weights |= 1
-        has_leaders = self.leader_count > 0
-        starts = self.leader_indptr[:-1][has_leaders]
-        for a in (weights, starts, has_leaders):
+        users = np.flatnonzero(self.leader_count)
+        bounds = np.append(self.leader_indptr[users], self.edge_count)
+        for a in (weights, bounds, users):
             a.flags.writeable = False
-        return weights, starts, has_leaders
+        return weights, bounds, users
 
 
 def load_edge_list(source, direction: str = DIRECTION_FOLLOWS) -> FollowNetwork:
@@ -468,15 +469,18 @@ def generate_synthetic(kind: str, n: int, edge_prob: float | None = None,
     kind="uniform-random": every ordered pair (i, j), i != j, is an edge
     with probability edge_prob, drawn from numpy's seeded PCG64 stream in
     row blocks of at most _RANDOM_BLOCK_DRAWS draws (results depend only on
-    seed).
+    seed). A given edge_prob must be in [0, 1] for either kind; star does
+    not read it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not (edge_prob is None or 0.0 <= edge_prob <= 1.0):
+        raise ValueError("edge_prob must be in [0, 1]")
     if kind == "star":
         followers = np.arange(1, n, dtype=np.int64)
         leaders = np.zeros(max(n - 1, 0), dtype=np.int64)
     elif kind == "uniform-random":
-        if edge_prob is None or not 0.0 <= edge_prob <= 1.0:
+        if edge_prob is None:
             raise ValueError("edge_prob must be in [0, 1]")
         rng = np.random.default_rng(seed)
         # PCG64's random() fills a block in C order, one 64-bit output per

@@ -90,6 +90,18 @@ def binomial_reference(u, n, p):
     return n
 
 
+def retweet_count_reference(eta, y, eta_star, influence):
+    """nu of one user that passed the gate, on Python numbers.
+
+    floor(sqrt((eta/eta_star) * (y/(eta_star*influence)))), bumped to 1,
+    and 1 where influence is 0.
+    """
+    if influence == 0:
+        return 1
+    return max(int(np.floor(np.sqrt(
+        (eta / eta_star) * (y / (eta_star * influence))))), 1)
+
+
 def simulate_reference(net, params, seed, user_order=None):
     n = net.user_count
     order = range(n) if user_order is None else user_order
@@ -131,12 +143,7 @@ def simulate_reference(net, params, seed, user_order=None):
                     y += float(f_arr[j])
             retweets = 0
             if y > 0 and y >= params.eta_star * infl[i]:
-                if infl[i] == 0:
-                    nu = 1
-                else:
-                    nu = max(int(np.floor(np.sqrt(
-                        (eta / params.eta_star)
-                        * (y / (params.eta_star * infl[i]))))), 1)
+                nu = retweet_count_reference(eta, y, params.eta_star, infl[i])
                 # 1-element arrays: numpy's scalar power can differ from
                 # its array power, which the engine uses, in the last bit
                 r_each = per_retweet_probability(np.array([t_i]),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hashsim import (FollowNetwork, ModelParams, action_probability,
                      activeness, exposure_probability, generate_synthetic,
@@ -10,7 +10,7 @@ from hashsim import (FollowNetwork, ModelParams, action_probability,
                      retweet_count, retweet_gate)
 from hashsim.behavior import gate_min, gate_min_leaders
 from hashsim.engine import user_arrays
-from reference import edge_followers
+from reference import edge_followers, retweet_count_reference
 
 TOL = 1e-12
 
@@ -283,6 +283,24 @@ class TestRetweetCount:
         assert count >= 1
         assert retweet_count(eta_i + 1, y, eta_star, infl) >= count
         assert retweet_count(eta_i, y * 2, eta_star, infl) >= count
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 2**40),
+                              st.one_of(st.just(0.0),
+                                        st.floats(1e-3, 1e6))),
+                    min_size=1, max_size=40),
+           st.floats(1.0, 100.0))
+    # influence 0 with y > 0 and with y = 0, a value below 1 bumped to 1,
+    # and an exact square
+    @example([(5, 2, 0.0), (0, 0, 0.0), (1, 2, 3.0), (8, 24, 3.0)], 2.0)
+    def test_equals_the_reference_formula(self, entries, eta_star):
+        # as the engine calls it: int64 eta and y, float64 influence
+        eta, y, infl = (np.array(column) for column in zip(*entries))
+        want = [retweet_count_reference(int(e), float(v), eta_star, float(i))
+                for e, v, i in entries]
+        got = retweet_count(eta, y, eta_star, infl)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
 
 
 class TestPerRetweetProbability:

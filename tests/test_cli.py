@@ -353,6 +353,16 @@ class TestSynth:
     def test_bad_kind_is_usage(self):
         assert main(["synth", "--kind", "ring", "--n", "5"]) == 1
 
+    @pytest.mark.parametrize("kind", ["star", "uniform-random"])
+    @pytest.mark.parametrize("edge_prob", ["-1", "1e308", "nan"])
+    def test_bad_edge_prob_is_usage_for_either_kind(self, capsys, kind,
+                                                    edge_prob):
+        assert main(["synth", "--kind", kind, "--n", "5",
+                     "--edge-prob", edge_prob]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "edge_prob must be in [0, 1]" in captured.err
+
     def test_no_nodes_is_usage(self, capsys):
         assert main(["synth", "--kind", "star", "--n", "0"]) == 1
         captured = capsys.readouterr()

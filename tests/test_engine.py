@@ -2,10 +2,12 @@ import dataclasses
 import functools
 import importlib.util
 import io
+import itertools
 import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,9 @@ from reference import (binomial_cdf, binomial_reference, edge_followers,
                        simulate_reference)
 
 PARAMS = ModelParams(lam=0.5, eta_star=2, delta_t=3)
+# the default day chunks, and chunks of one segment (one user's leaders,
+# one actor's followers, one gated pair) each
+DAY_CHUNKS = (engine._DAY_CHUNK, 1)
 
 
 class TestBinomialCount:
@@ -312,15 +317,56 @@ class TestExposure:
         net, last_old, acted, last_new = step
         if net.edge_count == 0:
             return
-        pushed = no_exposure(net, last_old.shape[0])
-        engine._pull(net, pushed.packed, last_old)
-        assert_exposure_by_definition(pushed, net, last_old)
-        engine._push(net, pushed.packed, net.l_max.bit_length(), last_old,
-                     np.flatnonzero(acted), net.follower_csr(1))
-        pulled = no_exposure(net, last_old.shape[0])
-        engine._pull(net, pulled.packed, last_new)
-        for state in (pushed, pulled):
-            assert_exposure_by_definition(state, net, last_new)
+        for chunk in DAY_CHUNKS:
+            with mock.patch.object(engine, "_DAY_CHUNK", chunk):
+                pushed = no_exposure(net, last_old.shape[0])
+                engine._pull(net, pushed.packed, last_old)
+                assert_exposure_by_definition(pushed, net, last_old)
+                engine._push(net, pushed.packed, net.l_max.bit_length(),
+                             last_old, np.flatnonzero(acted),
+                             net.follower_csr(1))
+                pulled = no_exposure(net, last_old.shape[0])
+                engine._pull(net, pulled.packed, last_new)
+            for state in (pushed, pulled):
+                assert_exposure_by_definition(state, net, last_new)
+
+    def test_chunks_equal_one_call(self):
+        # a pull in ranges of whole users and a push in ranges of whole
+        # actors give the bytes of one range of everything, also with
+        # several rows and with lists that straddle a multiple of the budget
+        seen = {"rows": 0, "straddles": 0}
+
+        @settings(max_examples=300, deadline=None)
+        @given(exposure_steps(), st.integers(1, 16))
+        def check(step, budget):
+            net, last, acted, _ = step
+            if net.edge_count == 0:
+                return
+            rows = last.shape[0]
+            actors = np.flatnonzero(acted)
+            followers = net.follower_csr(1)
+            out = []
+            # 8 x rows x E: the push's quarter of it lists every pair
+            for chunk in (8 * rows * net.edge_count, budget):
+                with mock.patch.object(engine, "_DAY_CHUNK", chunk):
+                    state = no_exposure(net, rows)
+                    engine._pull(net, state.packed, last)
+                    pulled = state.packed.copy()
+                    engine._push(net, state.packed, net.l_max.bit_length(),
+                                 last, actors, followers)
+                    out.append((pulled, state.packed))
+            assert np.array_equal(out[0][0], out[1][0])
+            assert np.array_equal(out[0][1], out[1][1])
+            seen["rows"] += rows > 1 and rows * net.edge_count > budget
+            # the push's pairs in order; a list straddles a budget end
+            ends = np.cumsum(np.diff(followers[0])[actors % net.user_count])
+            starts = ends - np.diff(ends, prepend=0)
+            step_size = max(1, budget >> 2)
+            seen["straddles"] += bool(np.any(
+                (starts < ends) & (starts // step_size
+                                   != (ends - 1) // step_size)))
+        check()
+        assert seen["rows"] and seen["straddles"]
 
     @settings(max_examples=200, deadline=None)
     @given(push_days(), st.floats(1.0, 14.0))
@@ -334,34 +380,39 @@ class TestExposure:
         followers = net.follower_csr(gate_min_leaders(eta_star))
         capable = net.leader_count >= gate_min_leaders(eta_star)
         least = gate_min(eta_star, net.influence, net.edge_count)
-        state = no_exposure(net, acted.shape[1])
-        last = np.full(acted.shape[1:], engine._NEVER, dtype=np.int16)
-        for day, today in enumerate(acted):
-            engine._push(net, state.packed, shift, last,
-                         np.flatnonzero(today), followers)
-            last = np.where(today, np.int16(day), last)
-            y, eta = unpacked(state)
-            want_y, want_eta = exposure_by_definition(net, last)
-            assert np.array_equal(y[:, capable], want_y[:, capable])
-            assert np.array_equal(eta[:, capable], want_eta[:, capable])
-            assert np.all(y <= want_y) and np.all(eta <= want_eta)
-            assert np.all(y[:, ~capable] < least[~capable])
+        for chunk in DAY_CHUNKS:
+            state = no_exposure(net, acted.shape[1])
+            last = np.full(acted.shape[1:], engine._NEVER, dtype=np.int16)
+            for day, today in enumerate(acted):
+                with mock.patch.object(engine, "_DAY_CHUNK", chunk):
+                    engine._push(net, state.packed, shift, last,
+                                 np.flatnonzero(today), followers)
+                last = np.where(today, np.int16(day), last)
+                y, eta = unpacked(state)
+                want_y, want_eta = exposure_by_definition(net, last)
+                assert np.array_equal(y[:, capable], want_y[:, capable])
+                assert np.array_equal(eta[:, capable], want_eta[:, capable])
+                assert np.all(y <= want_y) and np.all(eta <= want_eta)
+                assert np.all(y[:, ~capable] < least[~capable])
 
-    def test_pull_counts_past_int8(self):
-        # one user follows 300 leaders that are all more recent than it
+    def test_pull_counts_past_int8(self, monkeypatch):
+        # one user follows 300 leaders that are all more recent than it;
+        # its segment is one range, also above a budget of 1
         net = FollowNetwork.from_edges(np.zeros(300, dtype=np.int64),
                                        np.arange(1, 301), 301)
         last = np.zeros((1, 301), dtype=np.int16)
         last[0, 0] = engine._NEVER
-        state = no_exposure(net, 1)
-        engine._pull(net, state.packed, last)
-        y, eta = unpacked(state)
-        assert eta[0, 0] == 300
-        assert y[0, 0] == 300
-        assert_exposure_by_definition(state, net, last)
+        for chunk in DAY_CHUNKS:
+            monkeypatch.setattr(engine, "_DAY_CHUNK", chunk)
+            state = no_exposure(net, 1)
+            engine._pull(net, state.packed, last)
+            y, eta = unpacked(state)
+            assert eta[0, 0] == 300
+            assert y[0, 0] == 300
+            assert_exposure_by_definition(state, net, last)
 
     @pytest.mark.parametrize("leaders", [255, 256])
-    def test_pull_packing_boundary(self, leaders):
+    def test_pull_packing_boundary(self, monkeypatch, leaders):
         # users 0..99 follow the same leaders, so eta reaches l_max (255
         # fills its 8-bit field, 256 sets the top bit of a 9-bit one) and
         # y reaches E, the largest value above it
@@ -374,19 +425,21 @@ class TestExposure:
         last = np.zeros((2, net.user_count), dtype=np.int16)
         last[:, :followers] = engine._NEVER
         last[1, followers::3] = engine._NEVER
-        pulled = no_exposure(net, 2)
-        engine._pull(net, pulled.packed, last)
-        y, eta = unpacked(pulled)
-        assert eta[0, 0] == leaders
-        assert y[0, 0] == net.edge_count
-        assert_exposure_by_definition(pulled, net, last)
-        # the same state pushed from nothing: the leaders act on day 0
         never = np.full(last.shape, engine._NEVER, dtype=np.int16)
         acted = last == 0
-        pushed = no_exposure(net, 2)
-        engine._push(net, pushed.packed, net.l_max.bit_length(), never,
-                     np.flatnonzero(acted), net.follower_csr(1))
-        assert np.array_equal(pushed.packed, pulled.packed)
+        for chunk in DAY_CHUNKS:
+            monkeypatch.setattr(engine, "_DAY_CHUNK", chunk)
+            pulled = no_exposure(net, 2)
+            engine._pull(net, pulled.packed, last)
+            y, eta = unpacked(pulled)
+            assert eta[0, 0] == leaders
+            assert y[0, 0] == net.edge_count
+            assert_exposure_by_definition(pulled, net, last)
+            # the same state pushed from nothing: the leaders act on day 0
+            pushed = no_exposure(net, 2)
+            engine._push(net, pushed.packed, net.l_max.bit_length(), never,
+                         np.flatnonzero(acted), net.follower_csr(1))
+            assert np.array_equal(pushed.packed, pulled.packed)
 
     def test_state_rejects_networks_too_large_to_pack(self):
         # shift 3: (E + 1) << 3 must stay below 2**63. A one-user network
@@ -513,17 +566,32 @@ def continued(net, params, blocks):
     return np.stack(acts), np.stack(dist)
 
 
-def assert_totals_match_reference(net, params, seeds, acts, dist):
+def assert_totals_match_reference(net, params, seeds, acts, dist,
+                                  refs=None):
     """Each block's totals are the sums of the oracle's runs of its seeds.
 
-    seeds, acts and dist hold one entry per block.
+    seeds, acts and dist hold one entry per block. refs, if given, keeps
+    the oracle's runs by seed from one call to the next.
     """
     assert len(seeds) == len(acts) == len(dist)
+    refs = {} if refs is None else refs
     for block_seeds, block_acts, block_dist in zip(seeds, acts, dist):
-        refs = [simulate_reference(net, params, seed) for seed in block_seeds]
-        assert np.array_equal(block_acts, sum(r.activities for r in refs))
+        for seed in block_seeds:
+            if seed not in refs:
+                refs[seed] = simulate_reference(net, params, seed)
+        runs = [refs[seed] for seed in block_seeds]
+        assert np.array_equal(block_acts, sum(r.activities for r in runs))
         assert np.array_equal(block_dist,
-                              sum(r.distinct_users for r in refs))
+                              sum(r.distinct_users for r in runs))
+
+
+def ensembles_by_chunk(net, params, seed):
+    """One-run ensembles at each of DAY_CHUNKS."""
+    out = []
+    for chunk in DAY_CHUNKS:
+        with mock.patch.object(engine, "_DAY_CHUNK", chunk):
+            out.append(run_ensemble(net, params, seed, 1))
+    return out
 
 
 class TestAgainstReference:
@@ -533,20 +601,20 @@ class TestAgainstReference:
         params = ModelParams(lam=0.3, eta_star=1, delta_t=7)
         calls = count_directions(monkeypatch)
         for seed in (3, 4):
-            eng = run_ensemble(net, params, seed, 1)
             ref = simulate_reference(net, params, seed)
-            assert np.array_equal(eng.activities, ref.activities)
-            assert np.array_equal(eng.distinct_users, ref.distinct_users)
+            for eng in ensembles_by_chunk(net, params, seed):
+                assert np.array_equal(eng.activities, ref.activities)
+                assert np.array_equal(eng.distinct_users, ref.distinct_users)
         assert calls["pull"] > 0
 
     def test_sparse_high_threshold_pushes(self, monkeypatch):
         net = sparse_push_network()
         params = ModelParams(lam=0.3, eta_star=8, delta_t=7)
         calls = count_directions(monkeypatch)
-        eng = run_ensemble(net, params, 1, 1)
         ref = simulate_reference(net, params, 1)
-        assert np.array_equal(eng.activities, ref.activities)
-        assert np.array_equal(eng.distinct_users, ref.distinct_users)
+        for eng in ensembles_by_chunk(net, params, 1):
+            assert np.array_equal(eng.activities, ref.activities)
+            assert np.array_equal(eng.distinct_users, ref.distinct_users)
         assert calls["push"] > 0 and calls["pull"] == 0
         # someone posted twice in a day, so retweets happened
         assert eng.activities.sum() > eng.distinct_users.sum()
@@ -571,10 +639,10 @@ class TestAgainstReference:
         net = generate_synthetic("uniform-random", 120, edge_prob=0.08,
                                  seed=3)
         params = ModelParams(lam=0.4, eta_star=3, delta_t=3)
-        eng = run_ensemble(net, params, 12345, 1)
         ref = simulate_reference(net, params, 12345)
-        assert np.array_equal(eng.activities, ref.activities)
-        assert np.array_equal(eng.distinct_users, ref.distinct_users)
+        for eng in ensembles_by_chunk(net, params, 12345):
+            assert np.array_equal(eng.activities, ref.activities)
+            assert np.array_equal(eng.distinct_users, ref.distinct_users)
 
     # 8 of 150 users have no followers (activeness 0), and the lowest-degree
     # users cannot post after the peak (t = 0 for 3 users on day 1 and 90
@@ -584,15 +652,20 @@ class TestAgainstReference:
 
     def assert_rows_match_reference(self, monkeypatch, net, params, seeds):
         # once in one block of every run, whose totals are the sums of the
-        # oracle's runs, once in blocks of one run, each the oracle's run
-        for budget in (engine._BLOCK_EDGES, 1):
+        # oracle's runs, once in blocks of one run, each the oracle's run;
+        # each at every one of DAY_CHUNKS
+        refs = {}
+        for budget, chunk in itertools.product((engine._BLOCK_EDGES, 1),
+                                               DAY_CHUNKS):
             monkeypatch.setattr(engine, "_BLOCK_EDGES", budget)
+            monkeypatch.setattr(engine, "_DAY_CHUNK", chunk)
             blocks = engine.peak_state(net, params, seeds[0], len(seeds))
             assert sum((block.seeds for block in blocks), ()) == tuple(seeds)
             assert len(blocks) == (1 if budget > 1 else len(seeds))
             acts, dist = continued(net, params, blocks)
             assert_totals_match_reference(
-                net, params, [block.seeds for block in blocks], acts, dist)
+                net, params, [block.seeds for block in blocks], acts, dist,
+                refs)
         return acts, dist  # one row per run
 
     def test_batch_rows_match_reference(self, monkeypatch):
@@ -654,13 +727,13 @@ class TestAgainstReference:
     def test_user_order_is_irrelevant(self):
         net = generate_synthetic("uniform-random", 80, edge_prob=0.1, seed=9)
         params = ModelParams(lam=0.2, eta_star=2, delta_t=5)
-        eng = run_ensemble(net, params, 555, 1)
         orders = [range(net.user_count - 1, -1, -1),
                   np.random.default_rng(1).permutation(net.user_count)]
         for order in orders:
             ref = simulate_reference(net, params, 555, user_order=order)
-            assert np.array_equal(eng.activities, ref.activities)
-            assert np.array_equal(eng.distinct_users, ref.distinct_users)
+            for eng in ensembles_by_chunk(net, params, 555):
+                assert np.array_equal(eng.activities, ref.activities)
+                assert np.array_equal(eng.distinct_users, ref.distinct_users)
 
 
 class TestEnsemble:
@@ -900,11 +973,46 @@ class TestBlocks:
     def test_one_run_blocks_give_the_same_bytes(self, monkeypatch, er200):
         assert len(engine.peak_state(er200, self.PARAMS, 5, 6)) == 1
         data, scan = self.outputs(er200)
-        monkeypatch.setattr(engine, "_BLOCK_EDGES", 1)
-        assert len(engine.peak_state(er200, self.PARAMS, 5, 6)) == 6
-        one_run_data, one_run_scan = self.outputs(er200)
-        assert all(np.array_equal(a, b) for a, b in zip(data, one_run_data))
-        assert scan == one_run_scan
+        # one block, then 1-run blocks, each at every one of DAY_CHUNKS
+        for budget, chunk in itertools.product((engine._BLOCK_EDGES, 1),
+                                               DAY_CHUNKS[::-1]):
+            monkeypatch.setattr(engine, "_BLOCK_EDGES", budget)
+            monkeypatch.setattr(engine, "_DAY_CHUNK", chunk)
+            blocks = 1 if budget > 1 else 6
+            assert len(engine.peak_state(er200, self.PARAMS, 5, 6)) == blocks
+            other_data, other_scan = self.outputs(er200)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(data, other_data))
+            assert scan == other_scan
+
+    def test_day_temporaries_are_bounded_by_the_chunk(self, monkeypatch):
+        # one run of 200 users and ~20k or ~40k edges, at least 8x the
+        # budget: a day's temporaries above the block state are within a
+        # multiple of the budget whatever E. Unchunked, a pull alone holds
+        # ~13 B per edge (~260 KB and ~520 KB here); chunked, the day's
+        # traced peak is ~42 KB at either E: ~17 B per budget entry, plus
+        # ~15 KB of per-user arrays and numpy's own
+        budget = 2048
+        monkeypatch.setattr(engine, "_DAY_CHUNK", budget)
+        calls = count_directions(monkeypatch)
+        params = ModelParams(lam=0.0, eta_star=1, delta_t=2,
+                             coverage=lambda x: 0.05)
+        for edge_prob in (0.5, 1.0):
+            net = generate_synthetic("uniform-random", 200,
+                                     edge_prob=edge_prob, seed=1)
+            assert net.edge_count >= 8 * budget
+            run_ensemble(net, params, 1, 1)  # builds the network's plans
+            block, = engine.peak_state(net, params, 1, 1)
+            days = engine._days(net, params,
+                                range(engine.PEAK_INDEX + 1, engine.N_DAYS))
+            tracemalloc.start()
+            try:
+                block.simulate(days)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 32 * budget
+        assert calls["pull"] and calls["push"]
 
     def test_no_call_gets_more_rows_than_the_budget(self, monkeypatch,
                                                     er200):
