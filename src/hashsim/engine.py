@@ -30,8 +30,8 @@ Patterson, "Direction-optimizing BFS", SC 2012):
   can ever pass the gate (FollowNetwork.follower_csr at k =
   behavior.gate_min_leaders(eta_star) = floor(eta_star), fetched once
   when an ensemble or a snapshot starts), when the pairs it lists for
-  them are at most _PUSH_MAX_FRAC of the block's runs x E, and scatters
-  their weights in one np.add.at;
+  them are at most _PUSH_MAX_FRAC of the block's runs x E and at most
+  _DAY_CHUNK >> 2, and scatters their weights in one np.add.at;
 - pull recomputes the packed rows of every user from `last` over every
   edge, as one segmented sum over the follower-sorted leader CSR of the
   per-edge weights (FollowNetwork.pull_plan, built once per network on
@@ -75,21 +75,23 @@ _BLOCK_EDGES (run, edge) pairs, or one run when a single run has more
 edges; wide blocks share a day's Python work among many runs. Its state
 is about 20 bytes per (run, user): the stream root and the packed
 exposure (8 each), `last` (2) and, during a day, its replacement (2).
-Within a block, a day works in chunks of a fixed budget, so its
-temporaries grow neither with E nor with the block's width: the pull
+Within a block, only the pull works in chunks of a fixed budget, so a
+day's temporaries grow neither with E nor with the block's width: it
 takes ranges of whole users whose leader segments hold at most
-_DAY_CHUNK (run, edge) pairs, the push ranges of actors whose listed
-followers hold at most a sixteenth as many pairs, and the retweet stage
-slices of a thirty-second as many gated (run, user) pairs. A range is larger
-only where one user's segment or one actor's list is. The chunks give
-the bytes of one call: packed sums are integers and add exactly in any
-order, each segment is summed whole, and binomial_count's count of an
-entry does not depend on the entries drawn with it. Beside them a day
+_DAY_CHUNK (run, edge) pairs, larger only where one user's segment is.
+A push is taken only under a cap of a quarter of that budget in listed
+pairs, which keeps it below one pull range; a larger push pulls
+instead. The retweet stage, like the exposure draw, is per-(run, user)
+work that the block bounds, and draws all of a day's gated pairs in one
+call. Neither the ranges nor the cap change a byte: packed sums are
+integers and add exactly in any order, each segment is summed whole,
+and push and pull agree wherever the gate can pass. Beside them a day
 holds a few bytes per (run, user) of the block (who acted, the gate's
-comparison, the slot-0 and slot-1 draws). What a day reads that does not
-depend on the run (tau, who can post and their rho, the gate, whether
-the day is skipped or applied) is computed once per call, by _days, and
-every block reads it; t is recomputed only at the users a block gathers.
+comparison, the slot-0 to slot-2 draws and the gated pairs). What a day
+reads that does not depend on the run (tau, who can post and their rho,
+the gate, whether the day is skipped or applied) is computed once per
+call, by _days, and every block reads it; t is recomputed only at the
+users a block gathers.
 Runs are independent, draws are addressed and y and eta are exact, so
 the blocks give the same bytes as one block of every run.
 
@@ -134,33 +136,33 @@ PEAK_INDEX = MAX_DELTA_T  # DAY_OFFSETS[PEAK_INDEX] is the peak day, 0
 _NEVER = np.int16(-100)  # "no activity yet"; below every real day offset
 
 # Push a day's actors to their followers when the (actor, follower) pairs
-# that the push lists are at most this fraction of the block's runs x E;
-# otherwise pull. On a 2-vCPU x86-64 VM and a dense 20k-node heavy-tailed
-# graph, timed inside three 50-run ensembles (lambda 0.5, eta* 2, delta_t
-# 7), a push costs 12-12.6 ns per listed pair and a pull in 2^18-pair
-# ranges 4.4-4.5 ns per (run, edge). At 0.2 / 0.3 / 0.4 / 0.5 (medians of
-# 3, seconds): those three ensembles 3.70 / 3.70 / 3.69 / 3.74, three
-# 1k-node ER fits 1.61 / 1.61 / 1.66 / 1.69, and an 11-lambda group of 10
-# runs on a SNAP-sized graph (1-run blocks) 2.62 / 2.46 / 2.44 / 2.55 at
-# eta* 1 and 2.51 / 2.39 / 2.32 / 2.37 at eta* 5. No value was faster on
-# all. With the pull in 2^20-pair ranges, later and slower runs on that
-# graph read a push at 14-15 ns and a pull at 5.9-6.3 ns (4.8-5.0 in
-# 2^18-pair ranges, 6.9-7.3 unchunked); two more sweeps of the ensembles
-# and fits ranked the four values differently each time.
+# that the push lists are at most this fraction of the block's runs x E,
+# and at most _DAY_CHUNK >> 2; otherwise pull. The cap is for memory: a
+# push holds ~21 B per listed pair, a pull range ~10 B per (run, edge), so
+# a capped push stays below one pull range. On a 2-vCPU x86-64 VM and the
+# dense 20k-node heavy-tailed graph, timed inside 50-run ensembles (lambda
+# 0.5, eta* 2, delta_t 7), a push costs 11.6-11.9 ns per listed pair and a
+# pull in 2^20-pair ranges 4.9-5.2 ns per (run, edge). In that graph's
+# 7-run blocks and a SNAP-sized graph's 1-run blocks the cap is below any
+# fraction from 0.2 up, so only smaller blocks read this value: on 1k-node
+# ER fits (81 triplets, 50 runs) 0.2 / 0.3 / 0.4 / 0.5 took 0.586 / 0.583 /
+# 0.575 / 0.573 s (medians of 8 interleaved), within their noise.
 _PUSH_MAX_FRAC = 0.3
 # A block holds at most this many (run, edge) pairs (at least one run), so
-# this sets how many runs share each day's Python work; a day's temporaries
-# are bounded by _DAY_CHUNK instead.
+# this sets how many runs share each day's Python work. It also bounds a
+# day's per-(run, user) work, the exposure and retweet draws included; the
+# per-(run, edge) work is bounded by _DAY_CHUNK.
 _BLOCK_EDGES = 1 << 21
-# A day's pull works in ranges of at most this many (run, edge) pairs (~13
-# B of temporaries each), its push in ranges of a sixteenth as many listed
-# pairs (~40 B each) and its retweet stage in slices of a thirty-second as
-# many gated pairs (~90 B each): ~14, ~3 and ~3 MB. On the dense 20k-node
-# graph (a 50-run ensemble in 7-run blocks) peak RSS fell from 79.7 MB
-# unchunked to 67.6 MB. A smaller pull budget (60.6 MB at 2^18) splits the
-# 50-run blocks of a 1k-node ER fit (1M pairs), and glibc then trims and
-# faults the heap in again on most pulls: ~12,500 minor page faults per fit
-# at 2^18 against ~5 at 2^20, with runs that spread far more.
+# The pull, the only chunked stage, works in ranges of at most this many
+# (run, edge) pairs (9.6 B of traced temporaries each, ~10 MB). A push is
+# taken only when it lists at most a quarter as many pairs (21.4 B each,
+# ~5.6 MB; half as many would pass a range), so it stays below one pull
+# range, and a larger one pulls. On the dense 20k-node graph (a 50-run
+# ensemble in 7-run blocks) peak RSS fell from 79.7 MB unchunked to 67.6
+# MB. A smaller pull budget (60.6 MB at 2^18) splits the 50-run blocks of
+# a 1k-node ER fit (1M pairs), and glibc then trims and faults the heap in
+# again on most pulls: ~12,500 minor page faults per fit at 2^18 against
+# ~5 at 2^20, with runs that spread far more.
 _DAY_CHUNK = 1 << 20
 
 PROFILE_CSV_HEADER = "day,activities,distinct_users"
@@ -247,8 +249,8 @@ def binomial_count(u, n, p) -> np.ndarray:
     pmf = np.clip(1.0 - p, 0.0, 1.0) ** n
     live = np.flatnonzero((u > pmf) & (n > 0) & (p < 1.0))
     # from here on the arrays hold the live entries only
-    uu, nn, pp, pmf = u[live], n[live], p[live], pmf[live]
-    ratio = pp / (1.0 - pp)
+    uu, nn, ratio, pmf = u[live], n[live], p[live], pmf[live]
+    ratio /= 1.0 - ratio  # p / (1 - p), with no live copy of p kept
     cdf = pmf.copy()
     k = 0
     while live.size:
@@ -282,61 +284,34 @@ def user_arrays(net: FollowNetwork) -> tuple[np.ndarray, np.ndarray]:
     return activeness(f, l, net.f_max, net.l_max), h
 
 
-def _chunks(ends, budget: int):
-    """Consecutive ranges of segments, each of at most budget entries.
-
-    ends[k] is the number of entries in segments 0..k. Yields (lo, hi):
-    segments lo..hi-1 hold at most budget entries together, or one
-    segment alone holds more. A range of whole segments costs one
-    np.searchsorted, so a stage that fits one range pays one call.
-    """
-    lo, done = 0, 0
-    while lo < ends.size:
-        hi = max(int(np.searchsorted(ends, done + budget, side="right")),
-                 lo + 1)
-        yield lo, hi
-        lo, done = hi, ends[hi - 1]
-
-
-def _push(net: FollowNetwork, packed, shift: int, last, actors,
+def _push(net: FollowNetwork, packed, shift: int, last, actors, count,
           followers) -> None:
     """Add one day's actors to the exposure of their capable followers.
 
     followers is net.follower_csr(gate_min_leaders(eta_star)), which lists
-    only the followers that can ever pass the gate. packed (updated in
-    place) and last (as it was before today) are one block's rows, and
-    `actors` are flat indices into them. A listed follower i gains (F_j <<
-    shift) | 1 from an actor j, unless j already counted for it (last[j] >
-    last[i]). Actors then drop to zero, since no leader can be more recent
-    than today. The (actor, follower) pairs are made for ranges of actors
-    whose lists hold at most _DAY_CHUNK // 16 pairs (or one actor's list)
-    together; the weights add exactly, so the ranges can be added in turn.
+    only the followers that can ever pass the gate, and count[k] the size
+    of the list of the actor whose flat index is actors[k]. packed
+    (updated in place) and last (as it was before today) are one block's
+    rows, and `actors` are flat indices into them. A listed follower i
+    gains (F_j << shift) | 1 from an actor j, unless j already counted for
+    it (last[j] > last[i]). Actors then drop to zero, since no leader can
+    be more recent than today. Every (actor, follower) pair is made in one
+    call: BatchState.simulate pushes only under its cap, at most
+    _DAY_CHUNK >> 2 pairs, and pulls, in ranges, otherwise.
     """
-    n = net.user_count
     packed = packed.reshape(-1)
     last = last.reshape(-1)
     indptr, follower_ids = followers
-    j = actors % n
-    offset = indptr[j]
-    count = indptr[j + 1] - offset
-    ends = np.cumsum(count)
-    # pair p (counted over all actors) is follower_ids[p + offset[k]]
-    # for the actor k whose list holds it
-    offset -= ends - count
-    for lo, hi in _chunks(ends, max(1, _DAY_CHUNK >> 4)):
-        counts = count[lo:hi]
-        pos = np.repeat(offset[lo:hi], counts)
-        first = int(ends[hi - 1]) - pos.size
-        pos += np.arange(first, first + pos.size)
-        # (actor, follower) pairs: follower i and the flat (run, i) index
-        flat = follower_ids[pos]
-        del pos
-        ids = actors[lo:hi]
-        flat += np.repeat(ids - j[lo:hi], counts)
-        weight = np.repeat((net.follower_count[j[lo:hi]] << shift) | 1,
-                           counts)
-        weight *= np.repeat(last[ids], counts) <= last[flat]
-        np.add.at(packed, flat, weight)
+    j = actors % net.user_count
+    # (actor, follower) pairs: follower i and the flat (run, i) index
+    pos = np.repeat(indptr[j] - (np.cumsum(count) - count), count)
+    pos += np.arange(pos.size)
+    flat = follower_ids[pos]
+    del pos
+    flat += np.repeat(actors - j, count)
+    weight = np.repeat((net.follower_count[j] << shift) | 1, count)
+    weight *= np.repeat(last[actors], count) <= last[flat]
+    np.add.at(packed, flat, weight)
     packed[actors] = 0
 
 
@@ -345,13 +320,18 @@ def _pull(net: FollowNetwork, packed, last) -> None:
 
     Edges are sorted by follower, so each user's leaders form one segment,
     and one segmented sum of the weights of the recent edges gives each
-    packed value (FollowNetwork.pull_plan). The sums are taken for ranges
-    of whole segments of at most _DAY_CHUNK (run, edge) pairs over the
-    block's rows (or one user's leaders), so a pull's temporaries do not
-    grow with E.
+    packed value (FollowNetwork.pull_plan). The pull is the only stage of
+    a day that works in ranges: each range holds whole segments of at most
+    _DAY_CHUNK (run, edge) pairs over the block's rows (or one user's
+    leaders), found with one np.searchsorted, so a pull's temporaries do
+    not grow with E and a pull that fits one range pays one call.
     """
     weights, bounds, users = net.pull_plan
-    for lo, hi in _chunks(bounds[1:], max(1, _DAY_CHUNK // last.shape[0])):
+    budget = max(1, _DAY_CHUNK // last.shape[0])
+    lo = 0
+    while lo < users.size:
+        hi = max(int(np.searchsorted(bounds[1:], bounds[lo] + budget,
+                                     side="right")), lo + 1)
         first, stop = bounds[lo], bounds[hi]
         # users outside users[lo:hi] in this range have no leaders
         span = slice(users[lo], users[hi - 1] + 1)
@@ -359,6 +339,7 @@ def _pull(net: FollowNetwork, packed, last) -> None:
                   > np.repeat(last[:, span], net.leader_count[span], axis=1))
         packed[:, users[lo:hi]] = np.add.reduceat(
             recent * weights[first:stop], bounds[lo:hi] - first, axis=1)
+        lo = hi
 
 
 class _Day(NamedTuple):
@@ -452,27 +433,27 @@ def _spread(streams, day: _Day, packed, shift: int, eta_star: float, infl,
     shift, or (E + 1) << shift where t is 0 today, so packed >= gate is the
     retweet gate for the users who can retweet, in one int64 comparison
     (the module docstring says why it is exact). Slot 2 is drawn only at
-    the (run, user) pairs that pass it, and the day's temporaries die on
-    return, as in _inject. Pairs are handled by flat index into the (rows,
-    users) arrays, which numpy gathers and scatters faster than (row,
-    column) pairs, in slices of _DAY_CHUNK // 32 of them. Returns the day's
-    retweets, summed over the rows.
+    the (run, user) pairs that pass it, all of a day's in one call: they
+    are per-(run, user) work, which the block bounds, as it bounds the
+    exposure draw. The gathered exposure and user ids die before the
+    binomial draw, and the rest on return, as in _inject. Pairs are
+    handled by flat index into the (rows, users) arrays, which numpy
+    gathers and scatters faster than (row, column) pairs. Returns the
+    day's retweets, summed over the rows.
     """
-    gated_flat = np.flatnonzero(packed >= day.gate)
-    step = max(1, _DAY_CHUNK >> 5)
-    total = 0
-    for lo in range(0, gated_flat.size, step):
-        flat = gated_flat[lo:lo + step]
-        user = flat % acted.shape[1]
-        gated = packed.reshape(-1)[flat]
-        nu = retweet_count(gated & ((1 << shift) - 1), gated >> shift,
-                           eta_star, infl[user])
-        r_each = per_retweet_probability(day.t(user), nu)
-        u_rt = rng.uniforms(streams.reshape(-1)[flat], day.index, 2)
-        retweets = binomial_count(u_rt, nu, r_each)
-        acted.reshape(-1)[flat[retweets > 0]] = True
-        total += int(retweets.sum())
-    return total
+    flat = np.flatnonzero(packed >= day.gate)
+    if not flat.size:
+        return 0
+    user = flat % acted.shape[1]
+    gated = packed.reshape(-1)[flat]
+    nu = retweet_count(gated & ((1 << shift) - 1), gated >> shift,
+                       eta_star, infl[user])
+    r_each = per_retweet_probability(day.t(user), nu)
+    del gated, user
+    u_rt = rng.uniforms(streams.reshape(-1)[flat], day.index, 2)
+    retweets = binomial_count(u_rt, nu, r_each)
+    acted.reshape(-1)[flat[retweets > 0]] = True
+    return int(retweets.sum())
 
 
 @dataclass(eq=False)
@@ -522,7 +503,9 @@ class BatchState:
         net, packed = self.net, self.packed
         shift = net.l_max.bit_length()
         eta_star = float(self.params.eta_star)
-        indptr = self.followers[0]
+        # the cap keeps a push below one pull range (see _DAY_CHUNK)
+        push_max = min(_PUSH_MAX_FRAC * self.streams.shape[0]
+                       * net.edge_count, _DAY_CHUNK >> 2)
         for day in days:
             acted = np.zeros(self.streams.shape, dtype=bool)
             _inject(self.streams, day, acted)
@@ -534,10 +517,10 @@ class BatchState:
             np.putmask(last, acted, np.int16(DAY_OFFSETS[day.index]))
             if day.update and acted.any():
                 actors = np.flatnonzero(acted)
-                j = actors % net.user_count
-                volume = int((indptr[j + 1] - indptr[j]).sum())
-                if volume <= _PUSH_MAX_FRAC * acted.shape[0] * net.edge_count:
-                    _push(net, packed, shift, self.last, actors,
+                # the actors' list sizes, for the direction test and the push
+                count = np.diff(self.followers[0])[actors % net.user_count]
+                if count.sum() <= push_max:
+                    _push(net, packed, shift, self.last, actors, count,
                           self.followers)
                 else:
                     _pull(net, packed, last)
@@ -553,8 +536,7 @@ def _peak_blocks(net: FollowNetwork, params: ModelParams, base_seed: int,
     block at a time. All share the pre-peak days' _days list and the
     push's follower CSR.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    rng.check_seeds(base_seed, runs)
     days = _days(net, params,
                  range(PEAK_INDEX - int(params.delta_t), PEAK_INDEX + 1))
     followers = net.follower_csr(gate_min_leaders(float(params.eta_star)))
@@ -582,7 +564,8 @@ def peak_state(net: FollowNetwork, params: ModelParams, base_seed: int,
     Returns one BatchState per block of runs, in seed order. Interest is 1
     on every day up to the peak, so nothing here depends on params.lam:
     run_ensemble(..., start=snapshot) continues the snapshot for any lam
-    that shares the other parameters.
+    that shares the other parameters. base_seed and runs are checked as
+    in run_ensemble.
     """
     return tuple(_peak_blocks(net, params, base_seed, runs))
 
@@ -600,11 +583,14 @@ def run_ensemble(net: FollowNetwork, params: ModelParams, base_seed: int,
     continued, with the same bytes. Every block of the snapshot must come
     from this network and from params that differ at most in lam, and the
     blocks together must hold these seeds, at least one, in order;
-    otherwise ValueError.
+    otherwise ValueError. base_seed and runs must be ints, bools and
+    floats refused, and runs >= 1 (rng.check_seeds), else ValueError
+    before anything is simulated.
     """
     if start is None:
         blocks = _peak_blocks(net, params, base_seed, runs)
     else:
+        rng.check_seeds(base_seed, runs)
         if any(block.net is not net for block in start):
             raise ValueError("snapshot is of another network")
         seeds = [seed for block in start for seed in block.seeds]

@@ -65,7 +65,10 @@ def _default_dt_axis() -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GridSpec:
-    """Scan axes; the defaults enumerate 41 x 60 x 8 = 19,680 triplets."""
+    """Scan axes; the defaults enumerate 41 x 60 x 8 = 19,680 triplets.
+
+    runs must be an int >= 1 (a NumPy integer too, not a bool or float).
+    """
 
     lambda_axis: np.ndarray = field(default_factory=_default_lambda_axis)
     eta_axis: np.ndarray = field(default_factory=_default_eta_axis)
@@ -81,8 +84,7 @@ class GridSpec:
                 raise ValueError(f"{name} axis is empty")
             if not np.all(np.diff(axis) > 0):  # NaN fails too
                 raise ValueError(f"{name} axis must be strictly ascending")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        rng.check_seeds(0, self.runs)  # grid_scan checks its base seed
         # ModelParams owns the domain; on ascending axes, valid endpoints
         # make every interior lambda and eta valid
         for d in dt:
@@ -168,8 +170,9 @@ def grid_scan(net: FollowNetwork, target_tweets: np.ndarray,
     """Race every triplet and return the best fit at grid.runs.
 
     The targets are 15-day fraction arrays (metric.normalize of the tweet
-    and user counts). A target that check_targets refuses, a bad theta or
-    threads < 1 raises ValueError before anything is simulated. The
+    and user counts). A target that check_targets refuses, a bad theta,
+    threads < 1 or a base_seed that is not an int (a bool or a float)
+    raises ValueError before anything is simulated. The
     objective combines the tweet- and user-profile distances (max by
     default); ties break toward smaller eta_star, then lambda, then
     delta_t, independent of evaluation order. Round one scores every
@@ -185,6 +188,7 @@ def grid_scan(net: FollowNetwork, target_tweets: np.ndarray,
         raise ValueError(f"unknown combine mode {combine!r}")
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    rng.check_seeds(base_seed, grid.runs)
 
     def evaluate_group(task):
         """Score some lambda of one (delta_t, eta_star) group at runs."""

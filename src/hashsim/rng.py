@@ -22,6 +22,19 @@ def as_u64(value: int) -> np.uint64:
     return np.uint64(int(value) & _U64_MASK)
 
 
+def check_seeds(base_seed, runs) -> None:
+    """Raise ValueError unless base_seed and runs are ints and runs >= 1.
+
+    The runs take the seeds base_seed .. base_seed + runs - 1. A bool or
+    a float, integral or not, is refused; a NumPy integer is accepted.
+    """
+    for name, value in (("base_seed", base_seed), ("runs", runs)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+
+
 def mix64(x):
     """SplitMix64 finalizer. Accepts uint64 scalars or arrays.
 

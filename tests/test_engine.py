@@ -23,8 +23,8 @@ from reference import (binomial_cdf, binomial_reference, edge_followers,
                        simulate_reference)
 
 PARAMS = ModelParams(lam=0.5, eta_star=2, delta_t=3)
-# the default day chunks, and chunks of one segment (one user's leaders,
-# one actor's followers, one gated pair) each
+# the default day chunk, and pull ranges of one user's leaders each (and
+# a push cap of 0, so every update with listed pairs pulls)
 DAY_CHUNKS = (engine._DAY_CHUNK, 1)
 
 
@@ -268,6 +268,13 @@ def no_exposure(net, runs):
         net=net, packed=np.zeros((runs, net.user_count), dtype=np.int64))
 
 
+def push(net, packed, shift, last, actors, followers):
+    """engine._push, given the actors' list sizes, as BatchState gives them."""
+    j = actors % net.user_count
+    engine._push(net, packed, shift, last, actors,
+                 followers[0][j + 1] - followers[0][j], followers)
+
+
 def assert_exposure_by_definition(state, net, last):
     y, eta = unpacked(state)
     want_y, want_eta = exposure_by_definition(net, last)
@@ -322,51 +329,35 @@ class TestExposure:
                 pushed = no_exposure(net, last_old.shape[0])
                 engine._pull(net, pushed.packed, last_old)
                 assert_exposure_by_definition(pushed, net, last_old)
-                engine._push(net, pushed.packed, net.l_max.bit_length(),
-                             last_old, np.flatnonzero(acted),
-                             net.follower_csr(1))
+                push(net, pushed.packed, net.l_max.bit_length(), last_old,
+                     np.flatnonzero(acted), net.follower_csr(1))
                 pulled = no_exposure(net, last_old.shape[0])
                 engine._pull(net, pulled.packed, last_new)
             for state in (pushed, pulled):
                 assert_exposure_by_definition(state, net, last_new)
 
     def test_chunks_equal_one_call(self):
-        # a pull in ranges of whole users and a push in ranges of whole
-        # actors give the bytes of one range of everything, also with
-        # several rows and with lists that straddle a multiple of the budget
-        seen = {"rows": 0, "straddles": 0}
+        # a pull in ranges of whole users gives the bytes of one range of
+        # everything, also with several rows
+        seen = {"rows": 0}
 
         @settings(max_examples=300, deadline=None)
         @given(exposure_steps(), st.integers(1, 16))
         def check(step, budget):
-            net, last, acted, _ = step
+            net, last, _, _ = step
             if net.edge_count == 0:
                 return
             rows = last.shape[0]
-            actors = np.flatnonzero(acted)
-            followers = net.follower_csr(1)
             out = []
-            # 8 x rows x E: the push's quarter of it lists every pair
-            for chunk in (8 * rows * net.edge_count, budget):
+            for chunk in (rows * net.edge_count, budget):
                 with mock.patch.object(engine, "_DAY_CHUNK", chunk):
                     state = no_exposure(net, rows)
                     engine._pull(net, state.packed, last)
-                    pulled = state.packed.copy()
-                    engine._push(net, state.packed, net.l_max.bit_length(),
-                                 last, actors, followers)
-                    out.append((pulled, state.packed))
-            assert np.array_equal(out[0][0], out[1][0])
-            assert np.array_equal(out[0][1], out[1][1])
+                    out.append(state.packed)
+            assert np.array_equal(out[0], out[1])
             seen["rows"] += rows > 1 and rows * net.edge_count > budget
-            # the push's pairs in order; a list straddles a budget end
-            ends = np.cumsum(np.diff(followers[0])[actors % net.user_count])
-            starts = ends - np.diff(ends, prepend=0)
-            step_size = max(1, budget >> 2)
-            seen["straddles"] += bool(np.any(
-                (starts < ends) & (starts // step_size
-                                   != (ends - 1) // step_size)))
         check()
-        assert seen["rows"] and seen["straddles"]
+        assert seen["rows"]
 
     @settings(max_examples=200, deadline=None)
     @given(push_days(), st.floats(1.0, 14.0))
@@ -380,20 +371,18 @@ class TestExposure:
         followers = net.follower_csr(gate_min_leaders(eta_star))
         capable = net.leader_count >= gate_min_leaders(eta_star)
         least = gate_min(eta_star, net.influence, net.edge_count)
-        for chunk in DAY_CHUNKS:
-            state = no_exposure(net, acted.shape[1])
-            last = np.full(acted.shape[1:], engine._NEVER, dtype=np.int16)
-            for day, today in enumerate(acted):
-                with mock.patch.object(engine, "_DAY_CHUNK", chunk):
-                    engine._push(net, state.packed, shift, last,
-                                 np.flatnonzero(today), followers)
-                last = np.where(today, np.int16(day), last)
-                y, eta = unpacked(state)
-                want_y, want_eta = exposure_by_definition(net, last)
-                assert np.array_equal(y[:, capable], want_y[:, capable])
-                assert np.array_equal(eta[:, capable], want_eta[:, capable])
-                assert np.all(y <= want_y) and np.all(eta <= want_eta)
-                assert np.all(y[:, ~capable] < least[~capable])
+        state = no_exposure(net, acted.shape[1])
+        last = np.full(acted.shape[1:], engine._NEVER, dtype=np.int16)
+        for day, today in enumerate(acted):
+            push(net, state.packed, shift, last, np.flatnonzero(today),
+                 followers)
+            last = np.where(today, np.int16(day), last)
+            y, eta = unpacked(state)
+            want_y, want_eta = exposure_by_definition(net, last)
+            assert np.array_equal(y[:, capable], want_y[:, capable])
+            assert np.array_equal(eta[:, capable], want_eta[:, capable])
+            assert np.all(y <= want_y) and np.all(eta <= want_eta)
+            assert np.all(y[:, ~capable] < least[~capable])
 
     def test_pull_counts_past_int8(self, monkeypatch):
         # one user follows 300 leaders that are all more recent than it;
@@ -437,8 +426,8 @@ class TestExposure:
             assert_exposure_by_definition(pulled, net, last)
             # the same state pushed from nothing: the leaders act on day 0
             pushed = no_exposure(net, 2)
-            engine._push(net, pushed.packed, net.l_max.bit_length(), never,
-                         np.flatnonzero(acted), net.follower_csr(1))
+            push(net, pushed.packed, net.l_max.bit_length(), never,
+                 np.flatnonzero(acted), net.follower_csr(1))
             assert np.array_equal(pushed.packed, pulled.packed)
 
     def test_state_rejects_networks_too_large_to_pack(self):
@@ -608,16 +597,48 @@ class TestAgainstReference:
         assert calls["pull"] > 0
 
     def test_sparse_high_threshold_pushes(self, monkeypatch):
+        # at the default budget every update pushes; at a budget of 1 the
+        # push cap is 0, so the updates pull, with the same bytes
         net = sparse_push_network()
         params = ModelParams(lam=0.3, eta_star=8, delta_t=7)
-        calls = count_directions(monkeypatch)
         ref = simulate_reference(net, params, 1)
         for eng in ensembles_by_chunk(net, params, 1):
             assert np.array_equal(eng.activities, ref.activities)
             assert np.array_equal(eng.distinct_users, ref.distinct_users)
+        calls = count_directions(monkeypatch)
+        run_ensemble(net, params, 1, 1)
         assert calls["push"] > 0 and calls["pull"] == 0
         # someone posted twice in a day, so retweets happened
         assert eng.activities.sum() > eng.distinct_users.sum()
+
+    def test_push_over_the_cap_pulls(self, monkeypatch):
+        # at the default budget every update of these 4 runs pushes, the
+        # largest listing fewer pairs than _PUSH_MAX_FRAC x 4 x E; at a
+        # budget of 1,024 the push cap is 256 pairs, so the days that list
+        # more pull, with the oracle's bytes, and the others still push
+        net = sparse_push_network()
+        params = ModelParams(lam=0.3, eta_star=8, delta_t=7)
+        listed, push = [], engine._push
+
+        def spy(*args):
+            j = args[4] % net.user_count  # the actors, and their lists
+            indptr = args[-1][0]
+            listed.append(int((indptr[j + 1] - indptr[j]).sum()))
+            return push(*args)
+        monkeypatch.setattr(engine, "_push", spy)
+        calls = count_directions(monkeypatch)
+        continued(net, params, engine.peak_state(net, params, 1, 4))
+        assert calls["pull"] == 0
+        assert 256 < max(listed) <= engine._PUSH_MAX_FRAC * 4 * net.edge_count
+        listed.clear()
+        calls.update(push=0, pull=0)
+        monkeypatch.setattr(engine, "_DAY_CHUNK", 1024)
+        blocks = engine.peak_state(net, params, 1, 4)
+        acts, dist = continued(net, params, blocks)
+        assert calls["push"] > 0 and calls["pull"] > 0
+        assert max(listed) <= 256
+        assert_totals_match_reference(net, params, [blocks[0].seeds], acts,
+                                      dist)
 
     def test_pruned_pushes_match_reference(self, monkeypatch):
         # at eta_star 6.5 the users with fewer than 6 leaders get no push:
@@ -764,6 +785,29 @@ class TestEnsemble:
     def test_zero_runs_rejected(self, star101):
         with pytest.raises(ValueError):
             run_ensemble(star101, PARAMS, 0, 0)
+
+    @pytest.mark.parametrize("base_seed,runs", [(2.5, 3), (2.0, 3),
+                                                (True, 3), (0, 2.5),
+                                                (0, 3.0), (0, True)])
+    def test_non_integer_seeds_and_runs_rejected(self, star101, base_seed,
+                                                 runs):
+        snapshot = engine.peak_state(star101, PARAMS, 0, 3)
+        name = "runs" if base_seed == 0 else "base_seed"
+        for entry in (engine.peak_state, run_ensemble,
+                      functools.partial(run_ensemble, start=snapshot)):
+            with pytest.raises(ValueError, match=name):
+                entry(star101, PARAMS, base_seed, runs)
+
+    def test_numpy_integer_seeds_and_runs(self, star101):
+        want = run_ensemble(star101, PARAMS, 4, 3)
+        snapshot = engine.peak_state(star101, PARAMS, np.int64(4),
+                                     np.int32(3))
+        for got in (run_ensemble(star101, PARAMS, np.int64(4), np.int32(3)),
+                    run_ensemble(star101, PARAMS, np.uint8(4), np.int64(3),
+                                 start=snapshot)):
+            assert got.activities.tobytes() == want.activities.tobytes()
+            assert (got.distinct_users.tobytes()
+                    == want.distinct_users.tobytes())
 
     def test_edgeless_mean_is_zero(self):
         net = generate_synthetic("uniform-random", 30, edge_prob=0.0, seed=2)
@@ -991,18 +1035,19 @@ class TestBlocks:
         # multiple of the budget whatever E. Unchunked, a pull alone holds
         # ~13 B per edge (~260 KB and ~520 KB here); chunked, the day's
         # traced peak is ~42 KB at either E: ~17 B per budget entry, plus
-        # ~15 KB of per-user arrays and numpy's own
+        # ~15 KB of per-user arrays and numpy's own. Coverage is low enough
+        # that some days' actors list at most budget / 4 pairs and push
         budget = 2048
         monkeypatch.setattr(engine, "_DAY_CHUNK", budget)
         calls = count_directions(monkeypatch)
         params = ModelParams(lam=0.0, eta_star=1, delta_t=2,
-                             coverage=lambda x: 0.05)
+                             coverage=lambda x: 0.002)
         for edge_prob in (0.5, 1.0):
             net = generate_synthetic("uniform-random", 200,
                                      edge_prob=edge_prob, seed=1)
             assert net.edge_count >= 8 * budget
-            run_ensemble(net, params, 1, 1)  # builds the network's plans
-            block, = engine.peak_state(net, params, 1, 1)
+            run_ensemble(net, params, 2, 1)  # builds the network's plans
+            block, = engine.peak_state(net, params, 2, 1)
             days = engine._days(net, params,
                                 range(engine.PEAK_INDEX + 1, engine.N_DAYS))
             tracemalloc.start()
@@ -1013,6 +1058,29 @@ class TestBlocks:
                 tracemalloc.stop()
             assert peak <= 32 * budget
         assert calls["pull"] and calls["push"]
+
+    def test_one_binomial_call_per_block_day(self, monkeypatch):
+        # a block-day draws all its gated pairs in one binomial_count call,
+        # also at a budget whose thirty-second is one pair
+        net = generate_synthetic(**TestAgainstReference.SPARSE)
+        params = ModelParams(lam=1.0, eta_star=1, delta_t=3)
+        monkeypatch.setattr(engine, "_DAY_CHUNK", 32)
+        gated, drawn = [], []
+        spread, binomial = engine._spread, engine.binomial_count
+
+        def spy_spread(*args):
+            day, packed = args[1:3]
+            gated.append(np.count_nonzero(packed >= day.gate))
+            return spread(*args)
+
+        def spy_binomial(u, n, p):
+            drawn.append(np.size(u))
+            return binomial(u, n, p)
+        monkeypatch.setattr(engine, "_spread", spy_spread)
+        monkeypatch.setattr(engine, "binomial_count", spy_binomial)
+        run_ensemble(net, params, 11, 4)
+        assert max(gated) > 1
+        assert drawn == [n for n in gated if n]
 
     def test_no_call_gets_more_rows_than_the_budget(self, monkeypatch,
                                                     er200):

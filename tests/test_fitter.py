@@ -32,6 +32,8 @@ class TestGridSpec:
         dict(eta_axis=np.array([0.5])),
         dict(dt_axis=np.array([3, 9])),
         dict(runs=0),
+        dict(runs=2.5),
+        dict(runs=True),
         dict(lambda_axis=np.array([0.0, np.inf])),
         dict(eta_axis=np.array([np.nan])),
         dict(dt_axis=np.array([2.7])),
@@ -473,3 +475,21 @@ class TestCheckedBeforeSimulating:
             grid_scan(er200, self.TARGET, self.TARGET, self.GRID,
                       threads=threads)
         assert peak_calls == []
+
+    @pytest.mark.parametrize("base_seed", [2.5, 2.0, True])
+    def test_base_seed(self, er200, peak_calls, base_seed):
+        # 2.5 used to score as base seed 2, and True as 1
+        with pytest.raises(ValueError, match="base_seed"):
+            grid_scan(er200, self.TARGET, self.TARGET, self.GRID,
+                      base_seed=base_seed)
+        assert peak_calls == []
+
+    def test_numpy_integers_are_ints(self, er200):
+        grid = GridSpec(lambda_axis=self.GRID.lambda_axis,
+                        eta_axis=self.GRID.eta_axis,
+                        dt_axis=self.GRID.dt_axis, runs=np.int64(2))
+        want = grid_scan(er200, self.TARGET, self.TARGET, self.GRID,
+                         base_seed=3)
+        got = grid_scan(er200, self.TARGET, self.TARGET, grid,
+                        base_seed=np.int32(3))
+        assert got.scan == want.scan and got.scan_runs == want.scan_runs
