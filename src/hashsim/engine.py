@@ -30,12 +30,12 @@ Patterson, "Direction-optimizing BFS", SC 2012):
   can ever pass the gate (FollowNetwork.follower_csr at k =
   behavior.gate_min_leaders(eta_star) = floor(eta_star), fetched once
   when an ensemble or a snapshot starts), when the pairs it lists for
-  them are at most _PUSH_MAX_FRAC of the block's runs x E and at most
-  _DAY_CHUNK >> 2, and scatters their weights in one np.add.at;
+  them are at most _PUSH_MAX_FRAC of the block's runs x E, and scatters
+  their weights in one np.add.at;
 - pull recomputes the packed rows of every user from `last` over every
   edge, as one segmented sum over the follower-sorted leader CSR of the
   per-edge weights (FollowNetwork.pull_plan, built once per network on
-  the first pull).
+  the first pull), in one call.
 
 y and eta are integer sums below 2**53, so a pull gives the same values
 as a from-scratch recomputation, and nu converts them to float64 exactly.
@@ -75,23 +75,19 @@ _BLOCK_EDGES (run, edge) pairs, or one run when a single run has more
 edges; wide blocks share a day's Python work among many runs. Its state
 is about 20 bytes per (run, user): the stream root and the packed
 exposure (8 each), `last` (2) and, during a day, its replacement (2).
-Within a block, only the pull works in chunks of a fixed budget, so a
-day's temporaries grow neither with E nor with the block's width: it
-takes ranges of whole users whose leader segments hold at most
-_DAY_CHUNK (run, edge) pairs, larger only where one user's segment is.
-A push is taken only under a cap of a quarter of that budget in listed
-pairs, which keeps it below one pull range; a larger push pulls
-instead. The retweet stage, like the exposure draw, is per-(run, user)
-work that the block bounds, and draws all of a day's gated pairs in one
-call. Neither the ranges nor the cap change a byte: packed sums are
-integers and add exactly in any order, each segment is summed whole,
-and push and pull agree wherever the gate can pass. Beside them a day
-holds a few bytes per (run, user) of the block (who acted, the gate's
-comparison, the slot-0 to slot-2 draws and the gated pairs). What a day
-reads that does not depend on the run (tau, who can post and their rho,
-the gate, whether the day is skipped or applied) is computed once per
-call, by _days, and every block reads it; t is recomputed only at the
-users a block gathers.
+That one budget bounds every stage of a day, each done in one call: the
+pull holds ~10 B per (run, edge) pair of the block, a push at most
+_PUSH_MAX_FRAC as many pairs at ~21 B each, so less than the pull it
+replaces, and the exposure and retweet draws a few bytes per (run, user)
+(who acted, the gate's comparison, the slot-0 to slot-2 draws and the
+gated pairs). The one exception is a single run with more edges than the
+budget: its block is that run, and a pull holds ~10 B per edge, the size
+of the network's own per-edge arrays. Block width changes no byte:
+packed sums are integers and add exactly in any order, and push and pull
+agree wherever the gate can pass. What a day reads that does not depend
+on the run (tau, who can post and their rho, the gate, whether the day
+is skipped or applied) is computed once per call, by _days, and every
+block reads it; t is recomputed only at the users a block gathers.
 Runs are independent, draws are addressed and y and eta are exact, so
 the blocks give the same bytes as one block of every run.
 
@@ -136,34 +132,24 @@ PEAK_INDEX = MAX_DELTA_T  # DAY_OFFSETS[PEAK_INDEX] is the peak day, 0
 _NEVER = np.int16(-100)  # "no activity yet"; below every real day offset
 
 # Push a day's actors to their followers when the (actor, follower) pairs
-# that the push lists are at most this fraction of the block's runs x E,
-# and at most _DAY_CHUNK >> 2; otherwise pull. The cap is for memory: a
-# push holds ~21 B per listed pair, a pull range ~10 B per (run, edge), so
-# a capped push stays below one pull range. On a 2-vCPU x86-64 VM and the
-# dense 20k-node heavy-tailed graph, timed inside 50-run ensembles (lambda
-# 0.5, eta* 2, delta_t 7), a push costs 11.6-11.9 ns per listed pair and a
-# pull in 2^20-pair ranges 4.9-5.2 ns per (run, edge). In that graph's
-# 7-run blocks and a SNAP-sized graph's 1-run blocks the cap is below any
-# fraction from 0.2 up, so only smaller blocks read this value: on 1k-node
-# ER fits (81 triplets, 50 runs) 0.2 / 0.3 / 0.4 / 0.5 took 0.586 / 0.583 /
-# 0.575 / 0.573 s (medians of 8 interleaved), within their noise.
+# that the push lists are at most this fraction of the block's runs x E;
+# otherwise pull. A push holds ~21 B per listed pair and a pull ~10 B per
+# (run, edge), so below ~0.45 a push holds less than the pull it replaces,
+# and the block bounds both. On a 2-vCPU x86-64 VM, 0.2 / 0.3 / 0.4 took
+# 4.53 / 4.26 / 3.94 s for three 50-run ensembles on the dense 20k-node
+# graph, 2.88 / 2.86 / 2.81 s for five 1k-node ER fits (81 triplets, 50
+# runs) and 2.78 / 2.74 / 2.77 s for an 11-lambda, 10-run group on a
+# SNAP-sized graph at eta* 5 (3.03 / 3.09 / 2.93 s at eta* 1); medians of
+# 3 interleaved rounds. No value was faster on all three, so 0.3 stays.
 _PUSH_MAX_FRAC = 0.3
-# A block holds at most this many (run, edge) pairs (at least one run), so
-# this sets how many runs share each day's Python work. It also bounds a
-# day's per-(run, user) work, the exposure and retweet draws included; the
-# per-(run, edge) work is bounded by _DAY_CHUNK.
-_BLOCK_EDGES = 1 << 21
-# The pull, the only chunked stage, works in ranges of at most this many
-# (run, edge) pairs (9.6 B of traced temporaries each, ~10 MB). A push is
-# taken only when it lists at most a quarter as many pairs (21.4 B each,
-# ~5.6 MB; half as many would pass a range), so it stays below one pull
-# range, and a larger one pulls. On the dense 20k-node graph (a 50-run
-# ensemble in 7-run blocks) peak RSS fell from 79.7 MB unchunked to 67.6
-# MB. A smaller pull budget (60.6 MB at 2^18) splits the 50-run blocks of
-# a 1k-node ER fit (1M pairs), and glibc then trims and faults the heap in
-# again on most pulls: ~12,500 minor page faults per fit at 2^18 against
-# ~5 at 2^20, with runs that spread far more.
-_DAY_CHUNK = 1 << 20
+# The one memory budget of a day: a block holds at most this many (run,
+# edge) pairs, or one run when a single run has more edges. It sets how
+# many runs share each day's Python work and bounds every stage of a day:
+# the pull (~10 B per pair, ~10 MB), the push (at most _PUSH_MAX_FRAC of
+# the pairs) and the per-(run, user) draws. 2^20 keeps a 50-run block of
+# a 1k-node ER fit (~1M pairs) whole, and makes 3-run blocks on the dense
+# 20k-node graph.
+_BLOCK_EDGES = 1 << 20
 
 PROFILE_CSV_HEADER = "day,activities,distinct_users"
 
@@ -296,8 +282,9 @@ def _push(net: FollowNetwork, packed, shift: int, last, actors, count,
     gains (F_j << shift) | 1 from an actor j, unless j already counted for
     it (last[j] > last[i]). Actors then drop to zero, since no leader can
     be more recent than today. Every (actor, follower) pair is made in one
-    call: BatchState.simulate pushes only under its cap, at most
-    _DAY_CHUNK >> 2 pairs, and pulls, in ranges, otherwise.
+    call: BatchState.simulate pushes only when they are at most
+    _PUSH_MAX_FRAC of the block's (run, edge) pairs, so a push holds less
+    than a pull of the same block, and pulls otherwise.
     """
     packed = packed.reshape(-1)
     last = last.reshape(-1)
@@ -320,26 +307,14 @@ def _pull(net: FollowNetwork, packed, last) -> None:
 
     Edges are sorted by follower, so each user's leaders form one segment,
     and one segmented sum of the weights of the recent edges gives each
-    packed value (FollowNetwork.pull_plan). The pull is the only stage of
-    a day that works in ranges: each range holds whole segments of at most
-    _DAY_CHUNK (run, edge) pairs over the block's rows (or one user's
-    leaders), found with one np.searchsorted, so a pull's temporaries do
-    not grow with E and a pull that fits one range pays one call.
+    packed value (FollowNetwork.pull_plan), in one call. The rows are one
+    block, so a pull holds ~10 B per (run, edge) pair of at most
+    _BLOCK_EDGES pairs, or of one run's edges where a run has more.
     """
-    weights, bounds, users = net.pull_plan
-    budget = max(1, _DAY_CHUNK // last.shape[0])
-    lo = 0
-    while lo < users.size:
-        hi = max(int(np.searchsorted(bounds[1:], bounds[lo] + budget,
-                                     side="right")), lo + 1)
-        first, stop = bounds[lo], bounds[hi]
-        # users outside users[lo:hi] in this range have no leaders
-        span = slice(users[lo], users[hi - 1] + 1)
-        recent = (np.take(last, net.leader_ids[first:stop], axis=1)
-                  > np.repeat(last[:, span], net.leader_count[span], axis=1))
-        packed[:, users[lo:hi]] = np.add.reduceat(
-            recent * weights[first:stop], bounds[lo:hi] - first, axis=1)
-        lo = hi
+    weights, starts, users = net.pull_plan
+    recent = (np.take(last, net.leader_ids, axis=1)
+              > np.repeat(last, net.leader_count, axis=1))
+    packed[:, users] = np.add.reduceat(recent * weights, starts, axis=1)
 
 
 class _Day(NamedTuple):
@@ -460,9 +435,11 @@ def _spread(streams, day: _Day, packed, shift: int, eta_star: float, infl,
 class BatchState:
     """One block of consecutive runs between two simulated days.
 
-    A block holds at most _BLOCK_EDGES (run, edge) pairs, or one run when a
-    run has more edges. peak_state returns the blocks taken at the end of
-    the peak day, and run_ensemble continues each block or a copy of it.
+    A block holds at most _BLOCK_EDGES (run, edge) pairs, the one budget
+    that bounds each stage of its days, or one run when a run has more
+    edges, whose pull then holds ~10 B per edge of that run. peak_state
+    returns the blocks taken at the end of the peak day, and run_ensemble
+    continues each block or a copy of it.
     packed[r, i] is the exposure (y << shift) | eta of user i in run r: y
     sums F_j over the leaders j of i with last[r, j] > last[r, i], and eta
     counts them. shift is net.l_max.bit_length(), so eta <= l_max fits
@@ -503,9 +480,7 @@ class BatchState:
         net, packed = self.net, self.packed
         shift = net.l_max.bit_length()
         eta_star = float(self.params.eta_star)
-        # the cap keeps a push below one pull range (see _DAY_CHUNK)
-        push_max = min(_PUSH_MAX_FRAC * self.streams.shape[0]
-                       * net.edge_count, _DAY_CHUNK >> 2)
+        push_max = _PUSH_MAX_FRAC * self.streams.shape[0] * net.edge_count
         for day in days:
             acted = np.zeros(self.streams.shape, dtype=bool)
             _inject(self.streams, day, acted)

@@ -40,9 +40,13 @@ GOOD_FIT_LIMIT = 0.08
 # The race: runs per triplet in round one, and the share of the grid (at
 # least RACE_FLOOR triplets) re-scored at the grid's runs in round two.
 # Over 120 planted targets (half off the grid) on a 1,000-user graph and
-# a 288-triplet grid at 50 runs, the raced winner was the exhaustive one
-# every time, also with 5 runs in round one. Fewer runs in round one, or
-# fewer survivors, need such a check on more targets first.
+# a 288-triplet grid at 50 runs with lambda by 0.5, the raced winner was
+# the exhaustive one every time, also with 5 runs in round one. On a
+# 1,312-triplet grid with the default lambda step of 0.1 it missed the
+# exhaustive winner for 4 of 120 targets, all near ties (the two winners'
+# means within 2 sd over 6 fresh seed sets), 2 of them exact ties. Fewer
+# runs in round one, or fewer survivors, need such a check on more
+# targets first.
 RACE_RUNS = 10
 RACE_KEEP_PERCENT = 5
 RACE_FLOOR = 16
@@ -76,7 +80,8 @@ class GridSpec:
     runs: int = 50
 
     def __post_init__(self):
-        lam = np.asarray(self.lambda_axis, dtype=float)
+        # + 0.0 stores a -0 lambda as 0, so it is written as 0
+        lam = np.asarray(self.lambda_axis, dtype=float) + 0.0
         eta = np.asarray(self.eta_axis, dtype=float)
         dt = np.asarray(self.dt_axis, dtype=float)
         for name, axis in (("lambda", lam), ("eta", eta), ("dt", dt)):

@@ -169,13 +169,13 @@ class FollowNetwork:
 
     @cached_property
     def pull_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The exposure pull's plan: (weights, bounds, users).
+        """The exposure pull's plan: (weights, starts, users).
 
         weights[e] is (F_j << b) | 1 for the leader j of edge e, with b =
         l_max.bit_length(), the packing of hashsim.engine's exposure state.
         users lists the users with at least one leader, in ascending order,
-        and the segment of users[k] in leader_ids is bounds[k]:bounds[k+1]
-        (bounds ends with E), for np.add.reduceat. Built on the first pull
+        and starts[k] is where the segment of users[k] starts in leader_ids,
+        for one np.add.reduceat over every edge. Built on the first pull
         and kept, so a network whose updates are all pushes does not hold
         its 8 bytes per edge.
         """
@@ -183,10 +183,10 @@ class FollowNetwork:
         weights <<= self.l_max.bit_length()
         weights |= 1
         users = np.flatnonzero(self.leader_count)
-        bounds = np.append(self.leader_indptr[users], self.edge_count)
-        for a in (weights, bounds, users):
+        starts = self.leader_indptr[users]
+        for a in (weights, starts, users):
             a.flags.writeable = False
-        return weights, bounds, users
+        return weights, starts, users
 
 
 def load_edge_list(source, direction: str = DIRECTION_FOLLOWS) -> FollowNetwork:

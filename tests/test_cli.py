@@ -561,6 +561,25 @@ class TestFitAndClassify:
         assert main(["classify", "--profile-csv", str(out)]) == 0
         assert capsys.readouterr().out.strip() in {"P", "A", "B", "S"}
 
+    def test_negative_zero_lambda_is_written_as_zero(self, star_file,
+                                                     tmp_path):
+        # lambda=-0 and lambda=0 are one grid: the same fit JSON and scan
+        # CSV, byte for byte, with no "-0" in either
+        target = run_simulate(star_file, tmp_path, "target.csv")
+        outputs = []
+        for lam in ("-0", "0"):
+            report, scan = tmp_path / f"{lam}.json", tmp_path / f"{lam}.csv"
+            assert main(["fit", "--network", star_file, "--hashtag",
+                         str(target), "--name", "t", "--grid",
+                         f"lambda={lam},eta=1:3,dt=0:2", "--runs", "3",
+                         "--seed", "5", "--out", str(report),
+                         "--scan-out", str(scan)]) == 0
+            outputs.append((report.read_bytes(), scan.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert b'"lambda": 0.0' in outputs[1][0]
+        assert all(row.startswith(b"0,")
+                   for row in outputs[1][1].splitlines()[1:])
+
     def test_classify_needs_exactly_one_source(self, tmp_path):
         assert main(["classify"]) == 1
         assert main(["classify", "--fit-json", "a", "--profile-csv", "b"]) == 1

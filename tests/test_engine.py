@@ -2,12 +2,10 @@ import dataclasses
 import functools
 import importlib.util
 import io
-import itertools
 import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,9 +21,6 @@ from reference import (binomial_cdf, binomial_reference, edge_followers,
                        simulate_reference)
 
 PARAMS = ModelParams(lam=0.5, eta_star=2, delta_t=3)
-# the default day chunk, and pull ranges of one user's leaders each (and
-# a push cap of 0, so every update with listed pairs pulls)
-DAY_CHUNKS = (engine._DAY_CHUNK, 1)
 
 
 class TestBinomialCount:
@@ -324,40 +319,15 @@ class TestExposure:
         net, last_old, acted, last_new = step
         if net.edge_count == 0:
             return
-        for chunk in DAY_CHUNKS:
-            with mock.patch.object(engine, "_DAY_CHUNK", chunk):
-                pushed = no_exposure(net, last_old.shape[0])
-                engine._pull(net, pushed.packed, last_old)
-                assert_exposure_by_definition(pushed, net, last_old)
-                push(net, pushed.packed, net.l_max.bit_length(), last_old,
-                     np.flatnonzero(acted), net.follower_csr(1))
-                pulled = no_exposure(net, last_old.shape[0])
-                engine._pull(net, pulled.packed, last_new)
-            for state in (pushed, pulled):
-                assert_exposure_by_definition(state, net, last_new)
-
-    def test_chunks_equal_one_call(self):
-        # a pull in ranges of whole users gives the bytes of one range of
-        # everything, also with several rows
-        seen = {"rows": 0}
-
-        @settings(max_examples=300, deadline=None)
-        @given(exposure_steps(), st.integers(1, 16))
-        def check(step, budget):
-            net, last, _, _ = step
-            if net.edge_count == 0:
-                return
-            rows = last.shape[0]
-            out = []
-            for chunk in (rows * net.edge_count, budget):
-                with mock.patch.object(engine, "_DAY_CHUNK", chunk):
-                    state = no_exposure(net, rows)
-                    engine._pull(net, state.packed, last)
-                    out.append(state.packed)
-            assert np.array_equal(out[0], out[1])
-            seen["rows"] += rows > 1 and rows * net.edge_count > budget
-        check()
-        assert seen["rows"]
+        pushed = no_exposure(net, last_old.shape[0])
+        engine._pull(net, pushed.packed, last_old)
+        assert_exposure_by_definition(pushed, net, last_old)
+        push(net, pushed.packed, net.l_max.bit_length(), last_old,
+             np.flatnonzero(acted), net.follower_csr(1))
+        pulled = no_exposure(net, last_old.shape[0])
+        engine._pull(net, pulled.packed, last_new)
+        for state in (pushed, pulled):
+            assert_exposure_by_definition(state, net, last_new)
 
     @settings(max_examples=200, deadline=None)
     @given(push_days(), st.floats(1.0, 14.0))
@@ -384,24 +354,21 @@ class TestExposure:
             assert np.all(y <= want_y) and np.all(eta <= want_eta)
             assert np.all(y[:, ~capable] < least[~capable])
 
-    def test_pull_counts_past_int8(self, monkeypatch):
-        # one user follows 300 leaders that are all more recent than it;
-        # its segment is one range, also above a budget of 1
+    def test_pull_counts_past_int8(self):
+        # one user follows 300 leaders that are all more recent than it
         net = FollowNetwork.from_edges(np.zeros(300, dtype=np.int64),
                                        np.arange(1, 301), 301)
         last = np.zeros((1, 301), dtype=np.int16)
         last[0, 0] = engine._NEVER
-        for chunk in DAY_CHUNKS:
-            monkeypatch.setattr(engine, "_DAY_CHUNK", chunk)
-            state = no_exposure(net, 1)
-            engine._pull(net, state.packed, last)
-            y, eta = unpacked(state)
-            assert eta[0, 0] == 300
-            assert y[0, 0] == 300
-            assert_exposure_by_definition(state, net, last)
+        state = no_exposure(net, 1)
+        engine._pull(net, state.packed, last)
+        y, eta = unpacked(state)
+        assert eta[0, 0] == 300
+        assert y[0, 0] == 300
+        assert_exposure_by_definition(state, net, last)
 
     @pytest.mark.parametrize("leaders", [255, 256])
-    def test_pull_packing_boundary(self, monkeypatch, leaders):
+    def test_pull_packing_boundary(self, leaders):
         # users 0..99 follow the same leaders, so eta reaches l_max (255
         # fills its 8-bit field, 256 sets the top bit of a 9-bit one) and
         # y reaches E, the largest value above it
@@ -416,19 +383,17 @@ class TestExposure:
         last[1, followers::3] = engine._NEVER
         never = np.full(last.shape, engine._NEVER, dtype=np.int16)
         acted = last == 0
-        for chunk in DAY_CHUNKS:
-            monkeypatch.setattr(engine, "_DAY_CHUNK", chunk)
-            pulled = no_exposure(net, 2)
-            engine._pull(net, pulled.packed, last)
-            y, eta = unpacked(pulled)
-            assert eta[0, 0] == leaders
-            assert y[0, 0] == net.edge_count
-            assert_exposure_by_definition(pulled, net, last)
-            # the same state pushed from nothing: the leaders act on day 0
-            pushed = no_exposure(net, 2)
-            push(net, pushed.packed, net.l_max.bit_length(), never,
-                 np.flatnonzero(acted), net.follower_csr(1))
-            assert np.array_equal(pushed.packed, pulled.packed)
+        pulled = no_exposure(net, 2)
+        engine._pull(net, pulled.packed, last)
+        y, eta = unpacked(pulled)
+        assert eta[0, 0] == leaders
+        assert y[0, 0] == net.edge_count
+        assert_exposure_by_definition(pulled, net, last)
+        # the same state pushed from nothing: the leaders act on day 0
+        pushed = no_exposure(net, 2)
+        push(net, pushed.packed, net.l_max.bit_length(), never,
+             np.flatnonzero(acted), net.follower_csr(1))
+        assert np.array_equal(pushed.packed, pulled.packed)
 
     def test_state_rejects_networks_too_large_to_pack(self):
         # shift 3: (E + 1) << 3 must stay below 2**63. A one-user network
@@ -574,15 +539,6 @@ def assert_totals_match_reference(net, params, seeds, acts, dist,
                               sum(r.distinct_users for r in runs))
 
 
-def ensembles_by_chunk(net, params, seed):
-    """One-run ensembles at each of DAY_CHUNKS."""
-    out = []
-    for chunk in DAY_CHUNKS:
-        with mock.patch.object(engine, "_DAY_CHUNK", chunk):
-            out.append(run_ensemble(net, params, seed, 1))
-    return out
-
-
 class TestAgainstReference:
     def test_star_hub_frontier_pulls(self, monkeypatch):
         # the hub's out-edges are all edges, so a day it acts is pulled
@@ -591,54 +547,23 @@ class TestAgainstReference:
         calls = count_directions(monkeypatch)
         for seed in (3, 4):
             ref = simulate_reference(net, params, seed)
-            for eng in ensembles_by_chunk(net, params, seed):
-                assert np.array_equal(eng.activities, ref.activities)
-                assert np.array_equal(eng.distinct_users, ref.distinct_users)
+            eng = run_ensemble(net, params, seed, 1)
+            assert np.array_equal(eng.activities, ref.activities)
+            assert np.array_equal(eng.distinct_users, ref.distinct_users)
         assert calls["pull"] > 0
 
     def test_sparse_high_threshold_pushes(self, monkeypatch):
-        # at the default budget every update pushes; at a budget of 1 the
-        # push cap is 0, so the updates pull, with the same bytes
+        # every update pushes, with the oracle's bytes
         net = sparse_push_network()
         params = ModelParams(lam=0.3, eta_star=8, delta_t=7)
         ref = simulate_reference(net, params, 1)
-        for eng in ensembles_by_chunk(net, params, 1):
-            assert np.array_equal(eng.activities, ref.activities)
-            assert np.array_equal(eng.distinct_users, ref.distinct_users)
         calls = count_directions(monkeypatch)
-        run_ensemble(net, params, 1, 1)
+        eng = run_ensemble(net, params, 1, 1)
+        assert np.array_equal(eng.activities, ref.activities)
+        assert np.array_equal(eng.distinct_users, ref.distinct_users)
         assert calls["push"] > 0 and calls["pull"] == 0
         # someone posted twice in a day, so retweets happened
         assert eng.activities.sum() > eng.distinct_users.sum()
-
-    def test_push_over_the_cap_pulls(self, monkeypatch):
-        # at the default budget every update of these 4 runs pushes, the
-        # largest listing fewer pairs than _PUSH_MAX_FRAC x 4 x E; at a
-        # budget of 1,024 the push cap is 256 pairs, so the days that list
-        # more pull, with the oracle's bytes, and the others still push
-        net = sparse_push_network()
-        params = ModelParams(lam=0.3, eta_star=8, delta_t=7)
-        listed, push = [], engine._push
-
-        def spy(*args):
-            j = args[4] % net.user_count  # the actors, and their lists
-            indptr = args[-1][0]
-            listed.append(int((indptr[j + 1] - indptr[j]).sum()))
-            return push(*args)
-        monkeypatch.setattr(engine, "_push", spy)
-        calls = count_directions(monkeypatch)
-        continued(net, params, engine.peak_state(net, params, 1, 4))
-        assert calls["pull"] == 0
-        assert 256 < max(listed) <= engine._PUSH_MAX_FRAC * 4 * net.edge_count
-        listed.clear()
-        calls.update(push=0, pull=0)
-        monkeypatch.setattr(engine, "_DAY_CHUNK", 1024)
-        blocks = engine.peak_state(net, params, 1, 4)
-        acts, dist = continued(net, params, blocks)
-        assert calls["push"] > 0 and calls["pull"] > 0
-        assert max(listed) <= 256
-        assert_totals_match_reference(net, params, [blocks[0].seeds], acts,
-                                      dist)
 
     def test_pruned_pushes_match_reference(self, monkeypatch):
         # at eta_star 6.5 the users with fewer than 6 leaders get no push:
@@ -661,9 +586,9 @@ class TestAgainstReference:
                                  seed=3)
         params = ModelParams(lam=0.4, eta_star=3, delta_t=3)
         ref = simulate_reference(net, params, 12345)
-        for eng in ensembles_by_chunk(net, params, 12345):
-            assert np.array_equal(eng.activities, ref.activities)
-            assert np.array_equal(eng.distinct_users, ref.distinct_users)
+        eng = run_ensemble(net, params, 12345, 1)
+        assert np.array_equal(eng.activities, ref.activities)
+        assert np.array_equal(eng.distinct_users, ref.distinct_users)
 
     # 8 of 150 users have no followers (activeness 0), and the lowest-degree
     # users cannot post after the peak (t = 0 for 3 users on day 1 and 90
@@ -673,13 +598,10 @@ class TestAgainstReference:
 
     def assert_rows_match_reference(self, monkeypatch, net, params, seeds):
         # once in one block of every run, whose totals are the sums of the
-        # oracle's runs, once in blocks of one run, each the oracle's run;
-        # each at every one of DAY_CHUNKS
+        # oracle's runs, once in blocks of one run, each the oracle's run
         refs = {}
-        for budget, chunk in itertools.product((engine._BLOCK_EDGES, 1),
-                                               DAY_CHUNKS):
+        for budget in (engine._BLOCK_EDGES, 1):
             monkeypatch.setattr(engine, "_BLOCK_EDGES", budget)
-            monkeypatch.setattr(engine, "_DAY_CHUNK", chunk)
             blocks = engine.peak_state(net, params, seeds[0], len(seeds))
             assert sum((block.seeds for block in blocks), ()) == tuple(seeds)
             assert len(blocks) == (1 if budget > 1 else len(seeds))
@@ -752,9 +674,9 @@ class TestAgainstReference:
                   np.random.default_rng(1).permutation(net.user_count)]
         for order in orders:
             ref = simulate_reference(net, params, 555, user_order=order)
-            for eng in ensembles_by_chunk(net, params, 555):
-                assert np.array_equal(eng.activities, ref.activities)
-                assert np.array_equal(eng.distinct_users, ref.distinct_users)
+            eng = run_ensemble(net, params, 555, 1)
+            assert np.array_equal(eng.activities, ref.activities)
+            assert np.array_equal(eng.distinct_users, ref.distinct_users)
 
 
 class TestEnsemble:
@@ -1017,11 +939,9 @@ class TestBlocks:
     def test_one_run_blocks_give_the_same_bytes(self, monkeypatch, er200):
         assert len(engine.peak_state(er200, self.PARAMS, 5, 6)) == 1
         data, scan = self.outputs(er200)
-        # one block, then 1-run blocks, each at every one of DAY_CHUNKS
-        for budget, chunk in itertools.product((engine._BLOCK_EDGES, 1),
-                                               DAY_CHUNKS[::-1]):
+        # one block, then 1-run blocks
+        for budget in (engine._BLOCK_EDGES, 1):
             monkeypatch.setattr(engine, "_BLOCK_EDGES", budget)
-            monkeypatch.setattr(engine, "_DAY_CHUNK", chunk)
             blocks = 1 if budget > 1 else 6
             assert len(engine.peak_state(er200, self.PARAMS, 5, 6)) == blocks
             other_data, other_scan = self.outputs(er200)
@@ -1030,41 +950,43 @@ class TestBlocks:
             assert scan == other_scan
 
     def test_day_temporaries_are_bounded_by_the_chunk(self, monkeypatch):
-        # one run of 200 users and ~20k or ~40k edges, at least 8x the
-        # budget: a day's temporaries above the block state are within a
-        # multiple of the budget whatever E. Unchunked, a pull alone holds
-        # ~13 B per edge (~260 KB and ~520 KB here); chunked, the day's
-        # traced peak is ~42 KB at either E: ~17 B per budget entry, plus
-        # ~15 KB of per-user arrays and numpy's own. Coverage is low enough
-        # that some days' actors list at most budget / 4 pairs and push
-        budget = 2048
-        monkeypatch.setattr(engine, "_DAY_CHUNK", budget)
+        # the block is a day's one chunk. 200 users and ~10k or ~20k edges
+        # at a budget of 2^16 (run, edge) pairs make blocks of 6 or 3 runs,
+        # in ensembles of one block or of three. A day's temporaries above
+        # the block state stay within a multiple of the budget whatever E
+        # and the runs: the traced peak of a block's days is ~9.4 B per
+        # budget pair, the pull's ~10 B per (run, edge) of the block. One
+        # block of all the runs would hold ~26 B per budget pair in the
+        # three-block ensembles. Coverage is low enough that some days push
+        budget = 1 << 16
+        monkeypatch.setattr(engine, "_BLOCK_EDGES", budget)
         calls = count_directions(monkeypatch)
         params = ModelParams(lam=0.0, eta_star=1, delta_t=2,
-                             coverage=lambda x: 0.002)
-        for edge_prob in (0.5, 1.0):
+                             coverage=lambda x: 0.02)
+        for edge_prob, size in ((0.25, 6), (0.5, 3)):
             net = generate_synthetic("uniform-random", 200,
                                      edge_prob=edge_prob, seed=1)
-            assert net.edge_count >= 8 * budget
+            assert budget // net.edge_count == size
             run_ensemble(net, params, 2, 1)  # builds the network's plans
-            block, = engine.peak_state(net, params, 2, 1)
             days = engine._days(net, params,
                                 range(engine.PEAK_INDEX + 1, engine.N_DAYS))
-            tracemalloc.start()
-            try:
-                block.simulate(days)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 32 * budget
+            for blocks in (1, 3):
+                snapshot = engine.peak_state(net, params, 2, blocks * size)
+                assert len(snapshot) == blocks
+                for block in snapshot:
+                    tracemalloc.start()
+                    try:
+                        block.simulate(days)
+                        peak = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+                    assert peak <= 12 * budget
         assert calls["pull"] and calls["push"]
 
     def test_one_binomial_call_per_block_day(self, monkeypatch):
-        # a block-day draws all its gated pairs in one binomial_count call,
-        # also at a budget whose thirty-second is one pair
+        # a block-day draws all its gated pairs in one binomial_count call
         net = generate_synthetic(**TestAgainstReference.SPARSE)
         params = ModelParams(lam=1.0, eta_star=1, delta_t=3)
-        monkeypatch.setattr(engine, "_DAY_CHUNK", 32)
         gated, drawn = [], []
         spread, binomial = engine._spread, engine.binomial_count
 
